@@ -24,18 +24,3 @@ def sigma(x):
     """Logistic function e^x / (1 + e^x)."""
     return expit(x)
 
-
-def exp_checked(arg: float) -> float:
-    """exp(arg) with an explicit overflow error instead of inf."""
-    if arg > EXP_ARG_MAX:
-        raise OverflowError(f"exponent {arg:.3g} exceeds representable range")
-    return float(np.exp(arg))
-
-
-def pow_frac(base: float, expo: float) -> float:
-    """base**expo for base >= 0 via log space; 0**positive = 0."""
-    if base < 0.0:
-        raise ValueError(f"negative base {base!r} in fractional power")
-    if base == 0.0:
-        return 0.0
-    return float(np.exp(expo * np.log(base)))

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._stable import sigma, softplus
 from .errors import AdmissionError, ConfigError
 from .nonlinearity import Nonlinearity, eval_g

@@ -9,20 +9,18 @@ defaults last). Exit codes: 0 success, 1 configuration or usage error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .config import ProblemConfig
-from .errors import ConfigError, QShootError, SolverError
-from .linearization import detect_turning, solve_V1, t_prime, t_prime_fd
+from .errors import ConfigError, QShootError
+from .linearization import detect_turning, solve_V1, t_prime_fd
 from .nonlinearity import Nonlinearity, make_nonlinearity
 from .output import (atomic_write, csv_text, curve_meta, curve_rows,
-                     decay_rows, fmt_value, json_text, linearization_rows,
-                     sweep_svg, trajectory_rows)
+                     fmt_value, json_text, linearization_rows, sweep_svg)
 from .shooting import (classify_small_gamma, shoot, shoot_singular,
                        shoot_weighted_direct, sweep)
 from .verify import SUITES, run_suites
@@ -49,7 +47,6 @@ class RunConfig:
     tail_c: float = 6.0
     out: str | None = None
     fmt: str = "csv"
-    seed: int = 0
 
     def nonlinearity(self) -> Nonlinearity:
         return make_nonlinearity(self.family, a=self.a, q=self.q, p=self.p,
@@ -68,11 +65,10 @@ KEY_MAP = {
     "rho-beta": "rho_beta", "beta-weight": "beta_weight", "n": "n",
     "gamma": "gamma", "gamma-min": "gamma_min", "gamma-max": "gamma_max",
     "gamma-steps": "gamma_steps", "tol": "tol", "tail-c": "tail_c",
-    "out": "out", "format": "fmt", "seed": "seed",
+    "out": "out", "format": "fmt",
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"n", "gamma-steps", "seed"}
+_INT_KEYS = {"n", "gamma-steps"}
 _STR_KEYS = {"family", "out", "format"}
 
 
@@ -164,7 +160,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="tail start depth multiplier")
     p.add_argument("--out", help="output file path")
     p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"))
-    p.add_argument("--seed", type=int, help="reserved sampling seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,6 +212,14 @@ def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _write_curve(path: str, curve) -> None:
+    """The curve as CSV plus its .meta.json sidecar."""
+    header, rows = curve_rows(curve)
+    atomic_write(path, csv_text(header, rows))
+    atomic_write(path + ".meta.json",
+                 json_text(curve_meta(curve, __version__)))
+
+
 def cmd_shoot(args) -> int:
     rc = load_run_config(args.config, _flag_values(args))
     if rc.gamma is None:
@@ -246,10 +249,7 @@ def cmd_sweep(args) -> int:
         if rc.fmt == "svg":
             atomic_write(rc.out, sweep_svg(curve))
         else:
-            header, rows = curve_rows(curve)
-            atomic_write(rc.out, csv_text(header, rows))
-            atomic_write(rc.out + ".meta.json",
-                         json_text(curve_meta(curve, __version__)))
+            _write_curve(rc.out, curve)
     return 0
 
 
@@ -277,16 +277,13 @@ def cmd_linearize(args) -> int:
             lines.append(f"error[gamma={fmt_value(g)}]={msg}")
         _emit(lines)
         if rc.out:
-            header, rows = curve_rows(curve)
-            atomic_write(rc.out, csv_text(header, rows))
-            atomic_write(rc.out + ".meta.json",
-                         json_text(curve_meta(curve, __version__)))
+            _write_curve(rc.out, curve)
         return 0
 
     if rc.gamma is None:
         raise ConfigError("linearize needs --gamma or a gamma grid")
     res = solve_V1(nl, rc.n, rc.gamma, cfg, keep_trajectory=True)
-    tp = t_prime(nl, rc.n, rc.gamma, cfg)
+    tp = res.tprime()
     tf = t_prime_fd(nl, rc.n, rc.gamma, cfg)
     lines = [f"gamma={fmt_value(rc.gamma)}", f"T={fmt_value(res.T)}",
              f"V1_T={fmt_value(res.V1_T)}",

@@ -12,7 +12,7 @@ V1(T) is the gamma-derivative of the profile there and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,19 +20,15 @@ from scipy.optimize import brentq
 
 from .asymptotics import snapshot
 from .config import ProblemConfig
-from .errors import AdmissionError, ConfigError, SolverError
-from .nonlinearity import Nonlinearity, convexity_floor, eval_g
-from .ode import (Trajectory, first_zero_of_y, integrate_r, integrate_t,
-                  quad_dense, tail_start, wprime_from_Phi, yprime_from_psi)
-from .shooting import choose_route
+from .errors import ConfigError, SolverError
+from .nonlinearity import Nonlinearity, eval_g
+from .ode import Trajectory, quad_dense, tail_start, yprime_from_psi
+from .shooting import march_route
 from ._stable import sigma
-
-
-@dataclass(frozen=True)
-class LinState:
-    t: float
-    V1: float
-    phi: float
+# unused here: bound only so perfbench/tracer.py can wrap them as spans
+from .nonlinearity import convexity_floor  # noqa: F401
+from .ode import integrate_r, integrate_t  # noqa: F401
+from .shooting import choose_route  # noqa: F401
 
 
 def v2_eval(gamma: float, n: int, nl: Nonlinearity, t):
@@ -93,61 +89,40 @@ class V1Result:
     t_start: Optional[float] = None
     traj: Optional[Trajectory] = None
 
+    def tprime(self) -> float:
+        """T'(gamma) = -V1(T) / y'(T), refused when y'(T) is too small."""
+        if self.yprime_T < 1e-14:
+            raise SolverError(f"boundary slope y'(T) = {self.yprime_T:.3g} "
+                              "too small to divide")
+        return -self.V1_T / self.yprime_T
+
 
 def solve_V1(nl: Nonlinearity, n: int, gamma: float,
              cfg: ProblemConfig | None = None, *,
              keep_trajectory: bool = False,
              route: str | None = None) -> V1Result:
     """Integrate the linearization channel along the shooting trajectory
-    and return the boundary value V1(T)."""
+    and return the boundary value V1(T). The t-route channel starts from
+    the closed-form V2 of the comparison solution at the tail start."""
     if cfg is None:
         cfg = ProblemConfig(n=n)
-    if route is None:
-        route = choose_route(nl, n, gamma, cfg)
-    s0w = convexity_floor(nl)
-    track = s0w if (math.isfinite(s0w) and 0.0 < s0w < gamma) else None
 
-    if route == "t":
-        start = tail_start(nl, n, gamma, cfg.c_tail, cfg)
+    def seed(start):
         v2, v2p, _ = v2_eval(gamma, n, nl, start.t)
-        zp = yprime_from_psi(start.psi, n)
-        phi0 = zp ** (n - 2.0) * v2p
-        traj = integrate_t(nl, n, start, first_zero_of_y(), cfg, lin=True,
-                           lin_init=(v2, phi0), track_s0=track, gamma=gamma)
-        T = traj.events["stop_t"]
-        s = traj.state_at(T)
-        ypT = yprime_from_psi(float(s[1]), n)
-        v1T = float(s[2])
-        return V1Result(gamma=float(gamma), n=n, route="t", T=float(T),
-                        yprime_T=ypT, V1_T=v1T,
-                        Ttilde=traj.events.get("s0_t"), t_start=start.t,
-                        traj=traj if keep_trajectory else None)
+        return v2, yprime_from_psi(start.psi, n) ** (n - 2.0) * v2p
 
-    if cfg.beta_weight != 0.0:
-        raise AdmissionError("linearized flow not wired for the weighted "
-                             "problem; reduce it first")
-    traj = integrate_r(nl, n, gamma, first_zero_of_y(), cfg, lin=True,
-                       track_s0=track)
-    r_ev = traj.events["stop_r"]
-    T = -n * math.log(r_ev / n)
-    s = traj.state_at(r_ev)
-    wp = wprime_from_Phi(float(s[1]), r_ev, n)
-    ypT = -(r_ev / n) * wp
-    rs0 = traj.events.get("s0_r")
-    return V1Result(gamma=float(gamma), n=n, route="r", T=float(T),
-                    yprime_T=ypT, V1_T=float(s[2]),
-                    Ttilde=-n * math.log(rs0 / n) if rs0 is not None else None,
+    traj = march_route(nl, n, gamma, cfg, route, lin_seed=seed)
+    T, ypT, Ttilde, s = traj.stop_readout()
+    return V1Result(gamma=float(gamma), n=n, route=traj.kind, T=float(T),
+                    yprime_T=ypT, V1_T=float(s[2]), Ttilde=Ttilde,
+                    t_start=traj.diagnostics.get("t_start"),
                     traj=traj if keep_trajectory else None)
 
 
 def t_prime(nl: Nonlinearity, n: int, gamma: float,
             cfg: ProblemConfig | None = None) -> float:
     """T'(gamma) through the linearized flow."""
-    res = solve_V1(nl, n, gamma, cfg)
-    if res.yprime_T < 1e-14:
-        raise SolverError(
-            f"boundary slope y'(T) = {res.yprime_T:.3g} too small to divide")
-    return -res.V1_T / res.yprime_T
+    return solve_V1(nl, n, gamma, cfg).tprime()
 
 
 def t_prime_fd(nl: Nonlinearity, n: int, gamma: float,

@@ -71,8 +71,6 @@ class Nonlinearity:
     rho: Rho = field(default_factory=Rho)
     linear: bool = False
     f0: float = 1.0
-    beta_growth: float = 0.0
-    alpha_growth: float = 1.0
     family: str = "pow_exp"
     exploratory: bool = False
 
@@ -103,8 +101,7 @@ def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
     if lam <= 0.0:
         raise ConfigError(f"lambda must be positive, got {lam}")
     if family == "linear":
-        return Nonlinearity(lam=lam, linear=True, f0=0.0, beta_growth=0.0,
-                            alpha_growth=0.0, family="linear")
+        return Nonlinearity(lam=lam, linear=True, f0=0.0, family="linear")
     if family == "exp":
         q, p, rho_beta, custom_rho = 1.0, 0.0, 0.0, None
     elif family != "pow_exp":
@@ -130,16 +127,8 @@ def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
         f0 = lam * math.exp(custom_rho(0.0, 0))
     else:
         f0 = lam
-
-    # growth tags of f(u) >= c e^{beta u^alpha}: informational only
-    alpha_growth = min(q, 1.0)
-    if q > 1.0:
-        beta_growth = rho_beta if rho_beta > 0.0 else a
-    else:
-        beta_growth = a + rho_beta
-    return Nonlinearity(lam=lam, a=a, q=q, rho=rho, f0=f0,
-                        beta_growth=beta_growth, alpha_growth=alpha_growth,
-                        family=family, exploratory=exploratory)
+    return Nonlinearity(lam=lam, a=a, q=q, rho=rho, f0=f0, family=family,
+                        exploratory=exploratory)
 
 
 def with_lambda(nl: Nonlinearity, lam: float) -> Nonlinearity:

@@ -1,18 +1,25 @@
 """Event-detecting integration of the radial problem in flux form.
 
-Two marchings of the same equation:
+One marching core (`_march`) serves both coordinate setups of the same
+equation. It wires the level events for the stop rule and the convexity
+floor crossing, makes the single solve_ivp call, raises with the last
+accepted state when the march fails or misses its stop, refines the events
+on the dense output and assembles the Trajectory. Each setup only supplies
+its start state, its span and one right-hand side, which appends the
+linearization block (the derivative of the flow with respect to gamma; see
+the linearization module) when asked:
 
   t-route   y' = psi^{1/(n-1)}, psi' = -f(y) e^{-t}, integrated backwards in
             the log-radius variable t from a tail start down to the first
             zero of y. The flux psi = (y')^{n-1} is the state variable, which
-            removes the |y'|^{n-2} degeneracy.
+            removes the |y'|^{n-2} degeneracy. Channel: (V1, phi).
 
   r-route   w' from Phi = r^{n-1}|w'|^{n-2} w', Phi' = -f(w) r^{n-1-beta},
             marched outward from a series startup at r0. beta > 0 covers the
-            singular-weight problem directly.
+            singular-weight problem directly. Channel: (W, chi).
 
-Both attach an optional linearization channel (the derivative of the flow
-with respect to gamma); see the linearization module for its use.
+Trajectory.stop_readout maps the stop event of either route to the
+log-radius variable, r = n e^{-t/n}.
 
 Tolerance policy: scalar absolute tolerance on the solution value, but a
 purely relative control on the flux. The flux spans many orders of magnitude
@@ -92,6 +99,10 @@ class StateR:
     Phi: float
 
 
+def _t_of_r(r: float, n: int) -> float:
+    return -n * math.log(r / n)
+
+
 def wprime_from_Phi(Phi: float, r: float, n: int) -> float:
     if r <= 0.0 or Phi == 0.0:
         return 0.0
@@ -160,8 +171,7 @@ class Trajectory:
         lo, hi = self.span()
         if self.kind == "t":
             return lo, hi
-        n = self.n
-        return -n * math.log(hi / n), -n * math.log(lo / n)
+        return _t_of_r(hi, self.n), _t_of_r(lo, self.n)
 
     def yprime_t(self, t: float) -> float:
         """dy/dt at t; for r-kind data this is -(r/n) dw/dr at r = n e^{-t/n}."""
@@ -172,12 +182,20 @@ class Trajectory:
         r = min(max(n * math.exp(-t / n), lo), hi)
         return -(r / n) * self.yprime_at(r)
 
-    def samples(self):
+    def stop_readout(self) -> tuple:
+        """(T, y'(T), Ttilde, state at the stop) in the log-radius variable,
+        whichever route marched. Ttilde is None without a floor crossing."""
         if self.kind == "t":
-            return [StateT(float(t), float(row[0]), float(row[1]))
-                    for t, row in zip(self.ts, self.states)]
-        return [StateR(float(r), float(row[0]), float(row[1]))
-                for r, row in zip(self.ts, self.states)]
+            T = self.events["stop_t"]
+            s = self.state_at(T)
+            return T, yprime_from_psi(float(s[1]), self.n), \
+                self.events.get("s0_t"), s
+        n = self.n
+        r = self.events["stop_r"]
+        s = self.state_at(r)
+        rs0 = self.events.get("s0_r")
+        return (_t_of_r(r, n), -(r / n) * wprime_from_Phi(float(s[1]), r, n),
+                _t_of_r(rs0, n) if rs0 is not None else None, s)
 
 
 def _tail_site(nl: Nonlinearity, n: int, gamma: float, c_tail: float):
@@ -300,32 +318,80 @@ def _run_ivp(rhs, span, y0, events, cfg, atol_vec):
     return sol
 
 
+def _level_event(level: float, terminal: bool):
+    def ev(x, u):
+        return u[0] - level
+    ev.terminal = terminal
+    return ev
+
+
+def _march(kind: str, nl: Nonlinearity, n: int, gamma: float,
+           cfg: ProblemConfig, rhs, span: tuple, y0: list, stop: StopRule,
+           track_s0: float | None, where: str, **diag) -> Trajectory:
+    """The marching core of both routes: integrate `rhs` over `span` to the
+    first-component level of `stop`, refining that event and the crossing
+    of track_s0 on the dense output. A 4-component `y0` carries the
+    linearization channel; `where` ends the miss message."""
+    target = {"first_zero": 0.0, "y_reaches": stop.value}.get(stop.kind)
+    track = track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0)
+    events = []
+    if target is not None:
+        events.append(_level_event(target, True))
+    if track:
+        events.append(_level_event(track_s0, False))
+    lin = len(y0) == 4
+    atol_vec = [cfg.atol, _PSI_ATOL] + [cfg.atol] * (len(y0) - 2)
+    sol = _run_ivp(rhs, span, y0, events, cfg, atol_vec)
+
+    def last():
+        state = StateT if kind == "t" else StateR
+        return state(float(sol.t[-1]), *(float(v) for v in sol.y[:2, -1]))
+
+    def refine(level, guess):
+        return _refine_event(lambda x: float(sol.sol(x)[0]) - level, guess,
+                             span[0], float(sol.t[-1]), cfg.event_tol)
+
+    if sol.status == -1:
+        raise SolverError(f"integrator failed: {sol.message}",
+                          last_state=last())
+    evs: dict = {}
+    if target is not None:
+        if sol.status != 1 or len(sol.t_events[0]) == 0:
+            var = "y" if kind == "t" else "w"
+            raise EventNotFoundError(
+                f"no crossing of {var}={target} {where}", last_state=last())
+        x = refine(target, float(sol.t_events[0][0]))
+        evs[f"stop_{kind}"] = x
+        evs["stop_residual"] = float(sol.sol(x)[0]) - target
+    if track and len(sol.t_events[-1]):
+        evs[f"s0_{kind}"] = refine(track_s0, float(sol.t_events[-1][0]))
+    diag = {"route": kind, "nfev": int(sol.nfev),
+            "steps": int(len(sol.t)) - 1, "status": int(sol.status), **diag}
+    return Trajectory(kind=kind, gamma=gamma, n=n, nl=nl, cfg=cfg,
+                      ts=sol.t.copy(), states=sol.y.T.copy(), dense=sol.sol,
+                      lin=lin, events=evs, diagnostics=diag)
+
+
 def integrate_t(nl: Nonlinearity, n: int, start: StateT, stop: StopRule,
                 cfg: ProblemConfig | None = None, *, lin: bool = False,
                 lin_init: tuple = (1.0, 0.0), track_s0: float | None = None,
                 gamma: float = math.nan) -> Trajectory:
-    """March the flux system backwards in t from `start` until `stop`."""
+    """March the flux system backwards in t from `start` until `stop`;
+    `lin_init` seeds (V1, phi) when the channel is attached."""
     if cfg is None:
         cfg = ProblemConfig(n=n)
     ex = 1.0 / (n - 1.0)
     exd = (n - 2.0) / (n - 1.0)
 
-    if lin:
-        def rhs(t, u):
-            y, psi, v1, phi = (float(v) for v in u)
-            yp = psi ** ex if psi > 0.0 else 0.0
-            dv1 = phi if n == 2 else _clamp(phi / max(psi, _PSI_ATOL) ** exd)
-            dphi = _clamp(-_fprime_soft(nl, y, t) * v1 / (n - 1.0))
-            return (min(yp, _SOURCE_CAP), -_source_soft(nl, y, t), dv1, dphi)
-        y0 = [start.y, start.psi, lin_init[0], lin_init[1]]
-        atol_vec = [cfg.atol, _PSI_ATOL, cfg.atol, cfg.atol]
-    else:
-        def rhs(t, u):
-            y, psi = float(u[0]), float(u[1])
-            yp = psi ** ex if psi > 0.0 else 0.0
-            return (min(yp, _SOURCE_CAP), -_source_soft(nl, y, t))
-        y0 = [start.y, start.psi]
-        atol_vec = [cfg.atol, _PSI_ATOL]
+    def rhs(t, u):
+        y, psi = float(u[0]), float(u[1])
+        yp = psi ** ex if psi > 0.0 else 0.0
+        du = (min(yp, _SOURCE_CAP), -_source_soft(nl, y, t))
+        if not lin:
+            return du
+        v1, phi = float(u[2]), float(u[3])
+        dv1 = phi if n == 2 else _clamp(phi / max(psi, _PSI_ATOL) ** exd)
+        return du + (dv1, _clamp(-_fprime_soft(nl, y, t) * v1 / (n - 1.0)))
 
     if stop.kind == "t_floor":
         floor = stop.value
@@ -334,52 +400,10 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT, stop: StopRule,
             start.t - max(1000.0, 4.0 * abs(start.t) + 400.0 * (n - 1.0))
     if floor >= start.t:
         raise ConfigError(f"stop floor {floor} not below start {start.t}")
-
-    events = []
-    target = None
-    if stop.kind == "first_zero":
-        target = 0.0
-    elif stop.kind == "y_reaches":
-        target = stop.value
-    if target is not None:
-        def ev_stop(t, u, v=target):
-            return u[0] - v
-        ev_stop.terminal = True
-        events.append(ev_stop)
-    if track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0):
-        def ev_s0(t, u, v=track_s0):
-            return u[0] - v
-        ev_s0.terminal = False
-        events.append(ev_s0)
-
-    sol = _run_ivp(rhs, (start.t, floor), y0, events, cfg, atol_vec)
-    if sol.status == -1:
-        last = StateT(float(sol.t[-1]), float(sol.y[0, -1]), float(sol.y[1, -1]))
-        raise SolverError(f"integrator failed: {sol.message}", last_state=last)
-
-    evs: dict = {}
-    diag = {"nfev": int(sol.nfev), "steps": int(len(sol.t)) - 1,
-            "route": "t", "status": int(sol.status)}
-    if target is not None:
-        if sol.status != 1 or len(sol.t_events[0]) == 0:
-            last = StateT(float(sol.t[-1]), float(sol.y[0, -1]),
-                          float(sol.y[1, -1]))
-            raise EventNotFoundError(
-                f"no crossing of y={target} above the floor t={floor}",
-                last_state=last)
-        te = float(sol.t_events[0][0])
-        te = _refine_event(lambda t: float(sol.sol(t)[0]) - target,
-                           te, start.t, float(sol.t[-1]), cfg.event_tol)
-        evs["stop_t"] = te
-        evs["stop_residual"] = float(sol.sol(te)[0]) - target
-    if track_s0 is not None and len(events) > 1 and len(sol.t_events[-1]):
-        ts0 = float(sol.t_events[-1][0])
-        evs["s0_t"] = _refine_event(lambda t: float(sol.sol(t)[0]) - track_s0,
-                                    ts0, start.t, float(sol.t[-1]),
-                                    cfg.event_tol)
-    return Trajectory(kind="t", gamma=gamma, n=n, nl=nl, cfg=cfg,
-                      ts=sol.t.copy(), states=sol.y.T.copy(), dense=sol.sol,
-                      lin=lin, events=evs, diagnostics=diag)
+    y0 = [start.y, start.psi] + (list(lin_init) if lin else [])
+    return _march("t", nl, n, gamma, cfg, rhs, (start.t, floor), y0, stop,
+                  track_s0, f"above the floor t={floor}",
+                  t_start=start.t)
 
 
 def series_startup_radius(nl: Nonlinearity, n: int, gamma: float,
@@ -411,47 +435,40 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float, stop: StopRule,
     if gamma <= 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
     b = cfg.beta_weight
+    if lin and b != 0.0:
+        raise AdmissionError("linearized flow not wired for the weighted "
+                             "problem; reduce it first")
     nb = n - b
     fg = _f_at(nl, gamma, cfg)
     r0 = series_startup_radius(nl, n, gamma, cfg)
     w0 = gamma - (n - 1.0) / nb * (fg / nb) ** (1.0 / (n - 1.0)) \
         * r0 ** (nb / (n - 1.0))
     Phi0 = -fg * r0 ** nb / nb
-
-    ex = 1.0 / (n - 1.0)
-    exd = (n - 2.0) / (n - 1.0)
-
+    y0 = [w0, Phi0]
     if lin:
-        if b != 0.0:
-            raise ConfigError("linearization channel not wired for beta > 0")
         fp0 = eval_fprime_source(nl, gamma, 0.0)
         chi0 = -fp0 * r0 ** nb / (nb * (n - 1.0))
         # second series term of dw/dgamma; exact for the linear family
         W0 = 1.0 - fp0 / (n * nb) * (fg / nb) ** ((2.0 - n) / (n - 1.0)) \
             * r0 ** (nb / (n - 1.0))
+        y0 += [W0, chi0]
 
-        def rhs(r, u):
-            w, Phi, W, chi = (float(v) for v in u)
-            aPhi = max(-Phi, 0.0)
-            wp = -((aPhi / r ** (n - 1.0)) ** ex) if aPhi > 0.0 else 0.0
-            dW = _clamp(chi / r if n == 2
-                        else chi / (r * max(aPhi, _PSI_ATOL) ** exd))
-            dchi = _clamp(-_fprime_soft(nl, w, 0.0) * W * r ** (nb - 1.0)
-                          / (n - 1.0))
-            return (max(wp, -_SOURCE_CAP),
-                    _clamp(-_source_soft(nl, w, 0.0) * r ** (nb - 1.0)),
-                    dW, dchi)
-        y0 = [w0, Phi0, W0, chi0]
-        atol_vec = [cfg.atol, _PSI_ATOL, cfg.atol, cfg.atol]
-    else:
-        def rhs(r, u):
-            w, Phi = float(u[0]), float(u[1])
-            aPhi = max(-Phi, 0.0)
-            wp = -((aPhi / r ** (n - 1.0)) ** ex) if aPhi > 0.0 else 0.0
-            return (max(wp, -_SOURCE_CAP),
-                    _clamp(-_source_soft(nl, w, 0.0) * r ** (nb - 1.0)))
-        y0 = [w0, Phi0]
-        atol_vec = [cfg.atol, _PSI_ATOL]
+    ex = 1.0 / (n - 1.0)
+    exd = (n - 2.0) / (n - 1.0)
+
+    def rhs(r, u):
+        w, Phi = float(u[0]), float(u[1])
+        aPhi = max(-Phi, 0.0)
+        wp = -((aPhi / r ** (n - 1.0)) ** ex) if aPhi > 0.0 else 0.0
+        du = (max(wp, -_SOURCE_CAP),
+              _clamp(-_source_soft(nl, w, 0.0) * r ** (nb - 1.0)))
+        if not lin:
+            return du
+        W, chi = float(u[2]), float(u[3])
+        dW = _clamp(chi / r if n == 2
+                    else chi / (r * max(aPhi, _PSI_ATOL) ** exd))
+        return du + (dW, _clamp(-_fprime_soft(nl, w, 0.0) * W
+                                * r ** (nb - 1.0) / (n - 1.0)))
 
     if stop.kind == "t_floor":
         r_end = min(n * math.exp(-stop.value / n), cfg.r_max)
@@ -459,58 +476,15 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float, stop: StopRule,
         r_end = cfg.r_max
     if r_end <= r0:
         raise ConfigError(f"stop radius {r_end} not beyond startup {r0}")
-
-    events = []
-    target = None
-    if stop.kind == "first_zero":
-        target = 0.0
-    elif stop.kind == "y_reaches":
-        target = stop.value
-    if target is not None:
-        def ev_stop(r, u, v=target):
-            return u[0] - v
-        ev_stop.terminal = True
-        events.append(ev_stop)
-    if track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0):
-        def ev_s0(r, u, v=track_s0):
-            return u[0] - v
-        ev_s0.terminal = False
-        events.append(ev_s0)
-
-    sol = _run_ivp(rhs, (r0, r_end), y0, events, cfg, atol_vec)
-    if sol.status == -1:
-        last = StateR(float(sol.t[-1]), float(sol.y[0, -1]), float(sol.y[1, -1]))
-        raise SolverError(f"integrator failed: {sol.message}", last_state=last)
-
-    evs: dict = {}
-    diag = {"nfev": int(sol.nfev), "steps": int(len(sol.t)) - 1,
-            "route": "r", "status": int(sol.status), "r0": r0}
-    if target is not None:
-        if sol.status != 1 or len(sol.t_events[0]) == 0:
-            last = StateR(float(sol.t[-1]), float(sol.y[0, -1]),
-                          float(sol.y[1, -1]))
-            raise EventNotFoundError(
-                f"no crossing of w={target} inside r <= {r_end}",
-                last_state=last)
-        re_ = float(sol.t_events[0][0])
-        re_ = _refine_event(lambda r: float(sol.sol(r)[0]) - target,
-                            re_, r0, float(sol.t[-1]), cfg.event_tol)
-        evs["stop_r"] = re_
-        evs["stop_residual"] = float(sol.sol(re_)[0]) - target
-    if track_s0 is not None and len(events) > 1 and len(sol.t_events[-1]):
-        rs0 = float(sol.t_events[-1][0])
-        evs["s0_r"] = _refine_event(lambda r: float(sol.sol(r)[0]) - track_s0,
-                                    rs0, r0, float(sol.t[-1]), cfg.event_tol)
-    return Trajectory(kind="r", gamma=gamma, n=n, nl=nl, cfg=cfg,
-                      ts=sol.t.copy(), states=sol.y.T.copy(), dense=sol.sol,
-                      lin=lin, events=evs, diagnostics=diag)
+    return _march("r", nl, n, gamma, cfg, rhs, (r0, r_end), y0, stop,
+                  track_s0, f"inside r <= {r_end}", r0=r0)
 
 
 def state_t_from_r(state: StateR, n: int) -> StateT:
     """Change of variables r = n e^{-t/n}; the t-flux is |Phi| / n^{n-1}."""
     if state.r <= 0.0:
         raise ConfigError("conversion needs r > 0")
-    return StateT(t=-n * math.log(state.r / n), y=state.w,
+    return StateT(t=_t_of_r(state.r, n), y=state.w,
                   psi=abs(state.Phi) / n ** (n - 1.0))
 
 

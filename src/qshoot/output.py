@@ -53,14 +53,6 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str, header, rows) -> None:
-    atomic_write(path, csv_text(header, rows))
-
-
-def write_json(path: str, obj) -> None:
-    atomic_write(path, json_text(obj))
-
-
 def json_text(obj) -> str:
     return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
 

@@ -17,8 +17,6 @@ Conventions tied together here:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -29,8 +27,7 @@ from .config import ProblemConfig
 from .errors import ConfigError, QShootError
 from .nonlinearity import (Nonlinearity, convexity_floor, log_f, with_lambda)
 from .ode import (Trajectory, first_zero_of_y, integrate_r, integrate_t,
-                  tail_admissible, tail_start, wprime_from_Phi,
-                  yprime_from_psi)
+                  tail_admissible, tail_start)
 
 
 @dataclass(frozen=True)
@@ -70,47 +67,44 @@ def choose_route(nl: Nonlinearity, n: int, gamma: float,
     return "t" if tail_admissible(nl, n, gamma, cfg) else "r"
 
 
-def shoot(nl: Nonlinearity, n: int, gamma: float,
-          cfg: ProblemConfig | None = None, *, keep_trajectory: bool = False,
-          route: str | None = None) -> ShootOutcome:
-    """Solve one amplitude to its first zero."""
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
+def march_route(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
+                route: str | None = None, *, lin_seed=None) -> Trajectory:
+    """March one amplitude to its first zero on `route` (chosen when None),
+    tracking the convexity floor crossing. Passing `lin_seed` attaches the
+    linearization channel: on the t-route it maps the tail start state to
+    the seed (V1, phi); the r-route seeds from its own series."""
     if gamma <= 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
     if route is None:
         route = choose_route(nl, n, gamma, cfg)
     elif route not in ("t", "r"):
         raise ConfigError(f"unknown route {route!r}")
-
     s0w = convexity_floor(nl)
     track = s0w if (math.isfinite(s0w) and 0.0 < s0w < gamma) else None
-
-    if route == "t":
-        start = tail_start(nl, n, gamma, cfg.c_tail, cfg)
-        traj = integrate_t(nl, n, start, first_zero_of_y(), cfg,
-                           track_s0=track, gamma=gamma)
-        T = traj.events["stop_t"]
-        psi_T = float(traj.state_at(T)[1])
-        yprime_T = yprime_from_psi(psi_T, n)
-        Ttilde = traj.events.get("s0_t")
-        diag = {"route": "t", "t_start": start.t, **traj.diagnostics}
-    else:
-        traj = integrate_r(nl, n, gamma, first_zero_of_y(), cfg,
+    lin = lin_seed is not None
+    if route == "r":
+        return integrate_r(nl, n, gamma, first_zero_of_y(), cfg, lin=lin,
                            track_s0=track)
-        r_ev = traj.events["stop_r"]
-        T = -n * math.log(r_ev / n)
-        wp = wprime_from_Phi(float(traj.state_at(r_ev)[1]), r_ev, n)
-        yprime_T = -(r_ev / n) * wp
-        rs0 = traj.events.get("s0_r")
-        Ttilde = -n * math.log(rs0 / n) if rs0 is not None else None
-        diag = {"route": "r", **traj.diagnostics}
+    start = tail_start(nl, n, gamma, cfg.c_tail, cfg)
+    return integrate_t(nl, n, start, first_zero_of_y(), cfg, lin=lin,
+                       lin_init=lin_seed(start) if lin else (1.0, 0.0),
+                       track_s0=track, gamma=gamma)
 
+
+def shoot(nl: Nonlinearity, n: int, gamma: float,
+          cfg: ProblemConfig | None = None, *, keep_trajectory: bool = False,
+          route: str | None = None) -> ShootOutcome:
+    """Solve one amplitude to its first zero."""
+    if cfg is None:
+        cfg = ProblemConfig(n=n)
+    traj = march_route(nl, n, gamma, cfg, route)
+    T, yprime_T, Ttilde, _ = traj.stop_readout()
     R = n * math.exp(-T / n)
     lam = R ** (n - cfg.beta_weight)
     return ShootOutcome(gamma=float(gamma), T=float(T),
                         yprime_T=float(yprime_T), R=float(R), lam=float(lam),
-                        Ttilde=Ttilde, route=route, diagnostics=diag,
+                        Ttilde=Ttilde, route=traj.kind,
+                        diagnostics=dict(traj.diagnostics),
                         traj=traj if keep_trajectory else None)
 
 
@@ -142,21 +136,10 @@ class BifurcationCurve:
             yield row
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("QSHOOT_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def sweep(nl: Nonlinearity, n: int, gammas, cfg: ProblemConfig | None = None,
-          *, with_derivative: bool = False,
-          threads: int | None = None) -> BifurcationCurve:
-    """Shoot every amplitude in `gammas` (order preserved, deterministic
-    regardless of the thread count)."""
+          *, with_derivative: bool = False) -> BifurcationCurve:
+    """Shoot every amplitude in `gammas`, in order; a failed amplitude
+    keeps its slot as a placeholder row."""
     if cfg is None:
         cfg = ProblemConfig(n=n)
     gam = tuple(float(g) for g in gammas)
@@ -177,13 +160,7 @@ def sweep(nl: Nonlinearity, n: int, gammas, cfg: ProblemConfig | None = None,
                 return (out, tv1, tfd, f"derivative failed: {exc}")
         return (out, tv1, tfd, None)
 
-    nt = _thread_count(threads)
-    if nt == 1:
-        results = [one(g) for g in gam]
-    else:
-        with ThreadPoolExecutor(max_workers=nt) as pool:
-            results = list(pool.map(one, gam))
-
+    results = [one(g) for g in gam]
     outcomes = tuple(r[0] for r in results)
     errs = tuple((g, r[3]) for g, r in zip(gam, results) if r[3] is not None)
     tv1 = tfd = None

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from ._stable import sigma, softplus
+from ._stable import sigma
 from .asymptotics import (comparison_z, harmonic, perturbed_root, predict_all,
                           psi_eval, snapshot, tail_power_integral,
                           turning_integrals, z_ode_log_residual)
 from .config import ProblemConfig
 from .errors import QShootError
-from .linearization import t_prime, t_prime_fd, v2_eval
+from .linearization import t_prime, v2_eval
 from .nonlinearity import eval_g, make_nonlinearity
 from .shooting import (classify_small_gamma, shoot, shoot_singular,
                        shoot_weighted_direct)

@@ -80,7 +80,7 @@ class TestExitCodes:
 class TestRunConfig:
     def test_text_round_trip(self):
         rc = RunConfig(family="exp", gamma=2.5, n=3, tol=1e-9,
-                       out="x.csv", fmt="json", seed=2)
+                       out="x.csv", fmt="json")
         assert load_run_config(None, parse_config_text(config_text(rc))) == rc
 
     def test_canonical_text_is_sorted_and_stable(self):

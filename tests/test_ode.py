@@ -29,6 +29,7 @@ from qshoot.ode import (
     y_reaches,
     yprime_from_psi,
 )
+from qshoot.shooting import shoot
 
 
 class TestStateHelpers:
@@ -135,21 +136,6 @@ class TestBackwardMarch:
         assert e_loose / max(e_tight, 1e-300) >= 2.0
         assert e_tight <= 1e-7
 
-    def test_missing_event_reports_the_last_state(self, nl_square, cfg2):
-        st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        with pytest.raises(EventNotFoundError) as exc:
-            integrate_t(nl_square, 2, st,
-                        first_zero_of_y(floor=st.t - 1.0), cfg2, gamma=5.0)
-        last = exc.value.last_state
-        assert isinstance(last, StateT)
-        assert last.y > 0.0  # never reached zero in one unit of t
-
-    def test_level_crossing_stop(self, nl_square, cfg2):
-        st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        traj = integrate_t(nl_square, 2, st, y_reaches(2.5), cfg2, gamma=5.0)
-        te = traj.events["stop_t"]
-        assert float(traj.dense(te)[0]) == pytest.approx(2.5, abs=1e-10)
-
     def test_threshold_crossing_is_tracked(self, nl_family_ii, cfg2):
         s0 = find_s0(nl_family_ii).s0
         st = tail_start(nl_family_ii, 2, 8.0, cfg=cfg2)
@@ -163,6 +149,59 @@ class TestBackwardMarch:
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
         with pytest.raises(ConfigError):
             integrate_t(nl_square, 2, st, t_floor(st.t + 1.0), cfg2, gamma=5.0)
+
+
+class TestMarchingCore:
+    """Behaviour the two routes share through the one marching core."""
+
+    @pytest.mark.parametrize("route", ["t", "r"])
+    def test_missing_event_reports_the_last_state(self, route, nl_square,
+                                                  cfg2):
+        with pytest.raises(EventNotFoundError) as exc:
+            if route == "t":
+                st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
+                integrate_t(nl_square, 2, st,
+                            first_zero_of_y(floor=st.t - 1.0), cfg2,
+                            gamma=5.0)
+            else:
+                integrate_r(nl_square, 2, 3.0, first_zero_of_y(),
+                            ProblemConfig(n=2, r_max=0.05))
+        last = exc.value.last_state
+        if route == "t":
+            assert isinstance(last, StateT)
+            assert last.y > 0.0  # never reached zero in one unit of t
+        else:
+            assert isinstance(last, StateR)
+            assert last.r == 0.05  # ran out of radius before the zero
+            assert last.w > 0.0
+
+    @pytest.mark.parametrize("route", ["t", "r"])
+    def test_level_crossing_stop(self, route, nl_square, cfg2):
+        if route == "t":
+            st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
+            traj = integrate_t(nl_square, 2, st, y_reaches(2.5), cfg2,
+                               gamma=5.0)
+        else:
+            traj = integrate_r(nl_square, 2, 3.0, y_reaches(2.5), cfg2)
+        x = traj.events[f"stop_{route}"]
+        assert float(traj.dense(x)[0]) == pytest.approx(2.5, abs=1e-10)
+
+    @pytest.mark.parametrize("route", ["t", "r"])
+    def test_readout_matches_shoot(self, route, nl_family_ii, cfg2):
+        out = shoot(nl_family_ii, 2, 6.0, cfg2, keep_trajectory=True,
+                    route=route)
+        T, ypT, Ttilde, state = out.traj.stop_readout()
+        assert out.traj.kind == route
+        assert (T, ypT, Ttilde) == (out.T, out.yprime_T, out.Ttilde)
+        assert float(state[0]) == pytest.approx(0.0, abs=1e-10)
+        diag = out.diagnostics
+        assert diag["route"] == route
+        assert {"nfev", "steps", "status"} <= set(diag)
+        assert diag["nfev"] > diag["steps"] > 0
+        assert diag["status"] == 1
+        extra = {"t": "t_start", "r": "r0"}
+        assert extra[route] in diag
+        assert extra["r" if route == "t" else "t"] not in diag
 
 
 class TestOutwardMarch:

@@ -2,9 +2,6 @@
 sweeps, small-amplitude regimes and the weighted reduction."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -119,30 +116,6 @@ class TestSweep:
         curve = sweep(nl_family_ii, 2, [4.0, 6.0], cfg2, with_derivative=True)
         for v1, fd in zip(curve.tprime_v1, curve.tprime_fd):
             assert v1 == pytest.approx(fd, rel=1e-3, abs=1e-6)
-
-    def test_thread_pool_is_order_preserving(self, nl_square, cfg2):
-        gammas = [2.0, 3.0, 4.0, 5.0, 6.0]
-        one = sweep(nl_square, 2, gammas, cfg2, threads=1)
-        four = sweep(nl_square, 2, gammas, cfg2, threads=4)
-        assert [o.T for o in one.outcomes] == [o.T for o in four.outcomes]
-        assert [o.R for o in one.outcomes] == [o.R for o in four.outcomes]
-
-    def test_thread_count_env_override(self, nl_square):
-        code = (
-            "from qshoot.config import ProblemConfig\n"
-            "from qshoot.nonlinearity import make_nonlinearity\n"
-            "from qshoot.shooting import sweep\n"
-            "nl = make_nonlinearity('pow_exp', q=2.0)\n"
-            "c = sweep(nl, 2, [3.0, 5.0], ProblemConfig(n=2))\n"
-            "print(repr([o.T for o in c.outcomes]))\n")
-        env = dict(os.environ)
-        outs = []
-        for n_threads in ("1", "3"):
-            env["QSHOOT_THREADS"] = n_threads
-            res = subprocess.run([sys.executable, "-c", code], env=env,
-                                 capture_output=True, text=True, check=True)
-            outs.append(res.stdout)
-        assert outs[0] == outs[1]
 
     def test_repeat_sweeps_are_bitwise_identical(self, nl_square, cfg2):
         a = sweep(nl_square, 2, [2.0, 4.0, 6.0], cfg2)
