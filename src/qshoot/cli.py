@@ -265,9 +265,7 @@ def cmd_linearize(args) -> int:
         # of the zero stays positive through the end of the grid
         gamma0 = None
         pairs = [(g, tp) for g, tp in zip(curve.gammas, curve.tprime_v1)]
-        for i, (g, tp) in enumerate(pairs):
-            if tp is None:
-                continue
+        for i, (g, _) in enumerate(pairs):
             if all(t2 is not None and t2 > 0.0 for _, t2 in pairs[i:]):
                 gamma0 = g
                 break

@@ -13,8 +13,8 @@ class ProblemConfig:
     """Dimension, singular weight and solver policy.
 
     exponent_cap guards the radius-variable route, where f(gamma) itself is
-    exponentiated; the log-radius route only ever forms g(y) - t, which stays
-    bounded along admissible trajectories.
+    formed (ode.py's overflow sentinel caps it near 220); the log-radius
+    route only forms g(y) - t, bounded along admissible trajectories.
     """
 
     n: int = 2
@@ -44,6 +44,3 @@ class ProblemConfig:
     def tighter(self, factor: float = 0.1) -> "ProblemConfig":
         """Copy with scaled step tolerances, for finite-difference cross-checks."""
         return replace(self, rtol=self.rtol * factor, atol=self.atol * factor)
-
-    def with_n(self, n: int) -> "ProblemConfig":
-        return replace(self, n=n)

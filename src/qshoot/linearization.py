@@ -39,8 +39,11 @@ def v2_eval(gamma: float, n: int, nl: Nonlinearity, t):
         V2'  = (n/(n-1)^2) sigma(x) sigma(-x)
         V2'' = (n/(n-1)^3) sigma(x) sigma(-x) (1 - 2 sigma(-x))
     """
-    s = snapshot(nl, n, gamma)
-    x = (s.T1 - np.asarray(t, dtype=float)) / (n - 1.0)
+    return _v2_at(snapshot(nl, n, gamma).T1, n, t)
+
+
+def _v2_at(T1: float, n: int, t):
+    x = (T1 - np.asarray(t, dtype=float)) / (n - 1.0)
     sp, sm = sigma(x), sigma(-x)
     v2 = -1.0 / (n - 1.0) + n / (n - 1.0) * sm
     v2p = n / (n - 1.0) ** 2 * sp * sm
@@ -52,8 +55,8 @@ def v2_eval(gamma: float, n: int, nl: Nonlinearity, t):
 
 @dataclass(frozen=True)
 class V2Closed:
-    """Bundle of the comparison-solution derivative: callables plus its
-    zero S0 = T1 - (n-1) log(n-1)."""
+    """Bundle of the comparison-solution derivative: V2 as a callable plus
+    its zero S0 = T1 - (n-1) log(n-1)."""
 
     gamma: float
     n: int
@@ -63,12 +66,6 @@ class V2Closed:
 
     def V2(self, t):
         return v2_eval(self.gamma, self.n, self.nl, t)[0]
-
-    def V2prime(self, t):
-        return v2_eval(self.gamma, self.n, self.nl, t)[1]
-
-    def V2pprime(self, t):
-        return v2_eval(self.gamma, self.n, self.nl, t)[2]
 
 
 def v2_closed(nl: Nonlinearity, n: int, gamma: float) -> V2Closed:
@@ -107,8 +104,8 @@ def solve_V1(nl: Nonlinearity, n: int, gamma: float,
     if cfg is None:
         cfg = ProblemConfig(n=n)
 
-    def seed(start):
-        v2, v2p, _ = v2_eval(gamma, n, nl, start.t)
+    def seed(start, s):
+        v2, v2p, _ = _v2_at(s.T1, n, start.t)
         return v2, yprime_from_psi(start.psi, n) ** (n - 2.0) * v2p
 
     traj = march_route(nl, n, gamma, cfg, route, lin_seed=seed)

@@ -50,9 +50,13 @@ from ._stable import sigma, softplus
 _PSI_ATOL = 1e-300
 
 
-# finite overflow sentinel: large enough to force a step rejection, small
-# enough that the stepper's error arithmetic stays NaN-free
-_SOURCE_CAP = 1e250
+# finite overflow sentinel: forces a step rejection, while scipy's squared
+# error norm stays finite: a capped slope scales to at most 0.16 h cap / atol
+# (1e112 h at atol 1e-13), squared far below 1.8e308 (at 1e150 it is not)
+_SOURCE_CAP = 1e100
+# largest log of a legitimate radius-route source or slope: both peak at the
+# startup or stay below f(gamma), so the clamps then only cut trial steps
+_LOG_CAP = math.log(_SOURCE_CAP) - 10.0
 
 
 def _source_soft(nl, y, t):
@@ -66,18 +70,13 @@ def _source_soft(nl, y, t):
 
 def _fprime_soft(nl, y, t):
     try:
-        v = eval_fprime_source(nl, y, t)
+        return _clamp(eval_fprime_source(nl, y, t))
     except OverflowError:
         return _SOURCE_CAP
-    return min(max(v, -_SOURCE_CAP), _SOURCE_CAP)
 
 
 def _clamp(v: float) -> float:
-    if v > _SOURCE_CAP:
-        return _SOURCE_CAP
-    if v < -_SOURCE_CAP:
-        return -_SOURCE_CAP
-    return v
+    return min(max(v, -_SOURCE_CAP), _SOURCE_CAP)
 
 
 @dataclass(frozen=True)
@@ -198,12 +197,18 @@ class Trajectory:
                 _t_of_r(rs0, n) if rs0 is not None else None, s)
 
 
-def _tail_site(nl: Nonlinearity, n: int, gamma: float, c_tail: float):
-    """Start abscissa and closed-form (z, z') there; AdmissionError when the
-    tail expansion does not apply at this gamma."""
+def _tail_site(nl: Nonlinearity, n: int, gamma: float, c_tail: float,
+               beta_weight: float, s0w: float | None = None):
+    """Tail start state at t_start = T1 + c_tail (n-1) log g', and its
+    snapshot. The one home of the t-route admission rules, each refusal an
+    AdmissionError naming its reason; `s0w` is the floor if already known."""
     if nl.linear:
         raise AdmissionError("tail expansion needs the exponential form")
-    s0w = convexity_floor(nl)
+    if beta_weight != 0.0:
+        raise AdmissionError("tail expansion needs the unweighted problem; "
+                             "reduce the weighted one first")
+    if s0w is None:
+        s0w = convexity_floor(nl)
     if not math.isfinite(s0w):
         raise AdmissionError("no convexity floor; tail expansion inapplicable")
     if gamma <= s0w:
@@ -228,7 +233,7 @@ def _tail_site(nl: Nonlinearity, n: int, gamma: float, c_tail: float):
     if z0 <= max(s0w, 0.25 * gamma):
         raise AdmissionError(
             f"tail value z(t_start)={z0:.3g} too far below gamma={gamma}")
-    return t_start, z0, zp0, s
+    return StateT(t=t_start, y=z0, psi=zp0 ** (n - 1.0)), s
 
 
 def tail_start(nl: Nonlinearity, n: int, gamma: float,
@@ -240,16 +245,15 @@ def tail_start(nl: Nonlinearity, n: int, gamma: float,
         cfg = ProblemConfig(n=n)
     if c_tail is None:
         c_tail = cfg.c_tail
-    t_start, z0, zp0, _ = _tail_site(nl, n, gamma, c_tail)
-    return StateT(t=t_start, y=z0, psi=zp0 ** (n - 1.0))
+    return _tail_site(nl, n, gamma, c_tail, cfg.beta_weight)[0]
 
 
 def tail_admissible(nl: Nonlinearity, n: int, gamma: float,
                     cfg: ProblemConfig) -> bool:
     try:
-        _tail_site(nl, n, gamma, cfg.c_tail)
+        _tail_site(nl, n, gamma, cfg.c_tail, cfg.beta_weight)
         return True
-    except (AdmissionError, ConfigError):
+    except ConfigError:
         return False
 
 
@@ -267,8 +271,8 @@ def tail_refinement_delta(nl: Nonlinearity, n: int, gamma: float,
         cfg = ProblemConfig(n=n)
     if c_tail is None:
         c_tail = cfg.c_tail
-    t0, z0, zp0, s = _tail_site(nl, n, gamma, c_tail)
-    hi = t0 + 40.0 * (n - 1.0)
+    st, s = _tail_site(nl, n, gamma, c_tail, cfg.beta_weight)
+    t0, hi = st.t, st.t + 40.0 * (n - 1.0)
 
     def zfun(t):
         x = (s.T1 - t) / (n - 1.0)
@@ -281,12 +285,8 @@ def tail_refinement_delta(nl: Nonlinearity, n: int, gamma: float,
     y_int, _ = quad(lambda u: psi1(u) ** (1.0 / (n - 1.0)), t0, hi, limit=100)
     y_rem = (n / s.gp) * float(softplus((s.T1 - hi) / (n - 1.0)))
     y1 = gamma - y_int - y_rem
-    return {
-        "delta_y": abs(y1 - z0),
-        "delta_psi": abs(psi1(t0) - zp0 ** (n - 1.0)),
-        "t_start": t0,
-        "window": 40.0 * (n - 1.0),
-    }
+    return {"delta_y": abs(y1 - st.y), "delta_psi": abs(psi1(t0) - st.psi),
+            "t_start": t0, "window": 40.0 * (n - 1.0)}
 
 
 def _refine_event(fun, t_guess: float, t_lo: float, t_hi: float,
@@ -307,15 +307,6 @@ def _refine_event(fun, t_guess: float, t_lo: float, t_hi: float,
         if a == min(t_lo, t_hi) and b == max(t_lo, t_hi):
             break
     return t_guess
-
-
-def _run_ivp(rhs, span, y0, events, cfg, atol_vec):
-    try:
-        sol = solve_ivp(rhs, span, y0, method="RK45", rtol=cfg.rtol,
-                        atol=atol_vec, dense_output=True, events=events)
-    except OverflowError as exc:
-        raise SolverError(f"source overflow during integration: {exc}") from exc
-    return sol
 
 
 def _level_event(level: float, terminal: bool):
@@ -339,9 +330,12 @@ def _march(kind: str, nl: Nonlinearity, n: int, gamma: float,
         events.append(_level_event(target, True))
     if track:
         events.append(_level_event(track_s0, False))
-    lin = len(y0) == 4
     atol_vec = [cfg.atol, _PSI_ATOL] + [cfg.atol] * (len(y0) - 2)
-    sol = _run_ivp(rhs, span, y0, events, cfg, atol_vec)
+    try:
+        sol = solve_ivp(rhs, span, y0, method="RK45", rtol=cfg.rtol,
+                        atol=atol_vec, dense_output=True, events=events)
+    except OverflowError as exc:
+        raise SolverError(f"source overflow during integration: {exc}") from exc
 
     def last():
         state = StateT if kind == "t" else StateR
@@ -369,7 +363,7 @@ def _march(kind: str, nl: Nonlinearity, n: int, gamma: float,
             "steps": int(len(sol.t)) - 1, "status": int(sol.status), **diag}
     return Trajectory(kind=kind, gamma=gamma, n=n, nl=nl, cfg=cfg,
                       ts=sol.t.copy(), states=sol.y.T.copy(), dense=sol.sol,
-                      lin=lin, events=evs, diagnostics=diag)
+                      lin=len(y0) == 4, events=evs, diagnostics=diag)
 
 
 def integrate_t(nl: Nonlinearity, n: int, start: StateT, stop: StopRule,
@@ -413,11 +407,11 @@ def series_startup_radius(nl: Nonlinearity, n: int, gamma: float,
 
 
 def _f_at(nl: Nonlinearity, gamma: float, cfg: ProblemConfig) -> float:
-    lf = log_f(nl, gamma)
-    if lf > cfg.exponent_cap:
+    lf, cap = log_f(nl, gamma), min(cfg.exponent_cap, _LOG_CAP)
+    if lf > cap:
         raise AdmissionError(
             f"log f(gamma) = {lf:.3g} exceeds the exponent budget "
-            f"{cfg.exponent_cap:.3g}; the radius route cannot start")
+            f"{cap:.3g}; the radius route cannot start")
     return math.exp(lf)
 
 
@@ -470,6 +464,9 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float, stop: StopRule,
         return du + (dW, _clamp(-_fprime_soft(nl, w, 0.0) * W
                                 * r ** (nb - 1.0) / (n - 1.0)))
 
+    if max(map(abs, rhs(r0, y0))) > math.exp(_LOG_CAP):
+        raise AdmissionError("radius-route startup slope or source beyond "
+                             "the overflow sentinel's budget")
     if stop.kind == "t_floor":
         r_end = min(n * math.exp(-stop.value / n), cfg.r_max)
     else:

@@ -3,7 +3,10 @@
 shoot() picks a marching route per gamma: small amplitudes start the series
 at r = 0 and march outward, large amplitudes start on the asymptotic tail
 and march backward in the log-radius variable. Both land on the same first
-zero; the cross-route agreement is one of the standing checks.
+zero; the cross-route agreement is one of the standing checks. The choice is
+made once per amplitude, from one floor scan, by the route setup that also
+holds the tail start; choose_route reads it. A forced route="t" on a problem
+the tail does not admit (linear, weighted, ...) raises AdmissionError.
 
 Conventions tied together here:
 
@@ -24,10 +27,12 @@ import numpy as np
 
 from .asymptotics import comparison_z
 from .config import ProblemConfig
-from .errors import ConfigError, QShootError
+from .errors import AdmissionError, ConfigError, QShootError
 from .nonlinearity import (Nonlinearity, convexity_floor, log_f, with_lambda)
-from .ode import (Trajectory, first_zero_of_y, integrate_r, integrate_t,
-                  tail_admissible, tail_start)
+from .ode import (Trajectory, _tail_site, first_zero_of_y, integrate_r,
+                  integrate_t)
+# unused here: bound only so perfbench/tracer.py can wrap them as spans
+from .ode import tail_admissible, tail_start  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -51,43 +56,52 @@ class ShootOutcome:
                 "Ttilde": self.Ttilde, "route": self.route}
 
 
+def _route_setup(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
+                 route: str | None = None) -> tuple:
+    """(route, tail start and its snapshot or None, floor level to track or
+    None) from one floor scan and at most one tail site. The tail route is
+    preferred well above the floor; a refusal by `_tail_site` then means
+    "r", or raises when "t" was forced."""
+    if gamma <= 0.0:
+        raise ConfigError(f"gamma must be positive, got {gamma}")
+    if route not in (None, "t", "r"):
+        raise ConfigError(f"unknown route {route!r}")
+    s0w = convexity_floor(nl)
+    track = s0w if (math.isfinite(s0w) and 0.0 < s0w < gamma) else None
+    if route is None and gamma <= max(2.0 * s0w, cfg.gamma_switch):
+        route = "r"
+    if route == "r":
+        return "r", None, track
+    try:
+        site = _tail_site(nl, n, gamma, cfg.c_tail, cfg.beta_weight, s0w)
+    except AdmissionError:
+        if route == "t":
+            raise
+        return "r", None, track
+    return "t", site, track
+
+
 def choose_route(nl: Nonlinearity, n: int, gamma: float,
                  cfg: ProblemConfig) -> str:
     """Marching route for one amplitude: "r" (outward from the origin) or
-    "t" (backward from the tail). The tail route is only worth its setup
-    once gamma sits well above the convexity floor and the tail remainder
-    is certifiably small; everything else goes outward."""
-    if cfg.beta_weight != 0.0 or nl.linear:
-        return "r"
-    s0w = convexity_floor(nl)
-    if not math.isfinite(s0w):
-        return "r"
-    if gamma <= max(2.0 * s0w, cfg.gamma_switch):
-        return "r"
-    return "t" if tail_admissible(nl, n, gamma, cfg) else "r"
+    "t" (backward from the tail), exactly as `shoot` would march it."""
+    return _route_setup(nl, n, gamma, cfg)[0]
 
 
 def march_route(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
                 route: str | None = None, *, lin_seed=None) -> Trajectory:
     """March one amplitude to its first zero on `route` (chosen when None),
     tracking the convexity floor crossing. Passing `lin_seed` attaches the
-    linearization channel: on the t-route it maps the tail start state to
-    the seed (V1, phi); the r-route seeds from its own series."""
-    if gamma <= 0.0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
-    if route is None:
-        route = choose_route(nl, n, gamma, cfg)
-    elif route not in ("t", "r"):
-        raise ConfigError(f"unknown route {route!r}")
-    s0w = convexity_floor(nl)
-    track = s0w if (math.isfinite(s0w) and 0.0 < s0w < gamma) else None
+    linearization channel: on the t-route it maps the tail start state and
+    its snapshot to the seed (V1, phi); the r-route seeds from its own
+    series."""
+    route, site, track = _route_setup(nl, n, gamma, cfg, route)
     lin = lin_seed is not None
     if route == "r":
         return integrate_r(nl, n, gamma, first_zero_of_y(), cfg, lin=lin,
                            track_s0=track)
-    start = tail_start(nl, n, gamma, cfg.c_tail, cfg)
-    return integrate_t(nl, n, start, first_zero_of_y(), cfg, lin=lin,
-                       lin_init=lin_seed(start) if lin else (1.0, 0.0),
+    return integrate_t(nl, n, site[0], first_zero_of_y(), cfg, lin=lin,
+                       lin_init=lin_seed(*site) if lin else (1.0, 0.0),
                        track_s0=track, gamma=gamma)
 
 
@@ -163,10 +177,8 @@ def sweep(nl: Nonlinearity, n: int, gammas, cfg: ProblemConfig | None = None,
     results = [one(g) for g in gam]
     outcomes = tuple(r[0] for r in results)
     errs = tuple((g, r[3]) for g, r in zip(gam, results) if r[3] is not None)
-    tv1 = tfd = None
-    if with_derivative:
-        tv1 = tuple(r[1] for r in results)
-        tfd = tuple(r[2] for r in results)
+    tv1 = tuple(r[1] for r in results) if with_derivative else None
+    tfd = tuple(r[2] for r in results) if with_derivative else None
     return BifurcationCurve(nl=nl, n=n, beta=cfg.beta_weight, cfg=cfg,
                             gammas=gam, outcomes=outcomes, tprime_v1=tv1,
                             tprime_fd=tfd, errors=errs)
@@ -239,8 +251,7 @@ def shoot_singular(nl: Nonlinearity, n: int, beta: float, gamma: float,
     R = n * math.exp(-T / n)
     lam = R ** (n - beta)
     Ttilde = out.Ttilde / a if out.Ttilde is not None else None
-    diag = dict(out.diagnostics)
-    diag.update({"reduction_a": a, "T_reduced": out.T})
+    diag = {**out.diagnostics, "reduction_a": a, "T_reduced": out.T}
     return ShootOutcome(gamma=float(gamma), T=float(T),
                         yprime_T=a * out.yprime_T, R=float(R), lam=float(lam),
                         Ttilde=Ttilde, route=out.route, diagnostics=diag)

@@ -222,9 +222,36 @@ class TestOutwardMarch:
         assert r0 <= 1e-3
 
     def test_exponent_budget_guards_the_startup(self, nl_square, cfg2):
-        # log f(30) = 900 exceeds the default budget of 600
+        # log f(30) = 900 exceeds the default exponent cap of 600
         with pytest.raises(AdmissionError):
             integrate_r(nl_square, 2, 30.0, first_zero_of_y(), cfg2)
+
+    def test_overflow_sentinel_never_cuts_an_admitted_march(
+            self, nl_exp, monkeypatch):
+        # below the budget the right-hand side never reaches the clamp: a far
+        # larger sentinel marches bitwise the same
+        import qshoot.ode
+
+        cases = [(2, 0.0, 220.0), (3, 1.0, 220.0)]
+        runs = [integrate_r(nl_exp, n, g, first_zero_of_y(),
+                            ProblemConfig(n=n, beta_weight=b)).events
+                for n, b, g in cases]
+        monkeypatch.setattr(qshoot.ode, "_SOURCE_CAP", 1e300)
+        assert runs == [integrate_r(nl_exp, n, g, first_zero_of_y(),
+                                    ProblemConfig(n=n, beta_weight=b)).events
+                        for n, b, g in cases]
+
+    def test_overflow_sentinel_budget_refuses_loudly(self, nl_exp):
+        # log f(250) = 250 is inside the exponent cap, but f itself would be
+        # clamped: refused instead of marching a different equation
+        for b in (0.0, 1.0):
+            with pytest.raises(AdmissionError, match="exponent budget"):
+                integrate_r(nl_exp, 2, 250.0, first_zero_of_y(),
+                            ProblemConfig(n=2, beta_weight=b))
+        # n - b < 1: the singular weight lifts the startup source past it
+        with pytest.raises(AdmissionError, match="startup"):
+            integrate_r(nl_exp, 2, 150.0, first_zero_of_y(),
+                        ProblemConfig(n=2, beta_weight=1.9))
 
     def test_weighted_linearization_is_refused(self, nl_square):
         cfg = ProblemConfig(n=2, beta_weight=1.0)

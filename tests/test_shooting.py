@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qshoot.config import ProblemConfig
-from qshoot.errors import ConfigError
+from qshoot.errors import AdmissionError, ConfigError
+from qshoot.linearization import solve_V1
 from qshoot.nonlinearity import make_nonlinearity, with_lambda
 from qshoot.shooting import (
     choose_route,
@@ -76,10 +77,59 @@ class TestRouteChoice:
         assert choose_route(nl_exp, 2, 1.0, cfg2) == "r"
 
     def test_linear_and_weighted_always_march_outward(self, nl_linear,
-                                                      nl_square):
+                                                      nl_square, nl_exp):
         assert choose_route(nl_linear, 2, 1.0, ProblemConfig(n=2)) == "r"
         wcfg = ProblemConfig(n=2, beta_weight=1.0)
         assert choose_route(nl_square, 2, 5.0, wcfg) == "r"
+        # the tail expansion is for the unweighted problem: a forced t-route
+        # refuses the weighted one instead of marching the wrong equation
+        with pytest.raises(AdmissionError, match="unweighted"):
+            shoot(nl_exp, 2, 4.0, wcfg, route="t")
+        with pytest.raises(AdmissionError, match="unweighted"):
+            solve_V1(nl_exp, 2, 4.0, wcfg, route="t")
+
+    def test_one_floor_scan_and_one_tail_site_per_shoot(
+            self, nl_square, cfg2, monkeypatch):
+        import qshoot.linearization
+        import qshoot.ode
+        import qshoot.shooting
+
+        calls = {"floor": 0, "snapshot": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for mod in (qshoot.shooting, qshoot.ode):
+            monkeypatch.setattr(mod, "convexity_floor",
+                                counted("floor", mod.convexity_floor))
+        monkeypatch.setattr(qshoot.ode, "snapshot",
+                            counted("snapshot", qshoot.ode.snapshot))
+        monkeypatch.setattr(qshoot.linearization, "snapshot",
+                            counted("snapshot", qshoot.linearization.snapshot))
+        assert shoot(nl_square, 2, 5.0, cfg2).route == "t"
+        assert calls == {"floor": 1, "snapshot": 1}
+        calls.update(floor=0, snapshot=0)
+        # the linearization seed reads the snapshot the tail site built
+        assert solve_V1(nl_square, 2, 5.0, cfg2).route == "t"
+        assert calls == {"floor": 1, "snapshot": 1}
+        calls.update(floor=0, snapshot=0)
+        assert shoot(nl_square, 2, 0.5, cfg2).route == "r"
+        assert calls == {"floor": 1, "snapshot": 0}
+
+    def test_choice_is_the_route_marched(self, nl_family_ii, nl_exp,
+                                         nl_linear, nl_square, cfg2):
+        wcfg = ProblemConfig(n=2, beta_weight=1.0)
+        cases = [(nl_family_ii, float(g), cfg2) for g in range(1, 13)]
+        cases += [(nl_exp, 1.0, cfg2), (nl_exp, 4.0, cfg2),
+                  (nl_linear, 2.0, cfg2), (nl_square, 5.0, wcfg),
+                  (nl_exp, 4.0, wcfg)]
+        chosen = [choose_route(nl, 2, g, cfg) for nl, g, cfg in cases]
+        assert chosen == [shoot(nl, 2, g, cfg).route for nl, g, cfg in cases]
+        # the family (ii) amplitudes cross the switch
+        assert chosen[0] == "r" and chosen[11] == "t"
 
     def test_routes_cross_validate(self, nl_square, cfg2):
         for gamma in (2.0, 3.0, 5.0):
