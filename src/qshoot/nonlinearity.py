@@ -229,16 +229,15 @@ def eval_fprime_source(nl: Nonlinearity, u: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class ConvexityThreshold:
-    """Smallest sampled point past which g' > 0 and g'' > 0 everywhere."""
+    """Last sample of the `DEFAULT_S0_SCAN` grid failing the test, or 0.0."""
 
     s0: float
-    u_max: float
-    strict: bool = True
 
 
-def find_s0(nl: Nonlinearity, scan: tuple | None = None, *, strict: bool = True
-            ) -> ConvexityThreshold:
-    """Grid-certified convexity threshold s0.
+def find_s0(nl: Nonlinearity, *, strict: bool = True) -> ConvexityThreshold:
+    """Convexity threshold s0 read off a geometric scan: the last sample
+    failing g' > 0 and g'' > 0, so the test still fails just above it and
+    s0 lies up to one grid ratio below the true threshold.
 
     With strict=False the curvature test is g'' >= 0, which admits the pure
     exponential family (g'' identically zero); the solvers use that weaker
@@ -246,10 +245,7 @@ def find_s0(nl: Nonlinearity, scan: tuple | None = None, *, strict: bool = True
     """
     if nl.linear:
         raise ConfigError("linear family has no convexity threshold")
-    lo, hi, num = scan if scan is not None else DEFAULT_S0_SCAN
-    if not (0.0 < lo < hi) or num < 2:
-        raise ConfigError(f"bad scan grid ({lo}, {hi}, {num})")
-    us = np.geomspace(lo, hi, int(num))
+    us = np.geomspace(*DEFAULT_S0_SCAN)
     ok = np.empty(len(us), dtype=bool)
     for i, u in enumerate(us):
         gp = eval_g(nl, float(u), 1)
@@ -258,16 +254,29 @@ def find_s0(nl: Nonlinearity, scan: tuple | None = None, *, strict: bool = True
     if not ok[-1]:
         raise AdmissionError("no convexity threshold found within the scan range")
     bad = np.flatnonzero(~ok)
-    if len(bad) == 0:
-        return ConvexityThreshold(s0=0.0, u_max=float(us[-1]), strict=strict)
-    return ConvexityThreshold(s0=float(us[bad[-1]]), u_max=float(us[-1]), strict=strict)
+    return ConvexityThreshold(s0=float(us[bad[-1]]) if len(bad) else 0.0)
 
 
 def convexity_floor(nl: Nonlinearity) -> float:
-    """s0 for route switching and energy gating; inf when even weak convexity
-    fails everywhere (then only the radius-variable route applies)."""
+    """s0 for route switching and energy gating; inf when weak convexity
+    never holds (then only the radius-variable route applies). Exact for the
+    built-in rho with a > 0, q >= 1 and p, b >= 0: the smallest double with
+    g'' >= 0, a few ulps from the root (p / (a q (q-1)))^{1/q}. The scan
+    serves other inputs and roots outside 1e+-150 (s^2 must stay normal)."""
     if nl.linear:
         return math.inf
+    a, q, p = nl.a, nl.q, nl.rho.p
+    if nl.rho.custom is None and a > 0.0 and q >= 1.0 and min(p, nl.rho.b) >= 0:
+        if p == 0.0 or q == 1.0:
+            return 0.0 if p == 0.0 else math.inf
+        s = (p / (a * q * (q - 1.0))) ** (1.0 / q)
+        for _ in range(16 if 1e-150 < s < 1e150 else 0):
+            if eval_g(nl, s, 2) < 0.0:
+                s = math.nextafter(s, math.inf)
+            elif eval_g(nl, below := math.nextafter(s, 0.0), 2) >= 0.0:
+                s = below
+            else:
+                return s
     try:
         return find_s0(nl, strict=False).s0
     except AdmissionError:

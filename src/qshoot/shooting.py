@@ -3,9 +3,9 @@
 shoot() picks a marching route per gamma: small amplitudes start the series
 at r = 0 and march outward, large amplitudes start on the asymptotic tail
 and march backward in the log-radius variable. Both land on the same first
-zero; the cross-route agreement is one of the standing checks. The choice is
-made once per amplitude, from one floor scan, by the route setup that also
-holds the tail start; choose_route reads it. A forced route="t" on a problem
+zero; the cross-route agreement is one of the standing checks. One route
+setup per amplitude makes the choice from one floor evaluation and holds
+the tail start; choose_route reads it. A forced route="t" on a problem
 the tail does not admit (linear, weighted, ...) raises AdmissionError.
 
 Conventions tied together here:
@@ -27,7 +27,7 @@ import numpy as np
 
 from .asymptotics import comparison_z
 from .config import ProblemConfig
-from .errors import AdmissionError, ConfigError, QShootError
+from .errors import AdmissionError, ConfigError, QShootError, SolverError
 from .nonlinearity import (Nonlinearity, convexity_floor, log_f, with_lambda)
 from .ode import (Trajectory, _tail_site, first_zero_of_y, integrate_r,
                   integrate_t)
@@ -59,9 +59,9 @@ class ShootOutcome:
 def _route_setup(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
                  route: str | None = None) -> tuple:
     """(route, tail start and its snapshot or None, floor level to track or
-    None) from one floor scan and at most one tail site. The tail route is
-    preferred well above the floor; a refusal by `_tail_site` then means
-    "r", or raises when "t" was forced."""
+    None) from one floor evaluation and at most one tail site. The tail
+    route is preferred well above the floor; a refusal by `_tail_site` then
+    means "r", or raises when "t" was forced."""
     if gamma <= 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
     if route not in (None, "t", "r"):
@@ -105,6 +105,15 @@ def march_route(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
                        track_s0=track, gamma=gamma)
 
 
+def _radius_and_lambda(T: float, n: int, beta: float) -> tuple:
+    """R = n e^{-T/n} and lambda = R^{n - beta}, or SolverError naming T."""
+    try:
+        R = n * math.exp(-T / n)
+        return R, R ** (n - beta)
+    except OverflowError:
+        raise SolverError(f"R or lambda overflows at T={T:.6g}") from None
+
+
 def shoot(nl: Nonlinearity, n: int, gamma: float,
           cfg: ProblemConfig | None = None, *, keep_trajectory: bool = False,
           route: str | None = None) -> ShootOutcome:
@@ -113,8 +122,7 @@ def shoot(nl: Nonlinearity, n: int, gamma: float,
         cfg = ProblemConfig(n=n)
     traj = march_route(nl, n, gamma, cfg, route)
     T, yprime_T, Ttilde, _ = traj.stop_readout()
-    R = n * math.exp(-T / n)
-    lam = R ** (n - cfg.beta_weight)
+    R, lam = _radius_and_lambda(T, n, cfg.beta_weight)
     return ShootOutcome(gamma=float(gamma), T=float(T),
                         yprime_T=float(yprime_T), R=float(R), lam=float(lam),
                         Ttilde=Ttilde, route=traj.kind,
@@ -248,8 +256,7 @@ def shoot_singular(nl: Nonlinearity, n: int, beta: float, gamma: float,
     nl_red, a = singular_reduce(nl, n, beta)
     out = shoot(nl_red, n, gamma, replace(cfg, beta_weight=0.0))
     T = out.T / a
-    R = n * math.exp(-T / n)
-    lam = R ** (n - beta)
+    R, lam = _radius_and_lambda(T, n, beta)
     Ttilde = out.Ttilde / a if out.Ttilde is not None else None
     diag = {**out.diagnostics, "reduction_a": a, "T_reduced": out.T}
     return ShootOutcome(gamma=float(gamma), T=float(T),

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qshoot.errors import AdmissionError, ConfigError
-from qshoot.nonlinearity import (check_hypotheses, convexity_floor, eval_g,
-                                 eval_fprime_source, eval_source, find_s0,
-                                 g_is_linear, log_f, make_nonlinearity,
-                                 with_lambda)
+from qshoot.nonlinearity import (DEFAULT_S0_SCAN, check_hypotheses,
+                                 convexity_floor, eval_g, eval_fprime_source,
+                                 eval_source, find_s0, g_is_linear, log_f,
+                                 make_nonlinearity, with_lambda)
 
 
 def fd_derivative(nl, u, k, h):
@@ -96,12 +96,14 @@ class TestConvexityThreshold:
 
     def test_log_term_shifts_threshold(self):
         # g = u^{3/2} + 2 log u; curvature turns positive at (8/3)^{2/3};
-        # the certified point is the last grid sample below the crossing
+        # the scan returns the last grid sample below the crossing, the
+        # floor the crossing itself
         nl = make_nonlinearity("pow_exp", q=1.5, p=2.0)
         got = find_s0(nl).s0
         exact = (8.0 / 3.0) ** (2.0 / 3.0)
         assert got < exact
         assert got == pytest.approx(exact, rel=5e-3)
+        assert convexity_floor(nl) == pytest.approx(exact, rel=1e-15, abs=0)
 
     def test_negative_drift_shifts_threshold(self):
         # g = u^2 - 10 u; slope turns positive at u = 5
@@ -121,6 +123,49 @@ class TestConvexityThreshold:
         with pytest.raises(ConfigError):
             find_s0(nl)
         assert convexity_floor(nl) == math.inf
+
+    @given(st.floats(min_value=0.05, max_value=5.0, exclude_min=True),
+           st.floats(min_value=1.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=5.0, allow_subnormal=False),
+           st.floats(min_value=0.0, max_value=5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_floor_is_the_curvature_threshold(self, a, q, p, b):
+        # the closed-form floor sits in the grid cell past the scan's last
+        # failing sample, and g' > 0, g'' >= 0 hold from it on (a subnormal
+        # p would let the scan's g'' = -p/u^2 round to -0.0 for q = 1)
+        nl = make_nonlinearity("pow_exp", a=a, q=q, p=p, rho_beta=b)
+        try:
+            grid = find_s0(nl, strict=False).s0
+        except AdmissionError:
+            assume(False)
+        lo, hi, num = DEFAULT_S0_SCAN
+        ratio = (hi / lo) ** (1.0 / (num - 1))
+        floor = convexity_floor(nl)
+        assert floor >= grid
+        assert floor <= (grid * ratio if grid > 0.0 else lo) * (1.0 + 1e-12)
+        for u in np.geomspace(max(floor, lo), hi, 25):
+            u = max(float(u), floor)
+            assert eval_g(nl, u, 2) >= 0.0
+            assert eval_g(nl, u, 1) > 0.0
+        if floor > 0.0:
+            assert eval_g(nl, math.nextafter(floor, 0.0), 2) < 0.0
+
+    @pytest.mark.parametrize("kw", [
+        dict(q=0.7),
+        dict(q=0.5, p=1.0),
+        dict(q=2.0, rho_beta=-10.0),
+        dict(q=1.5, p=1.0, rho_beta=-2.0),
+        dict(q=1.5, p=1.0, custom_rho=lambda u, k: 0.0),
+        dict(q=2.0, custom_rho=lambda u, k: -3.0 * u if k == 0 else
+             (-3.0 if k == 1 else 0.0)),
+    ])
+    def test_other_inputs_keep_the_scan(self, kw):
+        nl = make_nonlinearity("pow_exp", **kw)
+        try:
+            want = find_s0(nl, strict=False).s0
+        except AdmissionError:
+            want = math.inf
+        assert convexity_floor(nl) == want
 
 
 def test_g_is_linear_flags():

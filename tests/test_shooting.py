@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qshoot.config import ProblemConfig
-from qshoot.errors import AdmissionError, ConfigError
+from qshoot.errors import AdmissionError, ConfigError, QShootError, SolverError
 from qshoot.linearization import solve_V1
 from qshoot.nonlinearity import make_nonlinearity, with_lambda
 from qshoot.shooting import (
@@ -21,6 +23,19 @@ from qshoot.shooting import (
     sweep,
 )
 from conftest import bessel_first_zero
+
+# Supercritical tails (q > n/(n-1)) whose first zero lies beyond double range
+# in R: (family, n, q, p, rho_beta, lambda, gamma, route).
+FAR_ZERO_N3 = ("pow_exp", 3, 1.7997393727841493, 1.4061263845159186,
+               1.222662673970494, 5.269902340181269, 180.34620429937397, None)
+FAR_ZERO_N4 = ("pow_exp", 4, 1.737769577711514, 0.0017065717837739802,
+               0.03990673040854675, 0.6631839210811853, 110.26386035037876,
+               "t")
+
+
+def _case_nl(case):
+    family, n, q, p, rb, lam = case[:6]
+    return make_nonlinearity(family, q=q, p=p, rho_beta=rb, lam=lam, n=n)
 
 
 class TestReferenceProblems:
@@ -119,6 +134,26 @@ class TestRouteChoice:
         assert shoot(nl_square, 2, 0.5, cfg2).route == "r"
         assert calls == {"floor": 1, "snapshot": 0}
 
+    def test_built_in_families_never_scan_the_floor(self, nl_family_ii,
+                                                    nl_exp, nl_square,
+                                                    monkeypatch):
+        import qshoot.nonlinearity
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("find_s0 reached")
+
+        monkeypatch.setattr(qshoot.nonlinearity, "find_s0", no_scan)
+        three_halves = make_nonlinearity("pow_exp", q=1.5, n=3)
+        for nl, n, gamma in ((nl_family_ii, 2, 8.0), (nl_family_ii, 2, 2.0),
+                             (nl_exp, 2, 4.0), (three_halves, 3, 6.0),
+                             (nl_square, 2, 5.0)):
+            out = shoot(nl, n, gamma, ProblemConfig(n=n))
+            assert math.isfinite(out.T)
+        custom = make_nonlinearity("pow_exp", q=2.0,
+                                   custom_rho=lambda u, k: 0.0)
+        with pytest.raises(AssertionError, match="find_s0"):
+            shoot(custom, 2, 5.0, ProblemConfig(n=2))
+
     def test_choice_is_the_route_marched(self, nl_family_ii, nl_exp,
                                          nl_linear, nl_square, cfg2):
         wcfg = ProblemConfig(n=2, beta_weight=1.0)
@@ -162,6 +197,13 @@ class TestSweep:
         assert bad_gamma == -1.0
         assert "gamma" in msg
 
+    def test_far_zero_keeps_a_placeholder_row(self):
+        nl = _case_nl(FAR_ZERO_N3)
+        curve = sweep(nl, 3, [4.0, FAR_ZERO_N3[6]], ProblemConfig(n=3))
+        assert curve.outcomes[0].T is not None
+        assert curve.outcomes[1].T is None
+        assert len(curve.errors) == 1 and "T=-2203" in curve.errors[0][1]
+
     def test_derivative_columns_agree(self, nl_family_ii, cfg2):
         curve = sweep(nl_family_ii, 2, [4.0, 6.0], cfg2, with_derivative=True)
         for v1, fd in zip(curve.tprime_v1, curve.tprime_fd):
@@ -172,6 +214,46 @@ class TestSweep:
         b = sweep(nl_square, 2, [2.0, 4.0, 6.0], cfg2)
         assert [o.as_dict() for o in a.outcomes] == \
                [o.as_dict() for o in b.outcomes]
+
+
+class TestFarZero:
+    """A first zero beyond double range in R is a SolverError naming T."""
+
+    @pytest.mark.parametrize("case,T", [(FAR_ZERO_N3, "-2203"),
+                                        (FAR_ZERO_N4, "-1057")])
+    def test_shoot_refuses(self, case, T):
+        n, gamma, route = case[1], case[6], case[7]
+        with pytest.raises(SolverError, match=f"T={T}"):
+            shoot(_case_nl(case), n, gamma, ProblemConfig(n=n), route=route)
+
+    def test_singular_reduction_refuses(self):
+        # the reduced zero T = -272 is representable; T / a = -2722 is not
+        nl = _case_nl(FAR_ZERO_N3)
+        with pytest.raises(SolverError, match="T=-272"):
+            shoot_singular(nl, 3, 2.7, 60.0)
+
+    @given(st.tuples(st.sampled_from(["exp", "pow_exp", "linear"]),
+                     st.sampled_from([2, 3, 4]),
+                     st.floats(min_value=1.0, max_value=2.5),
+                     st.floats(min_value=0.0, max_value=3.0),
+                     st.floats(min_value=0.0, max_value=3.0),
+                     st.floats(min_value=-2.0, max_value=2.0).map(math.exp),
+                     st.floats(min_value=math.log(1e-4),
+                               max_value=math.log(1e3)).map(math.exp),
+                     st.sampled_from([None, "r", "t"])))
+    @example(FAR_ZERO_N3)
+    @example(FAR_ZERO_N4)
+    @settings(max_examples=150, deadline=None)
+    def test_shoot_never_crashes(self, case):
+        n, gamma, route = case[1], case[6], case[7]
+        try:
+            out = shoot(_case_nl(case), n, gamma, ProblemConfig(n=n),
+                        route=route)
+        except QShootError:
+            return
+        assert math.isfinite(out.T)
+        assert 0.0 < out.R < math.inf
+        assert 0.0 < out.lam < math.inf
 
 
 class TestSmallAmplitudeRegimes:
