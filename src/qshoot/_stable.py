@@ -3,7 +3,9 @@
 Everything that involves e^{(T1-t)/(n-1)} runs through these: T1 grows like
 g(gamma), so the exponent can reach thousands and the naive exponential is
 useless. All identities are therefore written in terms of the exponent x
-itself, softplus(x) = log(1+e^x) and sigma(x) = 1/(1+e^x)^-1.
+itself, softplus(x) = log(1+e^x) and sigma(x) = e^x/(1+e^x). Both give
+the same bits on an array as on each of its elements, so the closed forms
+may be evaluated on a whole grid at once.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Closed-form tail quantities and asymptotic predictions.
 
-Everything here is a pure function of (gamma, n, nl). The central change of
-scale is x = (T1 - t)/(n - 1) with X = e^x; all expressions are evaluated
-through x itself (softplus / logistic) because T1 grows like g(gamma) and
-X overflows long before the formulas stop being meaningful.
+Everything here is a pure function of (gamma, n, nl). Freezing the exponent
+at gamma gives the comparison solution z, and its gamma-derivative V2; the
+GammaSnapshot of one (nl, n, gamma) holds both, and every tail start, tail
+integral and prediction reads them from there. The central change of scale
+is x = (T1 - t)/(n - 1) with X = e^x; all expressions are evaluated through
+x itself (softplus / logistic) because T1 grows like g(gamma) and X
+overflows long before the formulas stop being meaningful.
 
 The multiplier lam is folded into the exponent throughout: shifting
 g -> g + log(lam) shifts the first zero by log(lam) and leaves every
@@ -14,8 +17,10 @@ log f(gamma) rather than bare g(gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from ._stable import sigma, softplus
 from .errors import AdmissionError, ConfigError
@@ -51,12 +56,18 @@ def harmonic(k: int) -> float:
     return float(h)
 
 
+def _scalar_or_array(t, *vals):
+    return tuple(float(v) for v in vals) if np.ndim(t) == 0 else vals
+
+
 @dataclass(frozen=True)
 class GammaSnapshot:
-    """Everything the closed forms need at a single gamma.
+    """The comparison solution at a single gamma, and everything the closed
+    forms need there.
 
     g is the full source exponent log f(gamma) (multiplier included); gp,
-    gpp, gppp are plain derivatives of g(u) at gamma. delta = T1 - T0.
+    gpp, gppp are plain derivatives of g(u) at gamma. delta = T1 - T0. The
+    methods take scalar or array t and return floats or arrays to match.
     """
 
     gamma: float
@@ -75,51 +86,102 @@ class GammaSnapshot:
         """Tail slope scale n/((n-1) g')."""
         return self.n / ((self.n - 1.0) * self.gp)
 
+    @property
+    def S0(self) -> float:
+        """Zero of V2: T1 - (n-1) log(n-1)."""
+        return self.T1 - (self.n - 1.0) * math.log(self.n - 1.0)
+
+    @property
+    def S_pred(self) -> float | None:
+        """Predicted turning point T1 + (n-1) log((n-1) g''/(g')^2), None
+        when g'' <= 0."""
+        if self.gpp <= 0.0:
+            return None
+        return self.T1 + (self.n - 1.0) * math.log(
+            (self.n - 1.0) * self.gpp / self.gp ** 2)
+
+    def x(self, t):
+        """Tail variable x = (T1 - t)/(n-1)."""
+        return (self.T1 - np.asarray(t, dtype=float)) / (self.n - 1.0)
+
+    def z(self, t):
+        """Comparison solution z, z', z''. It solves the equation with the
+        exponent linearized at gamma, so it is exact when g is linear:
+            z   = gamma - (n/g') softplus(x)
+            z'  = c sigma(x)
+            z'' = -(c/(n-1)) sigma(x) sigma(-x)
+        """
+        x = self.x(t)
+        sp = sigma(x)
+        z = self.gamma - (self.n / self.gp) * softplus(x)
+        zpp = -self.c / (self.n - 1.0) * sp * sigma(-x)
+        return _scalar_or_array(t, z, self.c * sp, zpp)
+
+    def v2(self, t):
+        """Gamma-derivative V2 of the comparison solution, V2', V2'':
+            V2   = -1/(n-1) + (n/(n-1)) sigma(-x)
+            V2'  = (n/(n-1)^2) sigma(x) sigma(-x)
+            V2'' = (n/(n-1)^3) sigma(x) sigma(-x) (1 - 2 sigma(-x))
+        """
+        n = self.n
+        x = self.x(t)
+        sp, sm = sigma(x), sigma(-x)
+        v2 = -1.0 / (n - 1.0) + n / (n - 1.0) * sm
+        v2p = n / (n - 1.0) ** 2 * sp * sm
+        v2pp = n / (n - 1.0) ** 3 * sp * sm * (1.0 - 2.0 * sm)
+        return _scalar_or_array(t, v2, v2p, v2pp)
+
 
 def snapshot(nl: Nonlinearity, n: int, gamma: float) -> GammaSnapshot:
+    """The GammaSnapshot of (nl, n, gamma); AdmissionError when a field
+    leaves the finite doubles."""
+    if not math.isfinite(gamma):
+        raise ConfigError(f"gamma must be finite, got {gamma}")
     if gamma <= 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
-    g = eval_g(nl, gamma, 0) + math.log(nl.lam)
-    gp = eval_g(nl, gamma, 1)
-    gpp = eval_g(nl, gamma, 2)
-    gppp = eval_g(nl, gamma, 3)
-    if gp <= 0.0:
-        raise AdmissionError(f"g'({gamma}) = {gp} is not positive")
-    T1 = g + (n - 1.0) * math.log((n - 1.0) * gp / n)
-    # T0 = T1 - ((n-1)/n) gamma g' - (n-1) log(1 - e^{-gamma g'/n})
-    T0 = T1 - (n - 1.0) / n * gamma * gp \
-        - (n - 1.0) * math.log(-math.expm1(-gamma * gp / n))
-    return GammaSnapshot(gamma=float(gamma), n=int(n), g=g, gp=gp, gpp=gpp,
-                         gppp=gppp, alpha_n=harmonic(n), T1=T1, T0=T0,
-                         delta=T1 - T0)
+    try:
+        g = eval_g(nl, gamma, 0) + math.log(nl.lam)
+        gp = eval_g(nl, gamma, 1)
+        gpp = eval_g(nl, gamma, 2)
+        gppp = eval_g(nl, gamma, 3)
+        if gp <= 0.0:
+            raise AdmissionError(f"g'({gamma}) = {gp} is not positive")
+        T1 = g + (n - 1.0) * math.log((n - 1.0) * gp / n)
+        # T0 = T1 - ((n-1)/n) gamma g' - (n-1) log(1 - e^{-gamma g'/n})
+        T0 = T1 - (n - 1.0) / n * gamma * gp \
+            - (n - 1.0) * math.log(-math.expm1(-gamma * gp / n))
+    except (ArithmeticError, ValueError) as exc:
+        raise AdmissionError(f"closed forms leave double range at "
+                             f"gamma={gamma}: {exc}") from None
+    s = GammaSnapshot(gamma=float(gamma), n=int(n), g=g, gp=gp, gpp=gpp,
+                      gppp=gppp, alpha_n=harmonic(n), T1=T1, T0=T0,
+                      delta=T1 - T0)
+    bad = [k for k, v in asdict(s).items() if not math.isfinite(v)]
+    if bad:
+        raise AdmissionError(f"closed forms leave double range at "
+                             f"gamma={gamma}: {', '.join(bad)} not finite")
+    return s
 
 
-def comparison_z(gamma: float, n: int, nl: Nonlinearity, t: float):
-    """The tail comparison solution z(t) and its derivative.
-
-    z solves the equation with the exponent linearized at gamma; it equals
-    the true solution exactly when g itself is linear.
-    """
-    s = snapshot(nl, n, gamma)
-    x = (s.T1 - t) / (n - 1.0)
-    z = gamma - (n / s.gp) * float(softplus(x))
-    zp = s.c * float(sigma(x))
-    return z, zp
+def comparison_z(gamma: float, n: int, nl: Nonlinearity, t):
+    """The tail comparison solution z(t) and its derivative."""
+    return snapshot(nl, n, gamma).z(t)[:2]
 
 
-def z_ode_log_residual(gamma: float, n: int, nl: Nonlinearity, t: float) -> float:
+def z_ode_log_residual(gamma: float, n: int, nl: Nonlinearity, t):
     """Relative mismatch between -((z')^{n-1})' and the linearized source.
 
     Both sides are positive, so the comparison runs in log space:
     |exp(logLHS - logRHS) - 1| is the relative residual without overflow.
     """
     s = snapshot(nl, n, gamma)
-    x = (s.T1 - t) / (n - 1.0)
+    x = s.x(t)
     log_lhs = (n - 1.0) * math.log(s.c) \
-        - (n - 1.0) * float(softplus(-x)) - float(softplus(x))
-    z = gamma - (n / s.gp) * float(softplus(x))
-    log_rhs = s.g + s.gp * (z - gamma) - t
-    return abs(math.expm1(log_lhs - log_rhs))
+        - (n - 1.0) * softplus(-x) - softplus(x)
+    log_rhs = s.g + s.gp * (s.z(t)[0] - gamma) - np.asarray(t, dtype=float)
+    # math.expm1, not np.expm1: the two differ in the last bit at some points
+    res = np.abs(np.vectorize(math.expm1, otypes=[float])(log_lhs - log_rhs))
+    return _scalar_or_array(t, res)[0]
 
 
 def psi_eval(gamma: float, n: int, nl: Nonlinearity, theta: float) -> float:
@@ -152,7 +214,7 @@ def tail_power_integral(k: int, gamma: float, n: int, nl: Nonlinearity,
         raise ConfigError(f"power index k must be a positive integer, got {k}")
     k = int(k)
     s = snapshot(nl, n, gamma)
-    x = (s.T1 - t) / (n - 1.0)
+    x = s.x(t)
     sm = float(sigma(-x))  # 1/(1+X)
     bracket = -harmonic(k) + float(softplus(x))
     for r in range(1, k + 1):
@@ -170,7 +232,7 @@ def turning_integrals(gamma: float, n: int, nl: Nonlinearity, t: float):
     The constant in I1 is -1/(n(n+1)); both integrals vanish as t -> inf.
     """
     s = snapshot(nl, n, gamma)
-    x = (s.T1 - t) / (n - 1.0)
+    x = s.x(t)
     sp = float(sigma(x))
     sm = float(sigma(-x))
     br = -1.0 / (n * (n + 1.0))
@@ -284,15 +346,12 @@ def predict_all(gamma: float, n: int, nl: Nonlinearity,
               + s.alpha_n * (n - 1.0) * gamma * s.gpp / s.gp)
     yprime = s.c + n * n * s.alpha_n * s.gpp / ((n - 1.0) * s.gp ** 3)
     tprime = (s.gp - (n - 1.0) * gamma * s.gpp) / n
-    s_pred = None
-    if s.gpp > 0.0:
-        s_pred = s.T1 + (n - 1.0) * math.log((n - 1.0) * s.gpp / s.gp ** 2)
     a_corr = 0.0
     if include_A and nl.f0 > 0.0:
         a_corr = correction_A(gamma, n, nl, cfg)
     return AsymptoticPrediction(
         gamma=float(gamma), n=int(n), T_pred=t_lead + a_corr,
-        yprime_T_pred=yprime, Tprime_pred=tprime, S_pred=s_pred,
+        yprime_T_pred=yprime, Tprime_pred=tprime, S_pred=s.S_pred,
         A_correction=a_corr, declared_error_order=dict(_ERROR_ORDERS))
 
 

@@ -9,6 +9,7 @@ defaults last). Exit codes: 0 success, 1 configuration or usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -197,6 +198,8 @@ def _gamma_grid(rc: RunConfig) -> np.ndarray:
         if rc.gamma_min is None or rc.gamma_max is None or rc.gamma_steps < 1:
             raise ConfigError("a grid needs --gamma-min, --gamma-max and "
                               "--gamma-steps >= 1")
+        if not (math.isfinite(rc.gamma_min) and math.isfinite(rc.gamma_max)):
+            raise ConfigError("--gamma-min and --gamma-max must be finite")
         if not rc.gamma_min < rc.gamma_max:
             raise ConfigError("--gamma-min must sit below --gamma-max")
         if rc.gamma_steps == 1:

@@ -24,7 +24,6 @@ from .errors import ConfigError, SolverError
 from .nonlinearity import Nonlinearity, eval_g
 from .ode import Trajectory, quad_dense, tail_start, yprime_from_psi
 from .shooting import march_route
-from ._stable import sigma
 # unused here: bound only so perfbench/tracer.py can wrap them as spans
 from .nonlinearity import convexity_floor  # noqa: F401
 from .ode import integrate_r, integrate_t  # noqa: F401
@@ -32,46 +31,9 @@ from .shooting import choose_route  # noqa: F401
 
 
 def v2_eval(gamma: float, n: int, nl: Nonlinearity, t):
-    """Closed-form tail derivative V2 and its first two t-derivatives.
-
-    With x = (T1 - t)/(n-1):
-        V2   = -1/(n-1) + (n/(n-1)) sigma(-x)
-        V2'  = (n/(n-1)^2) sigma(x) sigma(-x)
-        V2'' = (n/(n-1)^3) sigma(x) sigma(-x) (1 - 2 sigma(-x))
-    """
-    return _v2_at(snapshot(nl, n, gamma).T1, n, t)
-
-
-def _v2_at(T1: float, n: int, t):
-    x = (T1 - np.asarray(t, dtype=float)) / (n - 1.0)
-    sp, sm = sigma(x), sigma(-x)
-    v2 = -1.0 / (n - 1.0) + n / (n - 1.0) * sm
-    v2p = n / (n - 1.0) ** 2 * sp * sm
-    v2pp = n / (n - 1.0) ** 3 * sp * sm * (1.0 - 2.0 * sm)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(v2), float(v2p), float(v2pp)
-    return v2, v2p, v2pp
-
-
-@dataclass(frozen=True)
-class V2Closed:
-    """Bundle of the comparison-solution derivative: V2 as a callable plus
-    its zero S0 = T1 - (n-1) log(n-1)."""
-
-    gamma: float
-    n: int
-    nl: Nonlinearity
-    T1: float
-    S0: float
-
-    def V2(self, t):
-        return v2_eval(self.gamma, self.n, self.nl, t)[0]
-
-
-def v2_closed(nl: Nonlinearity, n: int, gamma: float) -> V2Closed:
-    s = snapshot(nl, n, gamma)
-    return V2Closed(gamma=float(gamma), n=int(n), nl=nl, T1=s.T1,
-                    S0=s.T1 - (n - 1.0) * math.log(n - 1.0))
+    """Closed-form tail derivative V2 and its first two t-derivatives; see
+    GammaSnapshot.v2."""
+    return snapshot(nl, n, gamma).v2(t)
 
 
 @dataclass(frozen=True)
@@ -105,7 +67,7 @@ def solve_V1(nl: Nonlinearity, n: int, gamma: float,
         cfg = ProblemConfig(n=n)
 
     def seed(start, s):
-        v2, v2p, _ = _v2_at(s.T1, n, start.t)
+        v2, v2p, _ = s.v2(start.t)
         return v2, yprime_from_psi(start.psi, n) ** (n - 2.0) * v2p
 
     traj = march_route(nl, n, gamma, cfg, route, lin_seed=seed)
@@ -190,10 +152,8 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
     if cfg is None:
         cfg = ProblemConfig(n=n)
     s = snapshot(nl, n, gamma)
-    s_pred = None
     comparator = None
     if s.gpp > 0.0:
-        s_pred = s.T1 + (n - 1.0) * math.log((n - 1.0) * s.gpp / s.gp ** 2)
         comparator = n / (n - 1.0) * s.gpp / s.gp ** 2
     s6 = None
     if nl.q > 1.0:
@@ -205,48 +165,33 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
         ts = np.linspace(start.t, s.T1 - 8.0 * (n - 1.0), 400)
 
         def v1f(t):
-            return v2_eval(gamma, n, nl, t)[0]
+            return s.v2(t)[0]
 
         def phif(t):
-            v2p = v2_eval(gamma, n, nl, t)[1]
-            if n == 2:
-                return v2p
-            zp = yprime_from_psi(comparison_psi(nl, n, gamma, t), n)
-            return zp ** (n - 2.0) * v2p
+            v2p = s.v2(t)[1]
+            return v2p if n == 2 else s.z(t)[1] ** (n - 2.0) * v2p
 
         lo_cut = float(ts[-1])
         S1 = _largest_zero(ts, v1f, lo_cut)
         S = _largest_zero(ts, phif, lo_cut)
         T = None
-        v2p_at = v2_eval(gamma, n, nl, S)[1] if S is not None else None
-        return TurningReport(gamma=float(gamma), n=n, T=T, T1=s.T1, S1=S1,
-                             S=S, S_predicted=s_pred, V2prime_at_S=v2p_at,
-                             comparator=comparator, S6=s6)
+    else:
+        res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True, route="t")
+        traj = res.traj
 
-    res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True, route="t")
-    traj = res.traj
+        def v1f(t):
+            return float(traj.state_at(t)[2])
 
-    def v1f(t):
-        return float(traj.state_at(t)[2])
+        def phif(t):
+            return float(traj.state_at(t)[3])
 
-    def phif(t):
-        return float(traj.state_at(t)[3])
-
-    lo_cut = res.T
-    S1 = _largest_zero(traj.ts, v1f, lo_cut)
-    S = _largest_zero(traj.ts, phif, lo_cut)
-    v2p_at = v2_eval(gamma, n, nl, S)[1] if S is not None else None
-    return TurningReport(gamma=float(gamma), n=n, T=res.T, T1=s.T1, S1=S1,
-                         S=S, S_predicted=s_pred, V2prime_at_S=v2p_at,
+        S1 = _largest_zero(traj.ts, v1f, res.T)
+        S = _largest_zero(traj.ts, phif, res.T)
+        T = res.T
+    v2p_at = s.v2(S)[1] if S is not None else None
+    return TurningReport(gamma=float(gamma), n=n, T=T, T1=s.T1, S1=S1, S=S,
+                         S_predicted=s.S_pred, V2prime_at_S=v2p_at,
                          comparator=comparator, S6=s6)
-
-
-def comparison_psi(nl: Nonlinearity, n: int, gamma: float, t: float) -> float:
-    """Flux (z')^{n-1} of the comparison solution; small helper for the
-    detector's V2 mode."""
-    s = snapshot(nl, n, gamma)
-    x = (s.T1 - t) / (n - 1.0)
-    return (s.c * float(sigma(x))) ** (n - 1.0)
 
 
 def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,

@@ -44,7 +44,6 @@ from .errors import (AdmissionError, ConfigError, EventNotFoundError,
                      SolverError)
 from .nonlinearity import (Nonlinearity, convexity_floor, eval_fprime_source,
                            eval_g, eval_source, g_is_linear, log_f)
-from ._stable import sigma, softplus
 
 # pure relative control on the flux component (see module docstring)
 _PSI_ATOL = 1e-300
@@ -227,9 +226,7 @@ def _tail_site(nl: Nonlinearity, n: int, gamma: float, c_tail: float,
             raise AdmissionError(
                 "tail remainder too large: c_tail * log g' < 3")
         t_start = s.T1 + c_tail * (n - 1.0) * math.log(s.gp)
-    x = (s.T1 - t_start) / (n - 1.0)
-    z0 = gamma - (n / s.gp) * float(softplus(x))
-    zp0 = s.c * float(sigma(x))
+    z0, zp0, _ = s.z(t_start)
     if z0 <= max(s0w, 0.25 * gamma):
         raise AdmissionError(
             f"tail value z(t_start)={z0:.3g} too far below gamma={gamma}")
@@ -274,17 +271,12 @@ def tail_refinement_delta(nl: Nonlinearity, n: int, gamma: float,
     st, s = _tail_site(nl, n, gamma, c_tail, cfg.beta_weight)
     t0, hi = st.t, st.t + 40.0 * (n - 1.0)
 
-    def zfun(t):
-        x = (s.T1 - t) / (n - 1.0)
-        return gamma - (n / s.gp) * float(softplus(x))
-
     def psi1(t):
-        val, _ = quad(lambda u: eval_source(nl, zfun(u), u), t, hi, limit=200)
+        val, _ = quad(lambda u: eval_source(nl, s.z(u)[0], u), t, hi, limit=200)
         return val + math.exp(s.g - hi)  # source ~ f(gamma) e^{-s} past the window
 
     y_int, _ = quad(lambda u: psi1(u) ** (1.0 / (n - 1.0)), t0, hi, limit=100)
-    y_rem = (n / s.gp) * float(softplus((s.T1 - hi) / (n - 1.0)))
-    y1 = gamma - y_int - y_rem
+    y1 = s.z(hi)[0] - y_int  # z itself past the window
     return {"delta_y": abs(y1 - st.y), "delta_psi": abs(psi1(t0) - st.psi),
             "t_start": t0, "window": 40.0 * (n - 1.0)}
 

@@ -20,6 +20,7 @@ Conventions tied together here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -62,6 +63,8 @@ def _route_setup(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
     None) from one floor evaluation and at most one tail site. The tail
     route is preferred well above the floor; a refusal by `_tail_site` then
     means "r", or raises when "t" was forced."""
+    if not math.isfinite(gamma):
+        raise ConfigError(f"gamma must be finite, got {gamma}")
     if gamma <= 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
     if route not in (None, "t", "r"):
@@ -105,13 +108,22 @@ def march_route(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
                        track_s0=track, gamma=gamma)
 
 
+# a subnormal x keeps about 53 - log2(min_normal / x) significant bits;
+# below this, fewer than half of them
+_TINY = sys.float_info.min * 2.0 ** -26
+
+
 def _radius_and_lambda(T: float, n: int, beta: float) -> tuple:
-    """R = n e^{-T/n} and lambda = R^{n - beta}, or SolverError naming T."""
+    """R = n e^{-T/n} and lambda = R^{n - beta}, or SolverError naming T
+    when either overflows or underflows below `_TINY`."""
     try:
         R = n * math.exp(-T / n)
-        return R, R ** (n - beta)
+        lam = R ** (n - beta)
     except OverflowError:
         raise SolverError(f"R or lambda overflows at T={T:.6g}") from None
+    if min(R, lam) < _TINY:
+        raise SolverError(f"R or lambda underflows at T={T:.6g}")
+    return R, lam
 
 
 def shoot(nl: Nonlinearity, n: int, gamma: float,
@@ -311,11 +323,9 @@ def export_profile(nl: Nonlinearity, n: int, gamma: float,
                 u[i] = float(traj.state_at(min(r, r_hi))[0])
     else:
         t_lo, t_hi = traj.span()
-        for i in range(1, len(xi)):
-            r = out.R * xi[i]
-            t = -n * math.log(r / n)
-            if t >= t_hi:
-                u[i] = comparison_z(gamma, n, nl, t)[0]
-            else:
-                u[i] = float(traj.state_at(max(t, t_lo))[0])
+        ts = [-n * math.log(out.R * x / n) for x in xi[1:]]
+        m = sum(t >= t_hi for t in ts)  # t falls along xi: a leading run
+        u[1:m + 1] = comparison_z(gamma, n, nl, np.array(ts[:m]))[0]
+        for i, t in enumerate(ts[m:], start=m + 1):
+            u[i] = float(traj.state_at(max(t, t_lo))[0])
     return ProfileResult(xi=xi, u=u, outcome=out)

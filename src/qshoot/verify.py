@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from ._stable import sigma
 from .asymptotics import (comparison_z, harmonic, perturbed_root, predict_all,
                           psi_eval, snapshot, tail_power_integral,
                           turning_integrals, z_ode_log_residual)
@@ -29,6 +28,9 @@ from .shooting import (classify_small_gamma, shoot, shoot_singular,
 BESSEL_FIRST_ZERO = 2.404825557695773
 
 SUITES = ("identities", "oracles", "asymptotics", "regimes")
+
+# the fixed planar solver settings every suite check runs at
+_CFG = ProblemConfig(n=2)
 
 
 @dataclass(frozen=True)
@@ -65,42 +67,39 @@ def _leq(name: str, value: float, bound: float) -> CheckRow:
                     passed=bool(value <= bound))
 
 
-def suite_identities(cfg: ProblemConfig | None = None) -> SuiteReport:
+def suite_identities() -> SuiteReport:
     rows = []
     nl = make_nonlinearity("pow_exp", q=2.0)
     for n in (2, 3, 4):
         for gamma in (3.0, 5.0, 10.0):
             s = snapshot(nl, n, gamma)
             ts = np.linspace(s.T0, s.T1 + 20.0 * (n - 1.0), 100)
-            res = max(z_ode_log_residual(gamma, n, nl, float(t)) for t in ts)
+            res = np.max(z_ode_log_residual(gamma, n, nl, ts))
             rows.append(_leq(f"z_ode_residual[n={n},gamma={gamma:g}]",
                              res, 1e-9))
             # V2 = 1 - g' z' pointwise, and the V2 equation itself
-            rel_max = 0.0
+            zs, zps = comparison_z(gamma, n, nl, ts)
+            v2s, v2ps, v2pps = v2_eval(gamma, n, nl, ts)
+            rel_max = np.max(np.abs(v2s - (1.0 - s.gp * zps)))
             ode_max = 0.0
-            for t in ts:
-                z, zp = comparison_z(gamma, n, nl, float(t))
-                v2, v2p, v2pp = v2_eval(gamma, n, nl, float(t))
-                rel_max = max(rel_max, abs(v2 - (1.0 - s.gp * zp)))
-                x = (s.T1 - float(t)) / (n - 1.0)
-                zpp = -s.c / (n - 1.0) * float(sigma(x)) * float(sigma(-x))
+            cols = (ts, zs, zps, s.z(ts)[2], v2s, v2ps, v2pps)
+            for t, z, zp, zpp, v2, v2p, v2pp in zip(*(c.tolist() for c in cols)):
                 lhs = -((n - 2.0) * zp ** (n - 3.0) * zpp * v2p
                         + zp ** (n - 2.0) * v2pp)
                 rhs = s.gp / (n - 1.0) * v2 \
-                    * math.exp(s.g + s.gp * (z - gamma) - float(t))
+                    * math.exp(s.g + s.gp * (z - gamma) - t)
                 den = max(abs(lhs), abs(rhs), 1e-300)
                 ode_max = max(ode_max, abs(lhs - rhs) / den)
             rows.append(_leq(f"v2_relation[n={n},gamma={gamma:g}]",
                              rel_max, 1e-12))
             rows.append(_leq(f"v2_ode_residual[n={n},gamma={gamma:g}]",
                              ode_max, 1e-9))
-            z0, _ = comparison_z(gamma, n, nl, s.T0)
-            rows.append(_leq(f"z_at_T0[n={n},gamma={gamma:g}]", abs(z0),
-                             1e-9 * max(1.0, gamma)))
-            _, zp1 = comparison_z(gamma, n, nl, s.T1)
+            rows.append(_leq(f"z_at_T0[n={n},gamma={gamma:g}]",
+                             abs(s.z(s.T0)[0]), 1e-9 * max(1.0, gamma)))
             target = n / (n - 1.0) / (2.0 * s.gp)
             rows.append(_leq(f"zprime_at_T1[n={n},gamma={gamma:g}]",
-                             abs(zp1 - target), 1e-12 * max(1.0, target)))
+                             abs(s.z(s.T1)[1] - target),
+                             1e-12 * max(1.0, target)))
     for k in range(1, 13):
         try:
             harmonic(k)
@@ -112,14 +111,12 @@ def suite_identities(cfg: ProblemConfig | None = None) -> SuiteReport:
     return SuiteReport(suite="identities", rows=rows)
 
 
-def suite_oracles(cfg: ProblemConfig | None = None) -> SuiteReport:
-    if cfg is None:
-        cfg = ProblemConfig(n=2)
+def suite_oracles() -> SuiteReport:
     rows = []
     nl_lin = make_nonlinearity("linear")
     Rs = []
     for gamma in (0.5, 1.0, 2.0):
-        out = shoot(nl_lin, 2, gamma, cfg)
+        out = shoot(nl_lin, 2, gamma, _CFG)
         Rs.append(out.R)
         rows.append(_leq(f"bessel_zero[gamma={gamma:g}]",
                          abs(out.R - BESSEL_FIRST_ZERO), 1e-6))
@@ -128,7 +125,7 @@ def suite_oracles(cfg: ProblemConfig | None = None) -> SuiteReport:
 
     nl_exp = make_nonlinearity("exp")
     for gamma in (1.0, 2.0, 5.0, 10.0):
-        out = shoot(nl_exp, 2, gamma, cfg)
+        out = shoot(nl_exp, 2, gamma, _CFG)
         exact = math.sqrt(8.0 * math.expm1(gamma / 2.0) * math.exp(-gamma))
         rows.append(_leq(f"planar_exponential_zero[gamma={gamma:g}]",
                          abs(out.R - exact) / exact, 1e-6))
@@ -146,13 +143,13 @@ def suite_oracles(cfg: ProblemConfig | None = None) -> SuiteReport:
         rows.append(_leq(f"route_agreement[{fam},n={n},gamma={gamma:g}]",
                          abs(Tt - Tr), 1e-6 * (1.0 + abs(Tt))))
 
-    out_red = shoot_singular(nl_exp, 2, 0.0, 3.0, cfg)
-    out_dir = shoot(nl_exp, 2, 3.0, cfg)
+    out_red = shoot_singular(nl_exp, 2, 0.0, 3.0, _CFG)
+    out_dir = shoot(nl_exp, 2, 3.0, _CFG)
     rows.append(_leq("weight_reduction_identity[beta=0]",
                      abs(out_red.T - out_dir.T), 0.0))
     for gamma in (1.0, 2.0, 4.0):
-        red = shoot_singular(nl_exp, 2, 1.0, gamma, cfg)
-        direct = shoot_weighted_direct(nl_exp, 2, 1.0, gamma, cfg)
+        red = shoot_singular(nl_exp, 2, 1.0, gamma, _CFG)
+        direct = shoot_weighted_direct(nl_exp, 2, 1.0, gamma, _CFG)
         exact = 2.0 * math.expm1(gamma / 2.0) * math.exp(-gamma)
         rows.append(_leq(f"weight_reduction_vs_direct[gamma={gamma:g}]",
                          abs(red.R - direct.R) / direct.R, 1e-5))
@@ -164,34 +161,21 @@ def suite_oracles(cfg: ProblemConfig | None = None) -> SuiteReport:
 _QUAD_OPT = {"limit": 400, "epsabs": 1e-300, "epsrel": 1e-12}
 
 
-def _quad_tail_power(k, gamma, n, nl, t):
-    s = snapshot(nl, n, gamma)
-
-    def zp(u):
-        return s.c * float(sigma((s.T1 - u) / (n - 1.0)))
-
-    val, _ = quad(lambda u: zp(u) ** (k + 1), t, t + 200.0 * (n - 1.0),
+def _quad_tail_power(k, s, t):
+    val, _ = quad(lambda u: s.z(u)[1] ** (k + 1), t, t + 200.0 * (s.n - 1.0),
                   **_QUAD_OPT)
     return val
 
 
-def _quad_turning(gamma, n, nl, t):
-    s = snapshot(nl, n, gamma)
-
-    def pieces(u):
-        x = (s.T1 - u) / (n - 1.0)
-        zp = s.c * float(sigma(x))
-        zpp = -s.c / (n - 1.0) * float(sigma(x)) * float(sigma(-x))
-        v2p = v2_eval(gamma, n, nl, u)[1]
-        return zp, zpp, v2p
+def _quad_turning(s, t):
+    n = s.n
 
     def ig1(u):
-        zp, zpp, v2p = pieces(u)
-        return zp ** (n - 2.0) * zpp * v2p
+        _, zp, zpp = s.z(u)
+        return zp ** (n - 2.0) * zpp * s.v2(u)[1]
 
     def ig2(u):
-        zp, zpp, v2p = pieces(u)
-        return zp ** n * v2p
+        return s.z(u)[1] ** n * s.v2(u)[1]
 
     hi = t + 200.0 * (n - 1.0)
     i1q, _ = quad(ig1, t, hi, **_QUAD_OPT)
@@ -199,9 +183,7 @@ def _quad_turning(gamma, n, nl, t):
     return i1q, i2q
 
 
-def suite_asymptotics(cfg: ProblemConfig | None = None) -> SuiteReport:
-    if cfg is None:
-        cfg = ProblemConfig(n=2)
+def suite_asymptotics() -> SuiteReport:
     rows = []
     nl = make_nonlinearity("pow_exp", q=2.0)
     gamma = 5.0
@@ -211,12 +193,12 @@ def suite_asymptotics(cfg: ProblemConfig | None = None) -> SuiteReport:
                         (5.0 * (n - 1.0), "T1+5(n-1)")):
             t = s.T1 + dt
             closed = tail_power_integral(n - 1, gamma, n, nl, t)
-            numeric = _quad_tail_power(n - 1, gamma, n, nl, t)
+            numeric = _quad_tail_power(n - 1, s, t)
             rows.append(_leq(f"tail_power_integral[n={n},{tag}]",
                              abs(closed - numeric) / max(abs(numeric), 1e-300),
                              1e-8))
             i1, i2, _ = turning_integrals(gamma, n, nl, t)
-            i1q, i2q = _quad_turning(gamma, n, nl, t)
+            i1q, i2q = _quad_turning(s, t)
             rows.append(_leq(f"turning_integral_1[n={n},{tag}]",
                              abs(i1 - i1q) / max(abs(i1q), 1e-300), 1e-8))
             rows.append(_leq(f"turning_integral_2[n={n},{tag}]",
@@ -246,14 +228,13 @@ def suite_asymptotics(cfg: ProblemConfig | None = None) -> SuiteReport:
 
     # prediction errors shrink along a short amplitude ladder
     gs = np.geomspace(20.0, 200.0, 6)
-    c2 = ProblemConfig(n=2)
     errTs = []
     errTp = []
     for g in gs:
-        out = shoot(nl15, 2, float(g), c2)
+        out = shoot(nl15, 2, float(g), _CFG)
         p = predict_all(float(g), 2, nl15)
         errTs.append(abs(out.T - p.T_pred))
-        errTp.append(abs(t_prime(nl15, 2, float(g), c2) - p.Tprime_pred))
+        errTp.append(abs(t_prime(nl15, 2, float(g), _CFG) - p.Tprime_pred))
     half = len(gs) // 2
     norm = [e * eval_g(nl15, float(g), 1) / math.log(eval_g(nl15, float(g), 1)) ** 2
             for e, g in zip(errTs, gs)]
@@ -267,14 +248,12 @@ def suite_asymptotics(cfg: ProblemConfig | None = None) -> SuiteReport:
     return SuiteReport(suite="asymptotics", rows=rows)
 
 
-def suite_regimes(cfg: ProblemConfig | None = None) -> SuiteReport:
-    if cfg is None:
-        cfg = ProblemConfig(n=2)
+def suite_regimes() -> SuiteReport:
     rows = []
     expected = {0.3: "diverges_up", 1.0: "bounded", 2.0: "diverges_down"}
     for p, want in expected.items():
         nl = make_nonlinearity("pow_exp", q=2.0, p=p, n=2)
-        rep = classify_small_gamma(nl, 2, cfg=cfg)
+        rep = classify_small_gamma(nl, 2, cfg=_CFG)
         rows.append(CheckRow(name=f"small_amplitude_regime[p={p:g}->{want}]",
                              value=rep.spread, bound=0.75,
                              passed=rep.verdict == want))
@@ -289,11 +268,11 @@ _RUNNERS = {
 }
 
 
-def run_suite(name: str, cfg: ProblemConfig | None = None) -> SuiteReport:
+def run_suite(name: str) -> SuiteReport:
     if name not in _RUNNERS:
         raise QShootError(f"unknown suite {name!r}; pick from {SUITES}")
-    return _RUNNERS[name](cfg)
+    return _RUNNERS[name]()
 
 
-def run_suites(names=SUITES, cfg: ProblemConfig | None = None):
-    return [run_suite(name, cfg) for name in names]
+def run_suites(names=SUITES):
+    return [run_suite(name) for name in names]

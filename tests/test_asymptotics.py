@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import qshoot.asymptotics
+from qshoot._stable import sigma, softplus
 from qshoot.asymptotics import (
     GammaSnapshot,
     comparison_z,
@@ -24,10 +26,11 @@ from qshoot.asymptotics import (
     turning_integrals,
     z_ode_log_residual,
 )
-from qshoot.errors import AdmissionError, ConfigError
+from qshoot.errors import AdmissionError, ConfigError, QShootError
 from qshoot.linearization import v2_eval
 from qshoot.nonlinearity import eval_g, make_nonlinearity
 from qshoot.shooting import BifurcationCurve, ShootOutcome, sweep
+from qshoot.verify import run_suites
 
 GRID = [(n, g) for n in (2, 3, 4) for g in (3.0, 5.0, 10.0)]
 
@@ -368,3 +371,63 @@ class TestSnapshot:
         for n in (2, 3, 4):
             s = snapshot(nl_square, n, 5.0)
             assert s.alpha_n == harmonic(n)
+
+    @pytest.mark.parametrize("nl,gamma,kind", [
+        (make_nonlinearity("pow_exp", q=2.0), 1e-170, AdmissionError),
+        (make_nonlinearity("pow_exp", q=2.0), 1e160, AdmissionError),
+        (make_nonlinearity("exp"), 1e-170, AdmissionError),
+        (make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0), 1e-170,
+         AdmissionError),
+        (make_nonlinearity("pow_exp", q=2.0), math.nan, ConfigError),
+        (make_nonlinearity("pow_exp", q=2.0), math.inf, ConfigError),
+    ])
+    def test_out_of_range_amplitudes_raise_typed_errors(self, nl, gamma, kind):
+        # math domain, overflow and zero-division errors, or all-nan fields
+        for fn in (lambda: snapshot(nl, 2, gamma),
+                   lambda: comparison_z(gamma, 2, nl, 1.0),
+                   lambda: predict_all(gamma, 2, nl)):
+            with pytest.raises(kind):
+                fn()
+
+    @given(st.sampled_from(["exp", "pow_exp", "linear"]),
+           st.floats(min_value=1.0, max_value=2.5),
+           st.floats(min_value=0.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=3.0),
+           st.sampled_from([2, 3, 4]),
+           st.floats(min_value=math.log(1e-300),
+                     max_value=math.log(1e300)).map(math.exp))
+    @settings(max_examples=300, deadline=None)
+    def test_fields_are_finite_or_the_error_is_typed(self, family, q, p, rb,
+                                                     n, gamma):
+        nl = make_nonlinearity(family, q=q, p=p, rho_beta=rb, n=n)
+        try:
+            s = snapshot(nl, n, gamma)
+        except QShootError:
+            return
+        assert all(math.isfinite(getattr(s, f)) for f in (
+            "g", "gp", "gpp", "gppp", "alpha_n", "T1", "T0", "delta"))
+
+    def test_scalar_and_array_evaluations_agree_bitwise(self, nl_square):
+        # the verify grids evaluate on arrays what the march reads pointwise
+        s = snapshot(nl_square, 3, 5.0)
+        ts = np.linspace(s.T1 - 3000.0, s.T1 + 3000.0, 2001)
+        for method in (s.z, s.v2):
+            cols = method(ts)
+            for i in range(0, len(ts), 7):
+                assert method(float(ts[i])) == tuple(float(c[i]) for c in cols)
+        xs = np.random.default_rng(1).normal(0.0, 300.0, 20000)
+        for fn in (sigma, softplus):
+            assert fn(xs).tolist() == [float(fn(float(x))) for x in xs]
+        res = z_ode_log_residual(5.0, 3, nl_square, ts[900:1100])
+        assert res.tolist() == [z_ode_log_residual(5.0, 3, nl_square, float(t))
+                                for t in ts[900:1100]]
+
+    def test_verify_builds_one_snapshot_per_amplitude(self, monkeypatch):
+        # every snapshot runs harmonic(n) once; the suites used to rebuild
+        # one at every abscissa of their grids and quadratures (about 6,360)
+        calls = []
+        real = qshoot.asymptotics.harmonic
+        monkeypatch.setattr(qshoot.asymptotics, "harmonic",
+                            lambda k: calls.append(k) or real(k))
+        assert all(rep.passed for rep in run_suites())
+        assert 0 < len(calls) <= 150

@@ -169,6 +169,20 @@ class TestSweepCommand:
         assert "gamma" in err
 
 
+    @pytest.mark.parametrize("lo,hi", [("1", "inf"), ("nan", "5"),
+                                       ("-inf", "5")])
+    def test_non_finite_grid_bound_is_a_config_error(self, capsys, lo, hi):
+        code, _, err = run_cli(capsys, "sweep", f"--gamma-min={lo}",
+                               f"--gamma-max={hi}", "--gamma-steps", "3")
+        assert code == 1
+        assert "must be finite" in err
+
+    def test_non_finite_amplitude_is_a_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "shoot", "--gamma", "nan")
+        assert code == 1
+        assert err == "qshoot: error: gamma must be finite, got nan\n"
+
+
 class TestLinearizeCommand:
     def test_single_amplitude_report(self, capsys):
         code, out, _ = run_cli(capsys, "linearize", "--family", "pow_exp",

@@ -16,7 +16,6 @@ from qshoot.linearization import (
     solve_V1,
     t_prime,
     t_prime_fd,
-    v2_closed,
     v2_eval,
 )
 from qshoot.nonlinearity import make_nonlinearity
@@ -34,11 +33,10 @@ class TestComparisonLinearization:
             assert v2 == pytest.approx(1.0 - s.gp * zp, abs=1e-12)
 
     def test_vanishes_at_its_marker(self, nl_square):
-        cl = v2_closed(nl_square, 3, 5.0)
-        v2, _, _ = v2_eval(5.0, 3, nl_square, cl.S0)
-        assert abs(v2) <= 1e-12
         s = snapshot(nl_square, 3, 5.0)
-        assert cl.S0 == pytest.approx(s.T1 - 2.0 * math.log(2.0), rel=1e-13)
+        v2, _, _ = v2_eval(5.0, 3, nl_square, s.S0)
+        assert abs(v2) <= 1e-12
+        assert s.S0 == pytest.approx(s.T1 - 2.0 * math.log(2.0), rel=1e-13)
 
     def test_derivatives_match_finite_differences(self, nl_square):
         gamma, n, h = 5.0, 2, 1e-6
@@ -118,16 +116,15 @@ class TestTurningDetection:
 
     def test_closed_form_mode_recovers_the_marker(self, nl_family_ii, cfg2):
         rep = detect_turning(nl_family_ii, 2, 8.0, cfg2, use_V2=True)
-        cl = v2_closed(nl_family_ii, 2, 8.0)
-        assert rep.S1 == pytest.approx(cl.S0, abs=1e-10)
+        assert rep.S1 == pytest.approx(snapshot(nl_family_ii, 2, 8.0).S0,
+                                       abs=1e-10)
 
     def test_computed_marker_approaches_the_closed_form(self, nl_family_ii,
                                                         cfg2):
         gap = []
         for gamma in (8.0, 12.0):
             rep = detect_turning(nl_family_ii, 2, gamma, cfg2)
-            cl = v2_closed(nl_family_ii, 2, gamma)
-            gap.append(abs(rep.S1 - cl.S0))
+            gap.append(abs(rep.S1 - snapshot(nl_family_ii, 2, gamma).S0))
         assert gap[1] < gap[0]
         assert gap[0] <= 1e-2
 

@@ -31,6 +31,10 @@ FAR_ZERO_N3 = ("pow_exp", 3, 1.7997393727841493, 1.4061263845159186,
 FAR_ZERO_N4 = ("pow_exp", 4, 1.737769577711514, 0.0017065717837739802,
                0.03990673040854675, 0.6631839210811853, 110.26386035037876,
                "t")
+# Subcritical tails at gamma = e^6 whose first zero underflows: T = 2029.2
+# gives R = 0, T = 1198.6 gives R = 1.1e-260 and lambda = R^2 = 0.
+NEAR_ZERO_R = ("pow_exp", 2, 1.5, 0.0, 0.0, 1.0, math.exp(6.0), None)
+NEAR_ZERO_LAM = ("pow_exp", 2, 1.375, 0.0, 0.0, 1.0, math.exp(6.0), None)
 
 
 def _case_nl(case):
@@ -204,6 +208,15 @@ class TestSweep:
         assert curve.outcomes[1].T is None
         assert len(curve.errors) == 1 and "T=-2203" in curve.errors[0][1]
 
+    def test_non_finite_amplitudes_keep_placeholder_rows(self, nl_square,
+                                                         cfg2):
+        curve = sweep(nl_square, 2, [4.0, math.nan, math.inf], cfg2,
+                      with_derivative=True)
+        assert curve.outcomes[0].T is not None
+        assert [o.T for o in curve.outcomes[1:]] == [None, None]
+        assert [g for g, _ in curve.errors][1:] == [math.inf]
+        assert all("finite" in msg for _, msg in curve.errors)
+
     def test_derivative_columns_agree(self, nl_family_ii, cfg2):
         curve = sweep(nl_family_ii, 2, [4.0, 6.0], cfg2, with_derivative=True)
         for v1, fd in zip(curve.tprime_v1, curve.tprime_fd):
@@ -217,14 +230,28 @@ class TestSweep:
 
 
 class TestFarZero:
-    """A first zero beyond double range in R is a SolverError naming T."""
+    """A first zero beyond double range in R or lambda, above or below it,
+    is a SolverError naming T."""
 
     @pytest.mark.parametrize("case,T", [(FAR_ZERO_N3, "-2203"),
                                         (FAR_ZERO_N4, "-1057")])
     def test_shoot_refuses(self, case, T):
         n, gamma, route = case[1], case[6], case[7]
-        with pytest.raises(SolverError, match=f"T={T}"):
+        with pytest.raises(SolverError, match=f"overflows at T={T}"):
             shoot(_case_nl(case), n, gamma, ProblemConfig(n=n), route=route)
+
+    @pytest.mark.parametrize("case,T", [(NEAR_ZERO_R, "2029"),
+                                        (NEAR_ZERO_LAM, "1198")])
+    def test_shoot_refuses_an_underflowing_zero(self, case, T):
+        with pytest.raises(SolverError, match=f"underflows at T={T}"):
+            shoot(_case_nl(case), 2, case[6], ProblemConfig(n=2))
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_is_a_config_error(self, nl_square, cfg2,
+                                                    gamma):
+        for solve in (shoot, solve_V1):
+            with pytest.raises(ConfigError, match="finite"):
+                solve(nl_square, 2, gamma, cfg2)
 
     def test_singular_reduction_refuses(self):
         # the reduced zero T = -272 is representable; T / a = -2722 is not
@@ -243,6 +270,8 @@ class TestFarZero:
                      st.sampled_from([None, "r", "t"])))
     @example(FAR_ZERO_N3)
     @example(FAR_ZERO_N4)
+    @example(NEAR_ZERO_R)
+    @example(NEAR_ZERO_LAM)
     @settings(max_examples=150, deadline=None)
     def test_shoot_never_crashes(self, case):
         n, gamma, route = case[1], case[6], case[7]
