@@ -98,7 +98,7 @@ class GammaSnapshot:
         if self.gpp <= 0.0:
             return None
         return self.T1 + (self.n - 1.0) * math.log(
-            (self.n - 1.0) * self.gpp / self.gp ** 2)
+            (self.n - 1.0) * self.gpp / checked_pow(self.gp, 2, self.gamma))
 
     def x(self, t):
         """Tail variable x = (T1 - t)/(n-1)."""
@@ -163,6 +163,15 @@ def snapshot(nl: Nonlinearity, n: int, gamma: float) -> GammaSnapshot:
     return s
 
 
+def checked_pow(x: float, k: float, gamma: float) -> float:
+    """x ** k for a closed form at gamma; AdmissionError when it overflows."""
+    try:
+        return x ** k
+    except OverflowError as exc:
+        raise AdmissionError(f"closed forms leave double range at "
+                             f"gamma={gamma}: {exc}") from None
+
+
 def comparison_z(gamma: float, n: int, nl: Nonlinearity, t):
     """The tail comparison solution z(t) and its derivative."""
     return snapshot(nl, n, gamma).z(t)[:2]
@@ -219,7 +228,7 @@ def tail_power_integral(k: int, gamma: float, n: int, nl: Nonlinearity,
     bracket = -harmonic(k) + float(softplus(x))
     for r in range(1, k + 1):
         bracket -= (-1) ** r * math.comb(k, r) / r * sm ** r
-    return s.c ** (k + 1) * (n - 1.0) * bracket
+    return checked_pow(s.c, k + 1, gamma) * (n - 1.0) * bracket
 
 
 def turning_integrals(gamma: float, n: int, nl: Nonlinearity, t: float):
@@ -238,8 +247,8 @@ def turning_integrals(gamma: float, n: int, nl: Nonlinearity, t: float):
     br = -1.0 / (n * (n + 1.0))
     for r in range(n):
         br += (-1) ** r * math.comb(n - 1, r) / (r + 2.0) * sm ** (r + 2)
-    i1 = s.gp / (n - 1.0) * s.c ** n * br
-    i2 = s.gp / (n + 1.0) * s.c ** (n + 1) * sp ** (n + 1)
+    i1 = s.gp / (n - 1.0) * checked_pow(s.c, n, gamma) * br
+    i2 = s.gp / (n + 1.0) * checked_pow(s.c, n + 1, gamma) * sp ** (n + 1)
     return i1, i2, (s.gpp / s.gp) * i1 + s.gpp * i2
 
 
@@ -344,7 +353,8 @@ def predict_all(gamma: float, n: int, nl: Nonlinearity,
     t_lead = (s.g - (n - 1.0) / n * gamma * s.gp
               + (n - 1.0) * math.log((n - 1.0) / n * s.gp)
               + s.alpha_n * (n - 1.0) * gamma * s.gpp / s.gp)
-    yprime = s.c + n * n * s.alpha_n * s.gpp / ((n - 1.0) * s.gp ** 3)
+    yprime = s.c + n * n * s.alpha_n * s.gpp \
+        / ((n - 1.0) * checked_pow(s.gp, 3, gamma))
     tprime = (s.gp - (n - 1.0) * gamma * s.gpp) / n
     a_corr = 0.0
     if include_A and nl.f0 > 0.0:

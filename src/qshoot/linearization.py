@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .asymptotics import snapshot
+from .asymptotics import checked_pow, snapshot
 from .config import ProblemConfig
 from .errors import ConfigError, SolverError
 from .nonlinearity import Nonlinearity, eval_g
@@ -154,7 +154,7 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
     s = snapshot(nl, n, gamma)
     comparator = None
     if s.gpp > 0.0:
-        comparator = n / (n - 1.0) * s.gpp / s.gp ** 2
+        comparator = n / (n - 1.0) * s.gpp / checked_pow(s.gp, 2, gamma)
     s6 = None
     if nl.q > 1.0:
         s6 = s.T1 - (4.0 * nl.q / (nl.q - 1.0) + 1.0) * (n - 1.0) \

@@ -1,13 +1,14 @@
 """Event-detecting integration of the radial problem in flux form.
 
 One marching core (`_march`) serves both coordinate setups of the same
-equation. It wires the level events for the stop rule and the convexity
-floor crossing, makes the single solve_ivp call, raises with the last
-accepted state when the march fails or misses its stop, refines the events
-on the dense output and assembles the Trajectory. Each setup only supplies
-its start state, its span and one right-hand side, which appends the
-linearization block (the derivative of the flow with respect to gamma; see
-the linearization module) when asked:
+equation. It drives the in-repo DOPRI5(4) stepper (`_dopri`: the
+Dormand-Prince pair with Shampine's dense output under RK45's control law),
+which ends the march with a genuine step onto the stop level. It finds the
+convexity floor crossing on the dense output, raises with the last accepted
+state when the march fails or misses its stop, and assembles the
+Trajectory. Each setup only supplies its start state, its span and one
+right-hand side, which appends the linearization block (the derivative of
+the flow with respect to gamma; see the linearization module) when asked:
 
   t-route   y' = psi^{1/(n-1)}, psi' = -f(y) e^{-t}, integrated backwards in
             the log-radius variable t from a tail start down to the first
@@ -31,11 +32,12 @@ monotone to better than 1e-11 of its natural scale.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .asymptotics import snapshot
@@ -44,14 +46,16 @@ from .errors import (AdmissionError, ConfigError, EventNotFoundError,
                      SolverError)
 from .nonlinearity import (Nonlinearity, convexity_floor, eval_fprime_source,
                            eval_g, eval_source, g_is_linear, log_f)
+# unused here: bound only so perfbench/tracer.py can wrap it as a span
+from scipy.integrate import solve_ivp  # noqa: F401
 
 # pure relative control on the flux component (see module docstring)
 _PSI_ATOL = 1e-300
 
 
-# finite overflow sentinel: forces a step rejection, while scipy's squared
-# error norm stays finite: a capped slope scales to at most 0.16 h cap / atol
-# (1e112 h at atol 1e-13), squared far below 1.8e308 (at 1e150 it is not)
+# finite overflow sentinel: a capped slope or source blows up the trial
+# step's error norm, so the stepper rejects and shrinks that step. The
+# radius-route budget below is read off it, hence it stays at 1e100.
 _SOURCE_CAP = 1e100
 # largest log of a legitimate radius-route source or slope: both peak at the
 # startup or stay below f(gamma), so the clamps then only cut trial steps
@@ -144,7 +148,7 @@ class Trajectory:
     cfg: ProblemConfig
     ts: np.ndarray
     states: np.ndarray
-    dense: Optional[Callable]
+    dense: Callable
     lin: bool = False
     events: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
@@ -153,8 +157,6 @@ class Trajectory:
         return float(np.min(self.ts)), float(np.max(self.ts))
 
     def state_at(self, x: float) -> np.ndarray:
-        if self.dense is None:
-            raise SolverError("trajectory has no dense output")
         lo, hi = self.span()
         return np.asarray(self.dense(min(max(x, lo), hi)), dtype=float)
 
@@ -183,17 +185,14 @@ class Trajectory:
     def stop_readout(self) -> tuple:
         """(T, y'(T), Ttilde, state at the stop) in the log-radius variable,
         whichever route marched. Ttilde is None without a floor crossing."""
+        x, xs0 = self.events[f"stop_{self.kind}"], \
+            self.events.get(f"s0_{self.kind}")
         if self.kind == "t":
-            T = self.events["stop_t"]
-            s = self.state_at(T)
-            return T, yprime_from_psi(float(s[1]), self.n), \
-                self.events.get("s0_t"), s
+            return x, self.yprime_at(x), xs0, self.state_at(x)
         n = self.n
-        r = self.events["stop_r"]
-        s = self.state_at(r)
-        rs0 = self.events.get("s0_r")
-        return (_t_of_r(r, n), -(r / n) * wprime_from_Phi(float(s[1]), r, n),
-                _t_of_r(rs0, n) if rs0 is not None else None, s)
+        return (_t_of_r(x, n), -(x / n) * self.yprime_at(x),
+                _t_of_r(xs0, n) if xs0 is not None else None,
+                self.state_at(x))
 
 
 def _tail_site(nl: Nonlinearity, n: int, gamma: float, c_tail: float,
@@ -281,80 +280,215 @@ def tail_refinement_delta(nl: Nonlinearity, n: int, gamma: float,
             "t_start": t0, "window": 40.0 * (n - 1.0)}
 
 
-def _refine_event(fun, t_guess: float, t_lo: float, t_hi: float,
-                  event_tol: float) -> float:
-    """Polish an event abscissa on the dense output down to event_tol."""
-    h = max(10.0 * event_tol, 1e-9 * max(1.0, abs(t_guess)))
-    for _ in range(40):
-        a = max(min(t_lo, t_hi), t_guess - h)
-        b = min(max(t_lo, t_hi), t_guess + h)
-        fa, fb = fun(a), fun(b)
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if fa * fb < 0.0:
-            return float(brentq(fun, a, b, xtol=event_tol * 0.5))
-        h *= 4.0
-        if a == min(t_lo, t_hi) and b == max(t_lo, t_hi):
-            break
-    return t_guess
+# weights of the stages in the last coefficient of Shampine's dense output
+# (Hairer, Norsett & Wanner, II.6, as in their DOPRI5)
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
 
 
-def _level_event(level: float, terminal: bool):
-    def ev(x, u):
-        return u[0] - level
-    ev.terminal = terminal
-    return ev
+def _dp_step(rhs, t, y, k1, h, rtol, atol):
+    """One Dormand-Prince step of length h from (t, y), k1 = rhs(t, y): the
+    new state, the seven stages (the last is rhs there) and the RMS error
+    norm over atol + rtol max(|y|, |y_new|), inf or NaN to fail the step."""
+    k2 = rhs(t + 0.2 * h, [u + h * (0.2 * a) for u, a in zip(y, k1)])
+    k3 = rhs(t + 0.3 * h, [u + h * (3 / 40 * a + 9 / 40 * b)
+                           for u, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + 0.8 * h, [u + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
+                           for u, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs(t + 8 / 9 * h, [
+        u + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
+                 - 212 / 729 * d)
+        for u, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + h, [
+        u + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
+                 + 49 / 176 * d - 5103 / 18656 * e)
+        for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [u + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                      - 2187 / 6784 * e + 11 / 84 * f)
+             for u, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+    err = math.hypot(*[h * (-71 / 57600 * a + 71 / 16695 * c - 71 / 1920 * d
+                            + 17253 / 339200 * e - 22 / 525 * f + g / 40)
+                       / (at + max(abs(u), abs(v)) * rtol)
+                       for u, v, a, c, d, e, f, g, at
+                       in zip(y, y_new, k1, k3, k4, k5, k6, k7, atol)])
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), err / math.sqrt(len(y))
+
+
+def _at(c, x):
+    """A `DenseOutput.quartics` entry at the fraction x of its step."""
+    w = 1.0 - x
+    return c[0] + x * (c[1] + w * (c[2] + x * (c[3] + w * c[4])))
+
+
+def _crosses(g, g_new) -> bool:
+    """A level met on a step whose ends sit g and g_new above it."""
+    return g_new <= 0.0 if g > 0.0 else g_new >= 0.0
+
+
+class DenseOutput:
+    """Piecewise quartic interpolant over the accepted steps of one march.
+    It keeps each step's ends and stages and builds the step's quartic when
+    first evaluated. A node belongs to the step ending there."""
+
+    def __init__(self, ts, ys, stages):
+        self.ts, self.ys, self.stages = ts, ys, stages
+        self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
+        self._keys = [self._sign * t for t in ts]
+        self._quartics = {}
+
+    def quartics(self, i):
+        """Shampine's quartic per component of step i, as `_at` reads it."""
+        if i not in self._quartics:
+            K, h = self.stages[i], self.ts[i + 1] - self.ts[i]
+            q = self._quartics[i] = []
+            for c, (u0, u1) in enumerate(zip(self.ys[i], self.ys[i + 1])):
+                dy = u1 - u0
+                b = h * K[0][c] - dy
+                q.append((u0, dy, b, dy - h * K[6][c] - b,
+                          h * sum(d * k[c] for d, k in zip(_D, K))))
+        return self._quartics[i]
+
+    def __call__(self, x) -> np.ndarray:
+        x, ts = float(x), self.ts
+        i = min(max(bisect_left(self._keys, self._sign * x) - 1, 0),
+                len(self.stages) - 1)
+        frac = (x - ts[i]) / (ts[i + 1] - ts[i])
+        return np.array([_at(c, frac) for c in self.quartics(i)])
+
+    def crossing(self, level, xtol):
+        """First abscissa where y[0] meets `level`, or None. An end of the
+        crossing step that rounding leaves on the start's side is the root."""
+        ts, ys = self.ts, self.ys
+        for i in range(len(self.stages)):
+            if _crosses(ys[i][0] - level, ys[i + 1][0] - level):
+                c, h = self.quartics(i)[0], ts[i + 1] - ts[i]
+                if not _crosses(c[0] - level, _at(c, 1.0) - level):
+                    return ts[i + 1]
+                return ts[i] + h * float(brentq(
+                    lambda x: _at(c, x) - level, 0.0, 1.0, xtol=xtol / abs(h)))
+        return None
+
+    def land(self, rhs, level, xtol, tols, counts):
+        """Where y[0] meets `level` on the last step, after replacing that
+        step by one ending there: Newton on its length from the crossing on
+        the quartic, kept inside the step. If Newton leaves it (y' vanishing)
+        or a step fails the error test (a source exploding there), it stays."""
+        stop = self.crossing(level, xtol)
+        t, y, f = self.ts[-2], self.ys[-2], self.stages[-1][0]
+        h, h_acc = stop - t, self.ts[-1] - t
+        for _ in range(8):
+            t_new = t + h
+            h = t_new - t
+            y_new, K, err = _dp_step(rhs, t, y, f, h, *tols)
+            counts["nfev"] += 6
+            counts["landing"] += 1
+            miss = y_new[0] - level
+            h_next = h - miss / K[6][0] if K[6][0] else math.nan
+            if not (err < 1.0 and 0.0 < h_next / h_acc <= 1.0):
+                break
+            if abs(h_next - h) <= xtol:
+                self.ts[-1], self.ys[-1], self.stages[-1] = t_new, y_new, K
+                self._quartics.pop(len(self.stages) - 1, None)
+                counts["landed"] = True
+                return t_new
+            h = h_next
+        return stop
+
+
+def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
+    """DOPRI5(4) march of y' = rhs(t, y) from t towards t_end under RK45's
+    control law (initial step, safety 0.9, factors in [0.2, 10], none above
+    1 after a rejection, failure below 10 ulp(t)): the dense output, where
+    y[0] met `level` (None if not; see `land`), and the counters."""
+    sign, span = (1.0 if t_end > t else -1.0), abs(t_end - t)
+    f = rhs(t, y)
+    # initial step (Hairer, Norsett & Wanner, II.4)
+    scale = [a + abs(u) * rtol for u, a in zip(y, atol)]
+    d0, d1 = (math.hypot(*[u / s for u, s in zip(v, scale)])
+              / math.sqrt(len(y)) for v in (y, f))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = rhs(t + sign * h0, [u + sign * h0 * v for u, v in zip(y, f)])
+    d2 = math.hypot(*[(b - a) / s for a, b, s in zip(f, f1, scale)]) \
+        / math.sqrt(len(y)) / h0 if h0 else math.inf
+    h_abs = min(100.0 * h0, span, max(1e-6, h0 * 1e-3)
+                if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2)
+    ts, ys, stages = [t], [y], []
+    counts = dict(status=0, nfev=2, rejected=0, landing=0, landed=False)
+    g = None if level is None else y[0] - level
+    while sign * (t - t_end) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(t, sign * math.inf) - t)
+        h_abs, retry = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:  # a NaN step fails too
+                counts["status"] = -1
+                return DenseOutput(ts, ys, stages), None, counts
+            t_new = t + sign * h_abs
+            if sign * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, K, err = _dp_step(rhs, t, y, f, h, rtol, atol)
+            counts["nfev"] += 6
+            factor = 10.0 if err == 0.0 else 0.9 * err ** -0.2
+            if err < 1.0:
+                h_abs *= min(1.0 if retry else 10.0, factor)
+                break
+            # an infinite norm makes factor 0, a NaN one NaN: both give 0.2
+            h_abs *= factor if factor > 0.2 else 0.2
+            retry = True
+            counts["rejected"] += 1
+        ts.append(t_new)
+        ys.append(y_new)
+        stages.append(K)
+        t, y, f = t_new, y_new, K[6]
+        if g is not None:
+            g_old, g = g, y[0] - level
+            if _crosses(g_old, g):
+                counts["status"], counts["landed"] = 1, g == 0.0
+                break
+    dense = DenseOutput(ts, ys, stages)
+    if counts["status"] == 1 and not counts["landed"]:
+        t = dense.land(rhs, level, xtol, (rtol, atol), counts)
+    return dense, t if counts["status"] == 1 else None, counts
 
 
 def _march(kind: str, nl: Nonlinearity, n: int, gamma: float,
            cfg: ProblemConfig, rhs, span: tuple, y0: list, stop: StopRule,
            track_s0: float | None, where: str, **diag) -> Trajectory:
-    """The marching core of both routes: integrate `rhs` over `span` to the
-    first-component level of `stop`, refining that event and the crossing
-    of track_s0 on the dense output. A 4-component `y0` carries the
-    linearization channel; `where` ends the miss message."""
+    """The marching core of both routes: integrate `rhs` over `span` until
+    the first component lands on the level of `stop`, and find the
+    crossing of track_s0 on the dense output. A 4-component `y0` carries
+    the linearization channel; `where` ends the miss message."""
     target = {"first_zero": 0.0, "y_reaches": stop.value}.get(stop.kind)
     track = track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0)
-    events = []
-    if target is not None:
-        events.append(_level_event(target, True))
-    if track:
-        events.append(_level_event(track_s0, False))
-    atol_vec = [cfg.atol, _PSI_ATOL] + [cfg.atol] * (len(y0) - 2)
+    atol = [cfg.atol, _PSI_ATOL] + [cfg.atol] * (len(y0) - 2)
+    xtol = 0.5 * cfg.event_tol
     try:
-        sol = solve_ivp(rhs, span, y0, method="RK45", rtol=cfg.rtol,
-                        atol=atol_vec, dense_output=True, events=events)
+        dense, stop_x, counts = _dopri(rhs, span[0], [float(v) for v in y0],
+                                       span[1], cfg.rtol, atol, target, xtol)
     except OverflowError as exc:
         raise SolverError(f"source overflow during integration: {exc}") from exc
-
-    def last():
-        state = StateT if kind == "t" else StateR
-        return state(float(sol.t[-1]), *(float(v) for v in sol.y[:2, -1]))
-
-    def refine(level, guess):
-        return _refine_event(lambda x: float(sol.sol(x)[0]) - level, guess,
-                             span[0], float(sol.t[-1]), cfg.event_tol)
-
-    if sol.status == -1:
-        raise SolverError(f"integrator failed: {sol.message}",
-                          last_state=last())
+    ts, ys = dense.ts, dense.ys
+    last = (StateT if kind == "t" else StateR)(ts[-1], *ys[-1][:2])
+    if counts["status"] == -1:
+        raise SolverError("integrator failed: Required step size is less "
+                          "than spacing between numbers.", last_state=last)
     evs: dict = {}
     if target is not None:
-        if sol.status != 1 or len(sol.t_events[0]) == 0:
+        if stop_x is None:
             var = "y" if kind == "t" else "w"
             raise EventNotFoundError(
-                f"no crossing of {var}={target} {where}", last_state=last())
-        x = refine(target, float(sol.t_events[0][0]))
-        evs[f"stop_{kind}"] = x
-        evs["stop_residual"] = float(sol.sol(x)[0]) - target
-    if track and len(sol.t_events[-1]):
-        evs[f"s0_{kind}"] = refine(track_s0, float(sol.t_events[-1][0]))
-    diag = {"route": kind, "nfev": int(sol.nfev),
-            "steps": int(len(sol.t)) - 1, "status": int(sol.status), **diag}
+                f"no crossing of {var}={target} {where}", last_state=last)
+        evs[f"stop_{kind}"] = stop_x
+        evs["stop_residual"] = float(dense(stop_x)[0]) - target
+    x = dense.crossing(track_s0, xtol) if track else None
+    if x is not None:
+        evs[f"s0_{kind}"] = x
+    diag = {"route": kind, "steps": len(ts) - 1, **counts, **diag}
     return Trajectory(kind=kind, gamma=gamma, n=n, nl=nl, cfg=cfg,
-                      ts=sol.t.copy(), states=sol.y.T.copy(), dense=sol.sol,
+                      ts=np.array(ts), states=np.array(ys), dense=dense,
                       lin=len(y0) == 4, events=evs, diagnostics=diag)
 
 
@@ -370,12 +504,12 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT, stop: StopRule,
     exd = (n - 2.0) / (n - 1.0)
 
     def rhs(t, u):
-        y, psi = float(u[0]), float(u[1])
+        y, psi = u[0], u[1]
         yp = psi ** ex if psi > 0.0 else 0.0
         du = (min(yp, _SOURCE_CAP), -_source_soft(nl, y, t))
         if not lin:
             return du
-        v1, phi = float(u[2]), float(u[3])
+        v1, phi = u[2], u[3]
         dv1 = phi if n == 2 else _clamp(phi / max(psi, _PSI_ATOL) ** exd)
         return du + (dv1, _clamp(-_fprime_soft(nl, y, t) * v1 / (n - 1.0)))
 
@@ -443,14 +577,14 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float, stop: StopRule,
     exd = (n - 2.0) / (n - 1.0)
 
     def rhs(r, u):
-        w, Phi = float(u[0]), float(u[1])
+        w, Phi = u[0], u[1]
         aPhi = max(-Phi, 0.0)
         wp = -((aPhi / r ** (n - 1.0)) ** ex) if aPhi > 0.0 else 0.0
         du = (max(wp, -_SOURCE_CAP),
               _clamp(-_source_soft(nl, w, 0.0) * r ** (nb - 1.0)))
         if not lin:
             return du
-        W, chi = float(u[2]), float(u[3])
+        W, chi = u[2], u[3]
         dW = _clamp(chi / r if n == 2
                     else chi / (r * max(aPhi, _PSI_ATOL) ** exd))
         return du + (dW, _clamp(-_fprime_soft(nl, w, 0.0) * W

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -27,7 +27,7 @@ from qshoot.asymptotics import (
     z_ode_log_residual,
 )
 from qshoot.errors import AdmissionError, ConfigError, QShootError
-from qshoot.linearization import v2_eval
+from qshoot.linearization import detect_turning, v2_eval
 from qshoot.nonlinearity import eval_g, make_nonlinearity
 from qshoot.shooting import BifurcationCurve, ShootOutcome, sweep
 from qshoot.verify import run_suites
@@ -396,6 +396,10 @@ class TestSnapshot:
            st.sampled_from([2, 3, 4]),
            st.floats(min_value=math.log(1e-300),
                      max_value=math.log(1e300)).map(math.exp))
+    # s.gp ** 3 and s.c ** n overflowed here while the snapshot was finite
+    @example("pow_exp", 1.986, 0.0, 0.0, 4, 4.99e149)
+    @example("pow_exp", 1.943, 0.0, 0.0, 3, 1.59e-92)
+    @example("pow_exp", 1.949, 0.0, 0.0, 3, 2.13e-132)
     @settings(max_examples=300, deadline=None)
     def test_fields_are_finite_or_the_error_is_typed(self, family, q, p, rb,
                                                      n, gamma):
@@ -406,6 +410,24 @@ class TestSnapshot:
             return
         assert all(math.isfinite(getattr(s, f)) for f in (
             "g", "gp", "gpp", "gppp", "alpha_n", "T1", "T0", "delta"))
+        # the closed forms read off the snapshot: finite, or typed refusals
+        def prediction():
+            pr = predict_all(gamma, n, nl)
+            return pr.T_pred, pr.yprime_T_pred, pr.Tprime_pred, pr.S_pred
+
+        def turning():
+            rep = detect_turning(nl, n, gamma, use_V2=True)
+            return rep.T1, rep.S1, rep.S, rep.S_predicted, rep.comparator
+
+        for fn in (prediction, turning,
+                   lambda: turning_integrals(gamma, n, nl, s.T1),
+                   lambda: [tail_power_integral(k, gamma, n, nl, s.T1)
+                            for k in (1, 2, 3)]):
+            try:
+                vals = fn()
+            except QShootError:
+                continue
+            assert all(v is None or math.isfinite(v) for v in vals)
 
     def test_scalar_and_array_evaluations_agree_bitwise(self, nl_square):
         # the verify grids evaluate on arrays what the march reads pointwise

@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
+import qshoot.ode
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError, EventNotFoundError
+from qshoot.linearization import solve_V1
 from qshoot.nonlinearity import find_s0, make_nonlinearity
 from qshoot.ode import (
     StateR,
     StateT,
+    _dopri,
     energy_series,
     energy_violations,
     first_zero_of_y,
@@ -342,3 +345,123 @@ class TestTrajectoryViews:
         for t in np.linspace(max(lo_t, lo_r) + 0.1, min(hi_t, hi_r) - 0.1, 7):
             assert trt.yprime_t(float(t)) == pytest.approx(
                 trr.yprime_t(float(t)), rel=1e-6, abs=1e-9)
+
+
+def _dev(a, b):
+    """|a - b| in units of each column's largest magnitude in b."""
+    return np.abs(a - b) / np.max(np.abs(b), axis=0)
+
+
+def _marched(monkeypatch, march):
+    """Run `march` and return its trajectory with the right-hand side, span
+    and start state the marching core was handed."""
+    seen = {}
+    core = qshoot.ode._march
+
+    def spy(kind, nl, n, gamma, cfg, rhs, span, y0, *args, **kw):
+        seen.update(rhs=rhs, span=span, y0=y0)
+        return core(kind, nl, n, gamma, cfg, rhs, span, y0, *args, **kw)
+
+    monkeypatch.setattr(qshoot.ode, "_march", spy)
+    traj = march()
+    monkeypatch.undo()
+    return traj, seen
+
+
+class TestStepper:
+    """The DOPRI5(4) stepper keeps scipy RK45's control law step for step;
+    only the stop differs, landed by a genuine step."""
+
+    def test_matches_scipy_on_exponential_decay(self):
+        dense, _, counts = _dopri(lambda t, u: (-u[0],), 0.0, [1.0], 10.0,
+                                  1e-8, [1e-10])
+        ref = solve_ivp(lambda t, u: -u, (0.0, 10.0), [1.0], method="RK45",
+                        rtol=1e-8, atol=1e-10, dense_output=True)
+        assert (counts["status"], len(dense.ts), counts["nfev"]) == \
+            (0, len(ref.t), ref.nfev)
+        ts, ys = np.array(dense.ts), np.array(dense.ys)
+        assert _dev(ys, ref.sol(ts).T).max() <= 1e-9
+        assert _dev(ys, np.exp(-ts)[:, None]).max() <= 1e-8
+
+    @pytest.mark.parametrize("n,lin", [(2, False), (3, True)])
+    def test_matches_scipy_on_the_tail_march(self, monkeypatch, n, lin):
+        nl = make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0, n=n)
+        cfg = ProblemConfig(n=n)
+        if lin:
+            traj, seen = _marched(monkeypatch, lambda: solve_V1(
+                nl, n, 6.0, cfg, keep_trajectory=True, route="t").traj)
+        else:
+            traj, seen = _marched(monkeypatch, lambda: shoot(
+                nl, n, 6.0, cfg, keep_trajectory=True, route="t").traj)
+        assert traj.lin == lin
+
+        def zero(t, u):
+            return u[0]
+        zero.terminal = True
+        atol = [cfg.atol, 1e-300] + [cfg.atol] * (len(seen["y0"]) - 2)
+        ref = solve_ivp(lambda t, u: seen["rhs"](t, list(u)), seen["span"],
+                        seen["y0"], method="RK45", rtol=cfg.rtol, atol=atol,
+                        events=[zero], dense_output=True)
+        diag = traj.diagnostics
+        assert diag["steps"] == len(ref.t) - 1
+        assert diag["nfev"] == ref.nfev + 6 * diag["landing"]
+        dev = _dev(traj.states, ref.sol(traj.ts).T)
+        assert dev[:-1].max() <= 1e-9
+        # the landed stop against scipy's interpolant there
+        assert dev[-1].max() <= 1e-8
+        assert traj.events["stop_t"] == pytest.approx(ref.t[-1], abs=1e-9)
+
+    @pytest.mark.parametrize("route,lin", [("t", False), ("t", True),
+                                           ("r", False), ("r", True)])
+    def test_counters_account_for_every_evaluation(self, route, lin):
+        # two to start, six per attempted step, six per landing pass
+        nl = make_nonlinearity("exp")
+        cfg = ProblemConfig(n=2)
+        if lin:
+            traj = solve_V1(nl, 2, 10.0, cfg, keep_trajectory=True,
+                            route=route).traj
+        else:
+            traj = shoot(nl, 2, 10.0, cfg, keep_trajectory=True,
+                         route=route).traj
+        d = traj.diagnostics
+        assert d["nfev"] == 2 + 6 * (d["steps"] + d["rejected"]
+                                     + d["landing"])
+        assert d["landing"] >= 1 and d["landed"]
+        assert d["steps"] == len(traj.ts) - 1
+        if (route, lin) == ("t", False):
+            assert d["rejected"] > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e300])
+    def test_a_non_finite_error_norm_is_a_rejection(self, bad):
+        # the first trial step meets one NaN or error-norm-overflowing slope
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return (bad if len(calls) == 3 else -u[0],)
+
+        dense, _, counts = _dopri(rhs, 0.0, [1.0], 2.0, 1e-8, [1e-10])
+        ref = _dopri(lambda t, u: (-u[0],), 0.0, [1.0], 2.0, 1e-8,
+                     [1e-10])[0]
+        assert (counts["status"], counts["rejected"]) == (0, 1)
+        assert counts["nfev"] == 2 + 6 * len(dense.ts)
+        # the retry is the clean first step cut by the 0.2 factor
+        assert dense.ts[1] == pytest.approx(0.2 * ref.ts[1], rel=1e-12)
+
+    def test_a_nan_slope_at_the_start_fails_the_march(self):
+        # the step size comes out NaN; scipy's RK45 loops forever on it
+        _, stop, counts = _dopri(lambda t, u: (math.nan,), 0.0, [1.0], 2.0,
+                                 1e-8, [1e-10])
+        assert (stop, counts["status"]) == (None, -1)
+
+    def test_the_stop_sample_is_a_genuine_step(self, nl_exp, cfg2):
+        # a stop just above zero keeps the last sample in the energy
+        # monitor: an interpolated sample there breaks monotonicity at 5e-9
+        st = tail_start(nl_exp, 2, 10.0, cfg=cfg2)
+        traj = integrate_t(nl_exp, 2, st, y_reaches(2e-9), cfg2, gamma=10.0)
+        assert traj.diagnostics["landed"]
+        assert traj.ts[-1] == traj.events["stop_t"]
+        assert abs(traj.states[-1, 0] - 2e-9) <= cfg2.event_tol
+        recs = energy_series(traj)
+        assert recs[-1].t == traj.ts[-1]
+        assert energy_violations(recs, tol=1e-9) == []

@@ -36,6 +36,17 @@ FAR_ZERO_N4 = ("pow_exp", 4, 1.737769577711514, 0.0017065717837739802,
 NEAR_ZERO_R = ("pow_exp", 2, 1.5, 0.0, 0.0, 1.0, math.exp(6.0), None)
 NEAR_ZERO_LAM = ("pow_exp", 2, 1.375, 0.0, 0.0, 1.0, math.exp(6.0), None)
 
+# the space of the no-crash properties, drawn as such cases
+CASES = st.tuples(st.sampled_from(["exp", "pow_exp", "linear"]),
+                  st.sampled_from([2, 3, 4]),
+                  st.floats(min_value=1.0, max_value=2.5),
+                  st.floats(min_value=0.0, max_value=3.0),
+                  st.floats(min_value=0.0, max_value=3.0),
+                  st.floats(min_value=-2.0, max_value=2.0).map(math.exp),
+                  st.floats(min_value=math.log(1e-4),
+                            max_value=math.log(1e3)).map(math.exp),
+                  st.sampled_from([None, "r", "t"]))
+
 
 def _case_nl(case):
     family, n, q, p, rb, lam = case[:6]
@@ -259,15 +270,7 @@ class TestFarZero:
         with pytest.raises(SolverError, match="T=-272"):
             shoot_singular(nl, 3, 2.7, 60.0)
 
-    @given(st.tuples(st.sampled_from(["exp", "pow_exp", "linear"]),
-                     st.sampled_from([2, 3, 4]),
-                     st.floats(min_value=1.0, max_value=2.5),
-                     st.floats(min_value=0.0, max_value=3.0),
-                     st.floats(min_value=0.0, max_value=3.0),
-                     st.floats(min_value=-2.0, max_value=2.0).map(math.exp),
-                     st.floats(min_value=math.log(1e-4),
-                               max_value=math.log(1e3)).map(math.exp),
-                     st.sampled_from([None, "r", "t"])))
+    @given(CASES)
     @example(FAR_ZERO_N3)
     @example(FAR_ZERO_N4)
     @example(NEAR_ZERO_R)
@@ -283,6 +286,21 @@ class TestFarZero:
         assert math.isfinite(out.T)
         assert 0.0 < out.R < math.inf
         assert 0.0 < out.lam < math.inf
+
+    @given(CASES)
+    @example(FAR_ZERO_N3)
+    @example(FAR_ZERO_N4)
+    @example(NEAR_ZERO_R)
+    @example(NEAR_ZERO_LAM)
+    @settings(max_examples=100, deadline=None)
+    def test_linearized_flow_never_crashes(self, case):
+        n, gamma, route = case[1], case[6], case[7]
+        try:
+            tp = solve_V1(_case_nl(case), n, gamma, ProblemConfig(n=n),
+                          route=route).tprime()
+        except QShootError:
+            return
+        assert math.isfinite(tp)
 
 
 class TestSmallAmplitudeRegimes:
