@@ -10,21 +10,16 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Dimension, singular weight and solver policy.
-
-    exponent_cap guards the radius-variable route, where f(gamma) itself is
-    formed (ode.py's overflow sentinel caps it near 220); the log-radius
-    route only forms g(y) - t, bounded along admissible trajectories.
-    """
+    """Dimension, singular weight and solver policy: step and event
+    tolerances, the tail start depth c_tail and the outward march's reach
+    r_max. The overflow budget of the radius route is fixed in ode.py."""
 
     n: int = 2
     beta_weight: float = 0.0
     rtol: float = 1e-10
     atol: float = 1e-12
     event_tol: float = 1e-12
-    exponent_cap: float = 600.0
     c_tail: float = 6.0
-    gamma_switch: float = 1.0
     r_max: float = 1e5
 
     def __post_init__(self):
@@ -37,9 +32,6 @@ class ProblemConfig:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive, got {v}")
-        if self.exponent_cap <= 0 or self.exponent_cap > 700.0:
-            raise ConfigError(
-                f"exponent cap must lie in (0, 700], got {self.exponent_cap}")
 
     def tighter(self, factor: float = 0.1) -> "ProblemConfig":
         """Copy with scaled step tolerances, for finite-difference cross-checks."""

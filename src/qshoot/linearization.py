@@ -20,10 +20,11 @@ from scipy.optimize import brentq
 
 from .asymptotics import checked_pow, snapshot
 from .config import ProblemConfig
-from .errors import ConfigError, SolverError
-from .nonlinearity import Nonlinearity, eval_g
-from .ode import Trajectory, quad_dense, tail_start, yprime_from_psi
-from .shooting import march_route
+from .errors import ConfigError
+from .nonlinearity import (Nonlinearity, eval_fprime_source, eval_g,
+                           eval_source)
+from .ode import quad_dense, tail_start, v1prime_from_phi, yprime_from_psi
+from .shooting import ShootOutcome, _solve
 # unused here: bound only so perfbench/tracer.py can wrap them as spans
 from .nonlinearity import convexity_floor  # noqa: F401
 from .ode import integrate_r, integrate_t  # noqa: F401
@@ -36,46 +37,19 @@ def v2_eval(gamma: float, n: int, nl: Nonlinearity, t):
     return snapshot(nl, n, gamma).v2(t)
 
 
-@dataclass(frozen=True)
-class V1Result:
-    gamma: float
-    n: int
-    route: str
-    T: float
-    yprime_T: float
-    V1_T: float
-    Ttilde: Optional[float] = None
-    t_start: Optional[float] = None
-    traj: Optional[Trajectory] = None
-
-    def tprime(self) -> float:
-        """T'(gamma) = -V1(T) / y'(T), refused when y'(T) is too small."""
-        if self.yprime_T < 1e-14:
-            raise SolverError(f"boundary slope y'(T) = {self.yprime_T:.3g} "
-                              "too small to divide")
-        return -self.V1_T / self.yprime_T
-
-
 def solve_V1(nl: Nonlinearity, n: int, gamma: float,
              cfg: ProblemConfig | None = None, *,
              keep_trajectory: bool = False,
-             route: str | None = None) -> V1Result:
-    """Integrate the linearization channel along the shooting trajectory
-    and return the boundary value V1(T). The t-route channel starts from
-    the closed-form V2 of the comparison solution at the tail start."""
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
-
+             route: str | None = None) -> ShootOutcome:
+    """Integrate the linearization channel along the shooting trajectory:
+    the solve record of `shoot` plus the boundary value V1(T), from one
+    march. The t-route channel starts from the closed-form V2 of the
+    comparison solution at the tail start."""
     def seed(start, s):
         v2, v2p, _ = s.v2(start.t)
         return v2, yprime_from_psi(start.psi, n) ** (n - 2.0) * v2p
 
-    traj = march_route(nl, n, gamma, cfg, route, lin_seed=seed)
-    T, ypT, Ttilde, s = traj.stop_readout()
-    return V1Result(gamma=float(gamma), n=n, route=traj.kind, T=float(T),
-                    yprime_T=ypT, V1_T=float(s[2]), Ttilde=Ttilde,
-                    t_start=traj.diagnostics.get("t_start"),
-                    traj=traj if keep_trajectory else None)
+    return _solve(nl, n, gamma, cfg, route, keep_trajectory, seed)
 
 
 def t_prime(nl: Nonlinearity, n: int, gamma: float,
@@ -217,24 +191,18 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
     if a is None:
         a = res.Ttilde if res.Ttilde is not None else res.T
     if b is None:
-        b = res.t_start
+        b = res.diagnostics["t_start"]
     if not a < b:
         if a == b:
             return {"residual": 0.0, "J_a": 0.0, "J_b": 0.0, "I1": 0.0,
                     "I2": 0.0, "a": a, "b": b}
         raise ConfigError(f"need a < b, got a={a}, b={b}")
 
-    from .nonlinearity import eval_fprime_source, eval_source
-    exv = (n - 2.0) / (n - 1.0)
-
     def parts(t, s):
         y, psi, v1, phi = (float(v) for v in s[:4])
-        yp = yprime_from_psi(psi, n)
-        gp = eval_g(nl, y, 1)
-        gpp = eval_g(nl, y, 2)
-        gppp = eval_g(nl, y, 3)
-        v1p = phi if n == 2 else phi / max(psi, 1e-300) ** exv
-        return y, psi, v1, phi, yp, gp, gpp, gppp, v1p
+        gp, gpp, gppp = (eval_g(nl, y, k) for k in (1, 2, 3))
+        return (y, psi, v1, phi, yprime_from_psi(psi, n), gp, gpp, gppp,
+                v1prime_from_phi(phi, psi, n))
 
     def J(t):
         s = traj.state_at(t)

@@ -84,6 +84,13 @@ class Nonlinearity:
         return d
 
 
+def _require_finite(*pairs) -> None:
+    """ConfigError naming the first (name, value) pair that is not finite."""
+    for name, v in pairs:
+        if not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {v}")
+
+
 def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
                       p: float = 0.0, rho_beta: float = 0.0, lam: float = 1.0,
                       n: int | None = None,
@@ -98,6 +105,8 @@ def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
     Parameters outside the standard window (q in (1, n/(n-1)], a > 0) are
     allowed but tagged exploratory so downstream reports can refuse or flag.
     """
+    _require_finite(("lambda", lam), ("a", a), ("q", q), ("p", p),
+                    ("rho_beta", rho_beta))
     if lam <= 0.0:
         raise ConfigError(f"lambda must be positive, got {lam}")
     if family == "linear":
@@ -133,6 +142,7 @@ def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
 
 def with_lambda(nl: Nonlinearity, lam: float) -> Nonlinearity:
     """Same nonlinearity with the multiplier replaced (f0 rescales with it)."""
+    _require_finite(("lambda", lam))
     if lam <= 0.0:
         raise ConfigError(f"lambda must be positive, got {lam}")
     f0 = nl.f0 * (lam / nl.lam)

@@ -94,6 +94,12 @@ def yprime_from_psi(psi: float, n: int) -> float:
     return psi ** (1.0 / (n - 1.0)) if psi > 0.0 else 0.0
 
 
+def v1prime_from_phi(phi: float, psi: float, n: int) -> float:
+    """V1' from the channel flux phi = (y')^{n-2} V1' and psi = (y')^{n-1}."""
+    return phi if n == 2 else \
+        phi / max(psi, _PSI_ATOL) ** ((n - 2.0) / (n - 1.0))
+
+
 @dataclass(frozen=True)
 class StateR:
     r: float
@@ -528,16 +534,16 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT, stop: StopRule,
 
 def series_startup_radius(nl: Nonlinearity, n: int, gamma: float,
                           cfg: ProblemConfig) -> float:
-    fg = _f_at(nl, gamma, cfg)
+    fg = _f_at(nl, gamma)
     return min(1e-3, (cfg.rtol * n / fg) ** ((n - 1.0) / n))
 
 
-def _f_at(nl: Nonlinearity, gamma: float, cfg: ProblemConfig) -> float:
-    lf, cap = log_f(nl, gamma), min(cfg.exponent_cap, _LOG_CAP)
-    if lf > cap:
+def _f_at(nl: Nonlinearity, gamma: float) -> float:
+    lf = log_f(nl, gamma)
+    if lf > _LOG_CAP:
         raise AdmissionError(
             f"log f(gamma) = {lf:.3g} exceeds the exponent budget "
-            f"{cap:.3g}; the radius route cannot start")
+            f"{_LOG_CAP:.3g}; the radius route cannot start")
     return math.exp(lf)
 
 
@@ -559,7 +565,7 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float, stop: StopRule,
         raise AdmissionError("linearized flow not wired for the weighted "
                              "problem; reduce it first")
     nb = n - b
-    fg = _f_at(nl, gamma, cfg)
+    fg = _f_at(nl, gamma)
     r0 = series_startup_radius(nl, n, gamma, cfg)
     w0 = gamma - (n - 1.0) / nb * (fg / nb) ** (1.0 / (n - 1.0)) \
         * r0 ** (nb / (n - 1.0))

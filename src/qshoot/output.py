@@ -15,7 +15,8 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError
-from .ode import Trajectory, wprime_from_Phi, yprime_from_psi
+from .ode import (Trajectory, v1prime_from_phi, wprime_from_Phi,
+                  yprime_from_psi)
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -96,10 +97,8 @@ def linearization_rows(traj: Trajectory):
     rows = []
     for t, s in zip(traj.ts, traj.states):
         psi = float(s[1])
-        phi = float(s[3])
-        v1p = phi if n == 2 else phi / max(psi, 1e-300) ** ((n - 2.0) / (n - 1.0))
         rows.append((float(t), float(s[0]), yprime_from_psi(psi, n),
-                     float(s[2]), v1p))
+                     float(s[2]), v1prime_from_phi(float(s[3]), psi, n)))
     return header, rows
 
 

@@ -38,16 +38,17 @@ from .ode import tail_admissible, tail_start  # noqa: F401
 
 @dataclass(frozen=True)
 class ShootOutcome:
-    """One solved amplitude. Failed rows inside a sweep keep gamma and carry
-    None everywhere else."""
+    """One solved amplitude, with V1(T) when solve_V1 marched it. Failed
+    rows inside a sweep keep gamma and carry None everywhere else."""
 
     gamma: float
-    T: Optional[float]
-    yprime_T: Optional[float]
-    R: Optional[float]
-    lam: Optional[float]
+    T: Optional[float] = None
+    yprime_T: Optional[float] = None
+    R: Optional[float] = None
+    lam: Optional[float] = None
     Ttilde: Optional[float] = None
     route: str = ""
+    V1_T: Optional[float] = None
     diagnostics: dict = field(default_factory=dict, compare=False)
     traj: Optional[Trajectory] = field(default=None, repr=False, compare=False)
 
@@ -55,6 +56,19 @@ class ShootOutcome:
         return {"gamma": self.gamma, "T": self.T, "R": self.R,
                 "lambda": self.lam, "yprime_T": self.yprime_T,
                 "Ttilde": self.Ttilde, "route": self.route}
+
+    def tprime(self) -> float:
+        """T'(gamma) = -V1(T) / y'(T), refused when y'(T) is too small."""
+        if self.V1_T is None:
+            raise ConfigError("T' needs the linearization channel: solve_V1")
+        if self.yprime_T < 1e-14:
+            raise SolverError(f"boundary slope y'(T) = {self.yprime_T:.3g} "
+                              "too small to divide")
+        return -self.V1_T / self.yprime_T
+
+
+# the tail route is preferred only above this amplitude (and twice the floor)
+_GAMMA_SWITCH = 1.0
 
 
 def _route_setup(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
@@ -71,7 +85,7 @@ def _route_setup(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
         raise ConfigError(f"unknown route {route!r}")
     s0w = convexity_floor(nl)
     track = s0w if (math.isfinite(s0w) and 0.0 < s0w < gamma) else None
-    if route is None and gamma <= max(2.0 * s0w, cfg.gamma_switch):
+    if route is None and gamma <= max(2.0 * s0w, _GAMMA_SWITCH):
         route = "r"
     if route == "r":
         return "r", None, track
@@ -89,23 +103,6 @@ def choose_route(nl: Nonlinearity, n: int, gamma: float,
     """Marching route for one amplitude: "r" (outward from the origin) or
     "t" (backward from the tail), exactly as `shoot` would march it."""
     return _route_setup(nl, n, gamma, cfg)[0]
-
-
-def march_route(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
-                route: str | None = None, *, lin_seed=None) -> Trajectory:
-    """March one amplitude to its first zero on `route` (chosen when None),
-    tracking the convexity floor crossing. Passing `lin_seed` attaches the
-    linearization channel: on the t-route it maps the tail start state and
-    its snapshot to the seed (V1, phi); the r-route seeds from its own
-    series."""
-    route, site, track = _route_setup(nl, n, gamma, cfg, route)
-    lin = lin_seed is not None
-    if route == "r":
-        return integrate_r(nl, n, gamma, first_zero_of_y(), cfg, lin=lin,
-                           track_s0=track)
-    return integrate_t(nl, n, site[0], first_zero_of_y(), cfg, lin=lin,
-                       lin_init=lin_seed(*site) if lin else (1.0, 0.0),
-                       track_s0=track, gamma=gamma)
 
 
 # a subnormal x keeps about 53 - log2(min_normal / x) significant bits;
@@ -126,20 +123,40 @@ def _radius_and_lambda(T: float, n: int, beta: float) -> tuple:
     return R, lam
 
 
-def shoot(nl: Nonlinearity, n: int, gamma: float,
-          cfg: ProblemConfig | None = None, *, keep_trajectory: bool = False,
-          route: str | None = None) -> ShootOutcome:
-    """Solve one amplitude to its first zero."""
+def _solve(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig | None,
+           route: str | None, keep_trajectory: bool,
+           lin_seed=None) -> ShootOutcome:
+    """March one amplitude to its first zero on `route` (chosen when None),
+    tracking the convexity floor crossing, and read out its solve record.
+    Passing `lin_seed` attaches the linearization channel and adds V1(T):
+    on the t-route it maps the tail start state and its snapshot to the
+    seed (V1, phi); the r-route seeds from its own series."""
     if cfg is None:
         cfg = ProblemConfig(n=n)
-    traj = march_route(nl, n, gamma, cfg, route)
-    T, yprime_T, Ttilde, _ = traj.stop_readout()
+    route, site, track = _route_setup(nl, n, gamma, cfg, route)
+    lin = lin_seed is not None
+    if route == "r":
+        traj = integrate_r(nl, n, gamma, first_zero_of_y(), cfg, lin=lin,
+                           track_s0=track)
+    else:
+        traj = integrate_t(nl, n, site[0], first_zero_of_y(), cfg, lin=lin,
+                           lin_init=lin_seed(*site) if lin else (1.0, 0.0),
+                           track_s0=track, gamma=gamma)
+    T, yprime_T, Ttilde, state = traj.stop_readout()
     R, lam = _radius_and_lambda(T, n, cfg.beta_weight)
     return ShootOutcome(gamma=float(gamma), T=float(T),
                         yprime_T=float(yprime_T), R=float(R), lam=float(lam),
                         Ttilde=Ttilde, route=traj.kind,
+                        V1_T=float(state[2]) if lin else None,
                         diagnostics=dict(traj.diagnostics),
                         traj=traj if keep_trajectory else None)
+
+
+def shoot(nl: Nonlinearity, n: int, gamma: float,
+          cfg: ProblemConfig | None = None, *, keep_trajectory: bool = False,
+          route: str | None = None) -> ShootOutcome:
+    """Solve one amplitude to its first zero."""
+    return _solve(nl, n, gamma, cfg, route, keep_trajectory)
 
 
 @dataclass
@@ -173,25 +190,33 @@ class BifurcationCurve:
 def sweep(nl: Nonlinearity, n: int, gammas, cfg: ProblemConfig | None = None,
           *, with_derivative: bool = False) -> BifurcationCurve:
     """Shoot every amplitude in `gammas`, in order; a failed amplitude
-    keeps its slot as a placeholder row."""
+    keeps its slot as a placeholder row. With derivatives, one channel
+    march per amplitude gives the row and T'; a plain shoot stands in
+    only when that march fails."""
+    from .linearization import solve_V1, t_prime_fd
+
     if cfg is None:
         cfg = ProblemConfig(n=n)
     gam = tuple(float(g) for g in gammas)
 
     def one(g):
         try:
-            out = shoot(nl, n, g, cfg)
-        except QShootError as exc:
-            return (ShootOutcome(gamma=g, T=None, yprime_T=None, R=None,
-                                 lam=None), None, None, str(exc))
-        tv1 = tfd = None
-        if with_derivative:
-            from .linearization import t_prime, t_prime_fd
+            if not with_derivative:
+                return shoot(nl, n, g, cfg), None, None, None
             try:
-                tv1 = t_prime(nl, n, g, cfg)
-                tfd = t_prime_fd(nl, n, g, cfg)
+                out = solve_V1(nl, n, g, cfg)
             except QShootError as exc:
-                return (out, tv1, tfd, f"derivative failed: {exc}")
+                # the channel alone may fail (p < 1 at the zero): keep T
+                return (shoot(nl, n, g, cfg), None, None,
+                        f"derivative failed: {exc}")
+        except QShootError as exc:
+            return ShootOutcome(gamma=g), None, None, str(exc)
+        tv1 = tfd = None
+        try:
+            tv1 = out.tprime()
+            tfd = t_prime_fd(nl, n, g, cfg)
+        except QShootError as exc:
+            return (out, tv1, tfd, f"derivative failed: {exc}")
         return (out, tv1, tfd, None)
 
     results = [one(g) for g in gam]
@@ -271,9 +296,8 @@ def shoot_singular(nl: Nonlinearity, n: int, beta: float, gamma: float,
     R, lam = _radius_and_lambda(T, n, beta)
     Ttilde = out.Ttilde / a if out.Ttilde is not None else None
     diag = {**out.diagnostics, "reduction_a": a, "T_reduced": out.T}
-    return ShootOutcome(gamma=float(gamma), T=float(T),
-                        yprime_T=a * out.yprime_T, R=float(R), lam=float(lam),
-                        Ttilde=Ttilde, route=out.route, diagnostics=diag)
+    return replace(out, T=float(T), yprime_T=a * out.yprime_T, R=float(R),
+                   lam=float(lam), Ttilde=Ttilde, diagnostics=diag)
 
 
 def shoot_weighted_direct(nl: Nonlinearity, n: int, beta: float,

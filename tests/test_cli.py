@@ -58,6 +58,17 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("qshoot: solver error:")
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--lambda", "nan", "lambda"), ("--lambda", "inf", "lambda"),
+        ("--a", "nan", "a"), ("--q", "nan", "q"), ("--p", "nan", "p"),
+        ("--rho-beta", "nan", "rho_beta")])
+    def test_non_finite_parameter_is_a_config_error(self, capsys, flag,
+                                                    value, name):
+        code, out, err = run_cli(capsys, "shoot", "--gamma", "3", flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"qshoot: error: {name} must be finite, got " \
+            f"{float(value)}\n"
+
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1
@@ -213,6 +224,20 @@ class TestLinearizeCommand:
         assert 2.0 <= gamma0 <= 8.0
         header = out.read_text().splitlines()[0]
         assert header == "gamma,T,R,lambda,yprime_T,Tprime_v1,Tprime_fd"
+
+    def test_single_amplitude_and_grid_row_agree(self, capsys, tmp_path):
+        flags = ("--family", "pow_exp", "--q", "1.5", "--p", "1",
+                 "--rho-beta", "1")
+        _, text, _ = run_cli(capsys, "linearize", *flags, "--gamma", "6")
+        single = dict(l.split("=", 1) for l in text.strip().splitlines())
+        out = tmp_path / "grid.csv"
+        run_cli(capsys, "linearize", *flags, "--gamma-min", "6",
+                "--gamma-max", "7", "--gamma-steps", "2", "--out", str(out))
+        row = dict(zip(*(l.split(",")
+                         for l in out.read_text().splitlines()[:2])))
+        assert row["gamma"] == "6.0"
+        assert (row["T"], row["Tprime_v1"]) == \
+            (single["T"], single["Tprime_v1"])
 
     def test_trajectory_export_needs_the_tail_route(self, capsys, tmp_path):
         out = tmp_path / "traj.csv"

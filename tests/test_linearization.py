@@ -90,6 +90,22 @@ class TestAmplitudeDerivative:
         tp = t_prime(nl_square, 2, 4.0, cfg2)
         assert tp == pytest.approx(-res.V1_T / out.yprime_T, rel=1e-6)
 
+    @pytest.mark.parametrize("n,gamma", [(2, 0.5), (2, 6.0), (3, 6.0)])
+    def test_solve_record_matches_the_plain_shot(self, nl_family_ii, n,
+                                                 gamma):
+        cfg = ProblemConfig(n=n)
+        res = solve_V1(nl_family_ii, n, gamma, cfg)
+        out = shoot(nl_family_ii, n, gamma, cfg)
+        assert res.route == out.route
+        for key in ("T", "R", "lam", "yprime_T"):
+            assert getattr(res, key) == pytest.approx(getattr(out, key),
+                                                      rel=1e-8)
+        assert res.V1_T is not None and out.V1_T is None
+
+    def test_plain_shot_has_no_derivative(self, nl_square, cfg2):
+        with pytest.raises(ConfigError, match="linearization channel"):
+            shoot(nl_square, 2, 4.0, cfg2).tprime()
+
     def test_weighted_variational_channel_is_refused(self, nl_exp):
         wcfg = ProblemConfig(n=2, beta_weight=1.0)
         with pytest.raises((AdmissionError, ConfigError)):

@@ -89,6 +89,20 @@ def test_with_lambda_rescales():
     assert nl2.f0 == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("name", ["lam", "a", "q", "p", "rho_beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_refused(name, value):
+    label = "lambda" if name == "lam" else name
+    with pytest.raises(ConfigError, match=f"{label} must be finite"):
+        make_nonlinearity("pow_exp", **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_with_lambda_refuses_a_non_finite_multiplier(value):
+    with pytest.raises(ConfigError, match="lambda must be finite"):
+        with_lambda(make_nonlinearity("exp"), value)
+
+
 class TestConvexityThreshold:
     def test_square_is_globally_convex(self):
         nl = make_nonlinearity("pow_exp", q=2.0)

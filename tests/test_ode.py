@@ -225,7 +225,7 @@ class TestOutwardMarch:
         assert r0 <= 1e-3
 
     def test_exponent_budget_guards_the_startup(self, nl_square, cfg2):
-        # log f(30) = 900 exceeds the default exponent cap of 600
+        # log f(30) = 900 exceeds the exponent budget of about 220
         with pytest.raises(AdmissionError):
             integrate_r(nl_square, 2, 30.0, first_zero_of_y(), cfg2)
 

@@ -233,6 +233,44 @@ class TestSweep:
         for v1, fd in zip(curve.tprime_v1, curve.tprime_fd):
             assert v1 == pytest.approx(fd, rel=1e-3, abs=1e-6)
 
+    def test_derivative_sweep_marches_each_amplitude_three_times(
+            self, nl_family_ii, cfg2, monkeypatch):
+        # one channel march for the row and T', two for the difference
+        import qshoot.ode as ode
+        calls = []
+        march = ode._march
+
+        def counted(*args, **kw):
+            calls.append(args[0])
+            return march(*args, **kw)
+
+        monkeypatch.setattr(ode, "_march", counted)
+        curve = sweep(nl_family_ii, 2, [4.0, 6.0], cfg2, with_derivative=True)
+        assert curve.errors == ()
+        assert len(calls) == 3 * 2
+
+    def test_derivative_rows_come_from_the_channel_march(self, nl_family_ii,
+                                                         cfg2):
+        curve = sweep(nl_family_ii, 2, [6.0], cfg2, with_derivative=True)
+        res = solve_V1(nl_family_ii, 2, 6.0, cfg2)
+        assert curve.outcomes[0] == res
+        assert curve.tprime_v1[0] == res.tprime()
+
+    def test_failed_channel_keeps_the_shoot_row(self):
+        # p < 1: the channel's step size collapses just above the zero,
+        # while the plain march lands on it
+        nl = make_nonlinearity("pow_exp", q=1.9, p=0.2, n=2)
+        cfg = ProblemConfig(n=2)
+        curve = sweep(nl, 2, [1.0, 3.0], cfg, with_derivative=True)
+        for g, out, tv1, tfd in zip(curve.gammas, curve.outcomes,
+                                    curve.tprime_v1, curve.tprime_fd):
+            assert out == shoot(nl, 2, g, cfg)
+            assert None not in (out.R, out.lam) and (tv1, tfd) == (None, None)
+        assert curve.errors == tuple(
+            (g, "derivative failed: integrator failed: Required step size "
+                "is less than spacing between numbers.")
+            for g in (1.0, 3.0))
+
     def test_repeat_sweeps_are_bitwise_identical(self, nl_square, cfg2):
         a = sweep(nl_square, 2, [2.0, 4.0, 6.0], cfg2)
         b = sweep(nl_square, 2, [2.0, 4.0, 6.0], cfg2)
