@@ -10,7 +10,6 @@ import argparse
 import numpy as np
 
 from qshoot import __version__
-from qshoot.config import ProblemConfig
 from qshoot.nonlinearity import make_nonlinearity
 from qshoot.output import atomic_write, csv_text, curve_meta, curve_rows, \
     json_text, sweep_svg
@@ -36,9 +35,8 @@ def main(argv=None):
 
     nl = make_nonlinearity(args.family, q=args.q, p=args.p, a=args.a,
                            rho_beta=args.rho_beta, n=args.n)
-    cfg = ProblemConfig(n=args.n)
     grid = np.linspace(args.gamma_min, args.gamma_max, args.steps)
-    curve = sweep(nl, args.n, grid, cfg, with_derivative=args.with_derivative)
+    curve = sweep(nl, args.n, grid, with_derivative=args.with_derivative)
 
     header, rows = curve_rows(curve)
     atomic_write(args.out_prefix + ".csv", csv_text(header, rows))

@@ -9,7 +9,6 @@ import argparse
 import numpy as np
 
 from qshoot.asymptotics import error_decay_report, predict_all
-from qshoot.config import ProblemConfig
 from qshoot.nonlinearity import make_nonlinearity
 from qshoot.output import atomic_write, csv_text, decay_rows
 from qshoot.shooting import sweep
@@ -30,9 +29,8 @@ def main(argv=None):
 
     nl = make_nonlinearity("pow_exp", q=args.q, p=args.p,
                            rho_beta=args.rho_beta, n=args.n)
-    cfg = ProblemConfig(n=args.n)
     grid = np.geomspace(args.gamma_min, args.gamma_max, args.steps)
-    curve = sweep(nl, args.n, grid, cfg, with_derivative=True)
+    curve = sweep(nl, args.n, grid, with_derivative=True)
     preds = [predict_all(float(g), args.n, nl) for g in grid]
     report = error_decay_report(curve, preds, bound_factor=args.bound_factor)
 

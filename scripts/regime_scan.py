@@ -6,7 +6,6 @@ small-amplitude behavior of the first zero for each value.
 
 import argparse
 
-from qshoot.config import ProblemConfig
 from qshoot.nonlinearity import make_nonlinearity
 from qshoot.output import atomic_write, json_text
 from qshoot.shooting import classify_small_gamma
@@ -21,12 +20,11 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="optional JSON path")
     args = ap.parse_args(argv)
 
-    cfg = ProblemConfig(n=args.n)
     results = []
     print(f"{'p':>6}  {'verdict':<14} {'p_estimate':>12} {'spread':>10}")
     for p in args.p:
         nl = make_nonlinearity("pow_exp", q=args.q, p=p, n=args.n)
-        rep = classify_small_gamma(nl, args.n, cfg=cfg)
+        rep = classify_small_gamma(nl, args.n)
         print(f"{p:6.2f}  {rep.verdict:<14} {rep.p_estimate:12.6f} "
               f"{rep.spread:10.4f}")
         results.append({"p": p, "verdict": rep.verdict,

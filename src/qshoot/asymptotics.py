@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._stable import sigma, softplus
+from .config import ProblemConfig, check_dimension
 from .errors import AdmissionError, ConfigError
 from .nonlinearity import Nonlinearity, eval_g
 
@@ -135,6 +136,7 @@ class GammaSnapshot:
 def snapshot(nl: Nonlinearity, n: int, gamma: float) -> GammaSnapshot:
     """The GammaSnapshot of (nl, n, gamma); AdmissionError when a field
     leaves the finite doubles."""
+    check_dimension(n)
     if not math.isfinite(gamma):
         raise ConfigError(f"gamma must be finite, got {gamma}")
     if gamma <= 0.0:
@@ -331,7 +333,8 @@ _ERROR_ORDERS = {
 
 
 def predict_all(gamma: float, n: int, nl: Nonlinearity,
-                include_A: bool = False, cfg=None) -> AsymptoticPrediction:
+                include_A: bool = False,
+                cfg: ProblemConfig = ProblemConfig()) -> AsymptoticPrediction:
     """Leading-order predictions for T, y'(T), T' and the turning point.
 
     T_pred = g - ((n-1)/n) gamma g' + (n-1) log(((n-1)/n) g')
@@ -365,7 +368,8 @@ def predict_all(gamma: float, n: int, nl: Nonlinearity,
         A_correction=a_corr, declared_error_order=dict(_ERROR_ORDERS))
 
 
-def correction_A(gamma: float, n: int, nl: Nonlinearity, cfg=None) -> float:
+def correction_A(gamma: float, n: int, nl: Nonlinearity,
+                 cfg: ProblemConfig = ProblemConfig()) -> float:
     """Bounded first-zero correction active when f(0) > 0.
 
     A = integral over (T + theta0, t0 + theta0) of (1+e^{-t})^{1/(n-1)} - 1,
@@ -375,15 +379,12 @@ def correction_A(gamma: float, n: int, nl: Nonlinearity, cfg=None) -> float:
     """
     from scipy.integrate import quad
 
-    from .config import ProblemConfig
     from .shooting import shoot
 
     if nl.f0 <= 0.0:
         return 0.0
     s = snapshot(nl, n, gamma)
     t0 = (n + 3.0) * math.log(max(s.gp, math.e))
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     out = shoot(nl, n, gamma, cfg, keep_trajectory=True)
     if out.T is None or out.T >= t0:
         return 0.0

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .config import ProblemConfig
+from .config import ProblemConfig, check_dimension
 from .errors import ConfigError, QShootError
 from .linearization import detect_turning, solve_V1, t_prime_fd
 from .nonlinearity import Nonlinearity, make_nonlinearity
@@ -55,9 +55,11 @@ class RunConfig:
                                  n=self.n)
 
     def problem(self) -> ProblemConfig:
-        return ProblemConfig(n=self.n, beta_weight=self.beta_weight,
-                             rtol=self.tol, atol=self.tol * 1e-2,
-                             c_tail=self.tail_c)
+        """The solver settings, refused up front when the weight does not
+        fit the dimension (a sweep would otherwise fail row by row)."""
+        check_dimension(self.n, self.beta_weight)
+        return ProblemConfig(beta_weight=self.beta_weight, rtol=self.tol,
+                             atol=self.tol * 1e-2, c_tail=self.tail_c)
 
 
 # config-file / flag key -> dataclass field
@@ -353,8 +355,6 @@ def cmd_singular(args) -> int:
     rc = load_run_config(args.config, _flag_values(args))
     if rc.gamma is None:
         raise ConfigError("singular needs --gamma")
-    if not 0.0 <= rc.beta_weight < rc.n:
-        raise ConfigError("singular needs --beta-weight in [0, n)")
     nl = rc.nonlinearity()
     cfg = rc.problem()
     red = shoot_singular(nl, rc.n, rc.beta_weight, rc.gamma, cfg)

@@ -8,31 +8,42 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError
 
 
+def check_dimension(n, beta: float = 0.0) -> None:
+    """Refuse a dimension n that is not an integer >= 2, or a weight
+    exponent beta outside [0, n). n is each call's own argument, so every
+    entry point that reads it checks it here."""
+    if not (n >= 2 and float(n).is_integer()):
+        raise ConfigError(f"dimension n must be an integer >= 2, got {n}")
+    if not 0.0 <= beta < n:
+        raise ConfigError(
+            f"singular weight exponent beta_weight must lie in [0, n) "
+            f"for n={n}, got {beta}")
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Dimension, singular weight and solver policy: step and event
-    tolerances, the tail start depth c_tail and the outward march's reach
-    r_max. The overflow budget of the radius route is fixed in ode.py."""
+    """Singular weight exponent and solver policy: the step tolerances and
+    the tail start depth c_tail. The dimension is each call's argument
+    (see check_dimension); the event tolerance, the outward march's reach
+    and the overflow budget are constants of ode.py. Frozen, so a shared
+    default instance is safe."""
 
-    n: int = 2
     beta_weight: float = 0.0
     rtol: float = 1e-10
     atol: float = 1e-12
-    event_tol: float = 1e-12
     c_tail: float = 6.0
-    r_max: float = 1e5
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ConfigError(f"dimension n must be an integer >= 2, got {self.n}")
-        if not 0.0 <= self.beta_weight < self.n:
+        if not 0.0 <= self.beta_weight < math.inf:
             raise ConfigError(
-                f"singular exponent must lie in [0, n), got {self.beta_weight}")
-        for name in ("rtol", "atol", "event_tol", "c_tail", "r_max"):
+                f"singular weight exponent beta_weight must be a finite "
+                f"number >= 0, got {self.beta_weight}")
+        for name in ("rtol", "atol", "c_tail"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive, got {v}")
 
-    def tighter(self, factor: float = 0.1) -> "ProblemConfig":
-        """Copy with scaled step tolerances, for finite-difference cross-checks."""
-        return replace(self, rtol=self.rtol * factor, atol=self.atol * factor)
+    def tighter(self) -> "ProblemConfig":
+        """Copy with ten-times-tighter step tolerances, for the
+        finite-difference cross-checks."""
+        return replace(self, rtol=self.rtol * 0.1, atol=self.atol * 0.1)

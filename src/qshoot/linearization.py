@@ -38,7 +38,7 @@ def v2_eval(gamma: float, n: int, nl: Nonlinearity, t):
 
 
 def solve_V1(nl: Nonlinearity, n: int, gamma: float,
-             cfg: ProblemConfig | None = None, *,
+             cfg: ProblemConfig = ProblemConfig(), *,
              keep_trajectory: bool = False,
              route: str | None = None) -> ShootOutcome:
     """Integrate the linearization channel along the shooting trajectory:
@@ -53,22 +53,19 @@ def solve_V1(nl: Nonlinearity, n: int, gamma: float,
 
 
 def t_prime(nl: Nonlinearity, n: int, gamma: float,
-            cfg: ProblemConfig | None = None) -> float:
+            cfg: ProblemConfig = ProblemConfig()) -> float:
     """T'(gamma) through the linearized flow."""
     return solve_V1(nl, n, gamma, cfg).tprime()
 
 
 def t_prime_fd(nl: Nonlinearity, n: int, gamma: float,
-               cfg: ProblemConfig | None = None,
-               h_rel: float = 1e-3) -> float:
-    """Central difference of T at ten-times-tighter tolerance; the
-    independent cross-check for t_prime."""
+               cfg: ProblemConfig = ProblemConfig()) -> float:
+    """Central difference of T, step 1e-3 gamma, at ten-times-tighter
+    tolerance; the independent cross-check for t_prime."""
     from .shooting import shoot
 
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
-    tight = cfg.tighter(0.1)
-    h = h_rel * gamma
+    tight = cfg.tighter()
+    h = 1e-3 * gamma
     Tp = shoot(nl, n, gamma + h, tight).T
     Tm = shoot(nl, n, gamma - h, tight).T
     return (Tp - Tm) / (2.0 * h)
@@ -113,7 +110,7 @@ class TurningReport:
 
 
 def detect_turning(nl: Nonlinearity, n: int, gamma: float,
-                   cfg: ProblemConfig | None = None, *,
+                   cfg: ProblemConfig = ProblemConfig(), *,
                    use_V2: bool = False) -> TurningReport:
     """Locate the sign structure of the linearized flow along the tail.
 
@@ -123,8 +120,6 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
     the detector runs on the closed-form V2 instead of a computed V1, which
     pins S1 at the known S0 and exercises the machinery alone.
     """
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     s = snapshot(nl, n, gamma)
     comparator = None
     if s.gpp > 0.0:
@@ -135,7 +130,7 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
             * math.log(s.gp)
 
     if use_V2:
-        start = tail_start(nl, n, gamma, cfg.c_tail, cfg)
+        start = tail_start(nl, n, gamma, cfg)
         ts = np.linspace(start.t, s.T1 - 8.0 * (n - 1.0), 400)
 
         def v1f(t):
@@ -169,7 +164,7 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
 
 
 def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
-                           cfg: ProblemConfig | None = None,
+                           cfg: ProblemConfig = ProblemConfig(),
                            a: float | None = None,
                            b: float | None = None) -> dict:
     """Normalized residual of the integrated flux identity for phi.
@@ -184,8 +179,6 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
     crossing, b at the tail start. The residual is normalized by the largest
     magnitude among the four terms.
     """
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True, route="t")
     traj = res.traj
     if a is None:
@@ -228,14 +221,12 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
 
 
 def nondegeneracy(nl: Nonlinearity, n: int, gamma: float,
-                  cfg: ProblemConfig | None = None) -> dict:
+                  cfg: ProblemConfig = ProblemConfig()) -> dict:
     """Whether V1(T) clears the numerical noise floor of its own channel.
 
     The floor is 1e-8 times the largest |V1| seen along the trajectory
     (never below 1e-8); the margin is |V1(T)| over that floor.
     """
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True)
     vmax = float(np.max(np.abs(res.traj.states[:, 2])))
     floor = 1e-8 * max(1.0, vmax)

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._stable import EXP_ARG_MAX
+from .config import check_dimension
 from .errors import AdmissionError, ConfigError
 
 DEFAULT_S0_SCAN = (1e-6, 1e3, 6000)
@@ -104,9 +105,12 @@ def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
 
     Parameters outside the standard window (q in (1, n/(n-1)], a > 0) are
     allowed but tagged exploratory so downstream reports can refuse or flag.
+    The dimension n, when given, only places that window.
     """
     _require_finite(("lambda", lam), ("a", a), ("q", q), ("p", p),
                     ("rho_beta", rho_beta))
+    if n is not None:
+        check_dimension(n)
     if lam <= 0.0:
         raise ConfigError(f"lambda must be positive, got {lam}")
     if family == "linear":

@@ -19,8 +19,11 @@ the flow with respect to gamma; see the linearization module) when asked:
             marched outward from a series startup at r0. beta > 0 covers the
             singular-weight problem directly. Channel: (W, chi).
 
-Trajectory.stop_readout maps the stop event of either route to the
-log-radius variable, r = n e^{-t/n}.
+Both march until y (or w) lands on a plain stop level, 0 for the first
+zero; the t-route gives up at a `floor` in t, the r-route at a radius
+`r_end` (R_MAX unless given). Trajectory.stop_readout maps the stop of
+either route to the log-radius variable, r = n e^{-t/n}. The dimension n is
+each call's argument, checked by config.check_dimension.
 
 Tolerance policy: scalar absolute tolerance on the solution value, but a
 purely relative control on the flux. The flux spans many orders of magnitude
@@ -41,7 +44,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .asymptotics import snapshot
-from .config import ProblemConfig
+from .config import ProblemConfig, check_dimension
 from .errors import (AdmissionError, ConfigError, EventNotFoundError,
                      SolverError)
 from .nonlinearity import (Nonlinearity, convexity_floor, eval_fprime_source,
@@ -51,6 +54,10 @@ from scipy.integrate import solve_ivp  # noqa: F401
 
 # pure relative control on the flux component (see module docstring)
 _PSI_ATOL = 1e-300
+# abscissa tolerance of the located stop and floor crossings
+EVENT_TOL = 1e-12
+# radius where the outward march gives up looking for its stop
+R_MAX = 1e5
 
 
 # finite overflow sentinel: a capped slope or source blows up the trial
@@ -118,25 +125,6 @@ def wprime_from_Phi(Phi: float, r: float, n: int) -> float:
     return math.copysign(mag, Phi)
 
 
-@dataclass(frozen=True)
-class StopRule:
-    kind: str
-    value: Optional[float] = None
-    floor: Optional[float] = None
-
-
-def first_zero_of_y(floor: float | None = None) -> StopRule:
-    return StopRule(kind="first_zero", floor=floor)
-
-
-def t_floor(value: float) -> StopRule:
-    return StopRule(kind="t_floor", value=float(value))
-
-
-def y_reaches(value: float, floor: float | None = None) -> StopRule:
-    return StopRule(kind="y_reaches", value=float(value), floor=floor)
-
-
 @dataclass
 class Trajectory:
     """Accepted samples of one integration plus its dense interpolant.
@@ -144,23 +132,26 @@ class Trajectory:
     For kind "t" the state columns are (y, psi) and, with the linearization
     channel, (y, psi, V1, phi). For kind "r" they are (w, Phi) or
     (w, Phi, W, chi). `ts` holds the abscissae in integration order:
-    decreasing for the t-route, increasing for the r-route.
+    decreasing for the t-route, increasing for the r-route. `stop` is where
+    the march landed on its level and `s0` where it crossed the tracked
+    convexity floor (None without a crossing), both in the marching
+    variable.
     """
 
     kind: str
-    gamma: float
     n: int
     nl: Nonlinearity
-    cfg: ProblemConfig
     ts: np.ndarray
     states: np.ndarray
     dense: Callable
+    stop: float
+    s0: Optional[float] = None
     lin: bool = False
-    events: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     def span(self) -> tuple:
-        return float(np.min(self.ts)), float(np.max(self.ts))
+        a, b = float(self.ts[0]), float(self.ts[-1])  # ts is monotone
+        return (a, b) if a <= b else (b, a)
 
     def state_at(self, x: float) -> np.ndarray:
         lo, hi = self.span()
@@ -191,8 +182,7 @@ class Trajectory:
     def stop_readout(self) -> tuple:
         """(T, y'(T), Ttilde, state at the stop) in the log-radius variable,
         whichever route marched. Ttilde is None without a floor crossing."""
-        x, xs0 = self.events[f"stop_{self.kind}"], \
-            self.events.get(f"s0_{self.kind}")
+        x, xs0 = self.stop, self.s0
         if self.kind == "t":
             return x, self.yprime_at(x), xs0, self.state_at(x)
         n = self.n
@@ -239,15 +229,10 @@ def _tail_site(nl: Nonlinearity, n: int, gamma: float, c_tail: float,
 
 
 def tail_start(nl: Nonlinearity, n: int, gamma: float,
-               c_tail: float | None = None, cfg: ProblemConfig | None = None
-               ) -> StateT:
+               cfg: ProblemConfig = ProblemConfig()) -> StateT:
     """Initial state for the backward t-route march, read off the comparison
     solution at t_start = T1 + c_tail (n-1) log g'."""
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
-    if c_tail is None:
-        c_tail = cfg.c_tail
-    return _tail_site(nl, n, gamma, c_tail, cfg.beta_weight)[0]
+    return _tail_site(nl, n, gamma, cfg.c_tail, cfg.beta_weight)[0]
 
 
 def tail_admissible(nl: Nonlinearity, n: int, gamma: float,
@@ -260,8 +245,7 @@ def tail_admissible(nl: Nonlinearity, n: int, gamma: float,
 
 
 def tail_refinement_delta(nl: Nonlinearity, n: int, gamma: float,
-                          c_tail: float | None = None,
-                          cfg: ProblemConfig | None = None) -> dict:
+                          cfg: ProblemConfig = ProblemConfig()) -> dict:
     """One Picard pass of the integral equation over the tail window,
     reported as a diagnostic of the start-state error.
 
@@ -269,11 +253,7 @@ def tail_refinement_delta(nl: Nonlinearity, n: int, gamma: float,
     The window is [t_start, t_start + 40(n-1)]; the remainder beyond it is
     taken from the closed forms.
     """
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
-    if c_tail is None:
-        c_tail = cfg.c_tail
-    st, s = _tail_site(nl, n, gamma, c_tail, cfg.beta_weight)
+    st, s = _tail_site(nl, n, gamma, cfg.c_tail, cfg.beta_weight)
     t0, hi = st.t, st.t + 40.0 * (n - 1.0)
 
     def psi1(t):
@@ -460,20 +440,20 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
     return dense, t if counts["status"] == 1 else None, counts
 
 
-def _march(kind: str, nl: Nonlinearity, n: int, gamma: float,
-           cfg: ProblemConfig, rhs, span: tuple, y0: list, stop: StopRule,
-           track_s0: float | None, where: str, **diag) -> Trajectory:
+def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
+           span: tuple, y0: list, level: float, track_s0: float | None,
+           where: str, **diag) -> Trajectory:
     """The marching core of both routes: integrate `rhs` over `span` until
-    the first component lands on the level of `stop`, and find the
-    crossing of track_s0 on the dense output. A 4-component `y0` carries
-    the linearization channel; `where` ends the miss message."""
-    target = {"first_zero": 0.0, "y_reaches": stop.value}.get(stop.kind)
+    the first component lands on `level`, and find the crossing of
+    track_s0 on the dense output. A 4-component `y0` carries the
+    linearization channel; `where` ends the miss message."""
+    level = float(level)
     track = track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0)
     atol = [cfg.atol, _PSI_ATOL] + [cfg.atol] * (len(y0) - 2)
-    xtol = 0.5 * cfg.event_tol
+    xtol = 0.5 * EVENT_TOL
     try:
-        dense, stop_x, counts = _dopri(rhs, span[0], [float(v) for v in y0],
-                                       span[1], cfg.rtol, atol, target, xtol)
+        dense, stop, counts = _dopri(rhs, span[0], [float(v) for v in y0],
+                                     span[1], cfg.rtol, atol, level, xtol)
     except OverflowError as exc:
         raise SolverError(f"source overflow during integration: {exc}") from exc
     ts, ys = dense.ts, dense.ys
@@ -481,31 +461,26 @@ def _march(kind: str, nl: Nonlinearity, n: int, gamma: float,
     if counts["status"] == -1:
         raise SolverError("integrator failed: Required step size is less "
                           "than spacing between numbers.", last_state=last)
-    evs: dict = {}
-    if target is not None:
-        if stop_x is None:
-            var = "y" if kind == "t" else "w"
-            raise EventNotFoundError(
-                f"no crossing of {var}={target} {where}", last_state=last)
-        evs[f"stop_{kind}"] = stop_x
-        evs["stop_residual"] = float(dense(stop_x)[0]) - target
-    x = dense.crossing(track_s0, xtol) if track else None
-    if x is not None:
-        evs[f"s0_{kind}"] = x
+    if stop is None:
+        var = "y" if kind == "t" else "w"
+        raise EventNotFoundError(f"no crossing of {var}={level} {where}",
+                                 last_state=last)
     diag = {"route": kind, "steps": len(ts) - 1, **counts, **diag}
-    return Trajectory(kind=kind, gamma=gamma, n=n, nl=nl, cfg=cfg,
-                      ts=np.array(ts), states=np.array(ys), dense=dense,
-                      lin=len(y0) == 4, events=evs, diagnostics=diag)
+    return Trajectory(kind=kind, n=n, nl=nl, ts=np.array(ts),
+                      states=np.array(ys), dense=dense, stop=stop,
+                      s0=dense.crossing(track_s0, xtol) if track else None,
+                      lin=len(y0) == 4, diagnostics=diag)
 
 
-def integrate_t(nl: Nonlinearity, n: int, start: StateT, stop: StopRule,
-                cfg: ProblemConfig | None = None, *, lin: bool = False,
-                lin_init: tuple = (1.0, 0.0), track_s0: float | None = None,
-                gamma: float = math.nan) -> Trajectory:
-    """March the flux system backwards in t from `start` until `stop`;
+def integrate_t(nl: Nonlinearity, n: int, start: StateT,
+                cfg: ProblemConfig = ProblemConfig(), *, level: float = 0.0,
+                floor: float | None = None, lin: bool = False,
+                lin_init: tuple = (1.0, 0.0),
+                track_s0: float | None = None) -> Trajectory:
+    """March the flux system backwards in t from `start` until y lands on
+    `level`, giving up at `floor` (far below the start unless given);
     `lin_init` seeds (V1, phi) when the channel is attached."""
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
+    check_dimension(n, cfg.beta_weight)
     ex = 1.0 / (n - 1.0)
     exd = (n - 2.0) / (n - 1.0)
 
@@ -519,17 +494,13 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT, stop: StopRule,
         dv1 = phi if n == 2 else _clamp(phi / max(psi, _PSI_ATOL) ** exd)
         return du + (dv1, _clamp(-_fprime_soft(nl, y, t) * v1 / (n - 1.0)))
 
-    if stop.kind == "t_floor":
-        floor = stop.value
-    else:
-        floor = stop.floor if stop.floor is not None else \
-            start.t - max(1000.0, 4.0 * abs(start.t) + 400.0 * (n - 1.0))
+    if floor is None:
+        floor = start.t - max(1000.0, 4.0 * abs(start.t) + 400.0 * (n - 1.0))
     if floor >= start.t:
         raise ConfigError(f"stop floor {floor} not below start {start.t}")
     y0 = [start.y, start.psi] + (list(lin_init) if lin else [])
-    return _march("t", nl, n, gamma, cfg, rhs, (start.t, floor), y0, stop,
-                  track_s0, f"above the floor t={floor}",
-                  t_start=start.t)
+    return _march("t", nl, n, cfg, rhs, (start.t, floor), y0, level,
+                  track_s0, f"above the floor t={floor}", t_start=start.t)
 
 
 def series_startup_radius(nl: Nonlinearity, n: int, gamma: float,
@@ -547,17 +518,18 @@ def _f_at(nl: Nonlinearity, gamma: float) -> float:
     return math.exp(lf)
 
 
-def integrate_r(nl: Nonlinearity, n: int, gamma: float, stop: StopRule,
-                cfg: ProblemConfig | None = None, *, lin: bool = False,
+def integrate_r(nl: Nonlinearity, n: int, gamma: float,
+                cfg: ProblemConfig = ProblemConfig(), *, level: float = 0.0,
+                r_end: float = R_MAX, lin: bool = False,
                 track_s0: float | None = None) -> Trajectory:
-    """March the weighted flux system outward in r from a series startup.
+    """March the weighted flux system outward in r from a series startup
+    until w lands on `level`, giving up at the radius `r_end`.
 
     The startup radius keeps the next series term below the step tolerance:
     w = gamma - ((n-1)/(n-b)) (f(gamma)/(n-b))^{1/(n-1)} r^{(n-b)/(n-1)},
     Phi = -f(gamma) r^{n-b}/(n-b), with b the singular weight exponent.
     """
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
+    check_dimension(n, cfg.beta_weight)
     if gamma <= 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
     b = cfg.beta_weight
@@ -599,22 +571,10 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float, stop: StopRule,
     if max(map(abs, rhs(r0, y0))) > math.exp(_LOG_CAP):
         raise AdmissionError("radius-route startup slope or source beyond "
                              "the overflow sentinel's budget")
-    if stop.kind == "t_floor":
-        r_end = min(n * math.exp(-stop.value / n), cfg.r_max)
-    else:
-        r_end = cfg.r_max
     if r_end <= r0:
         raise ConfigError(f"stop radius {r_end} not beyond startup {r0}")
-    return _march("r", nl, n, gamma, cfg, rhs, (r0, r_end), y0, stop,
-                  track_s0, f"inside r <= {r_end}", r0=r0)
-
-
-def state_t_from_r(state: StateR, n: int) -> StateT:
-    """Change of variables r = n e^{-t/n}; the t-flux is |Phi| / n^{n-1}."""
-    if state.r <= 0.0:
-        raise ConfigError("conversion needs r > 0")
-    return StateT(t=_t_of_r(state.r, n), y=state.w,
-                  psi=abs(state.Phi) / n ** (n - 1.0))
+    return _march("r", nl, n, cfg, rhs, (r0, r_end), y0, level, track_s0,
+                  f"inside r <= {r_end}", r0=r0)
 
 
 @dataclass(frozen=True)
@@ -624,14 +584,13 @@ class EnergyRecord:
     scale: float
 
 
-def energy_series(traj: Trajectory, nl: Nonlinearity | None = None,
-                  n: int | None = None) -> list:
+def energy_series(traj: Trajectory, nl: Nonlinearity | None = None) -> list:
     """E = psi - ((n-1)/n) psi^{n/(n-1)} g'(y) - e^{g(y)-t} at each accepted
     sample with y above the convexity floor. E decreases in t there; the
     returned records keep the trajectory's (decreasing-t) order, and `scale`
     is the natural comparison magnitude |E| + e^{g(y)-t}."""
     nl = nl if nl is not None else traj.nl
-    n = n if n is not None else traj.n
+    n = traj.n
     if traj.kind != "t":
         raise ConfigError("the energy monitor runs in the log-radius variable")
     if nl.linear:
@@ -661,11 +620,11 @@ def energy_violations(records, tol: float = 1e-9):
     return bad
 
 
-_GL_CACHE: dict = {}
+# 12-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def quad_dense(traj: Trajectory, func, a: float, b: float,
-               nodes: int = 12) -> float:
+def quad_dense(traj: Trajectory, func, a: float, b: float) -> float:
     """Integral of func(x, state(x)) over [a, b] using fixed Gauss-Legendre
     panels split at the accepted steps, so the quadrature never crosses a
     dense-output patch boundary."""
@@ -675,9 +634,6 @@ def quad_dense(traj: Trajectory, func, a: float, b: float,
     lo, hi = a, b
     if lo > hi:
         lo, hi, sign = b, a, -1.0
-    if nodes not in _GL_CACHE:
-        _GL_CACHE[nodes] = np.polynomial.legendre.leggauss(nodes)
-    xg, wg = _GL_CACHE[nodes]
     ts = np.sort(np.asarray(traj.ts, dtype=float))
     inner = ts[(ts > lo) & (ts < hi)]
     cuts = np.concatenate(([lo], inner, [hi]))
@@ -685,7 +641,7 @@ def quad_dense(traj: Trajectory, func, a: float, b: float,
     for left, right in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
-        for xi, wi in zip(xg, wg):
+        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
             x = mid + half * xi
             total += wi * half * func(x, traj.state_at(x))
     return sign * total

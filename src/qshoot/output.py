@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError
-from .ode import (Trajectory, v1prime_from_phi, wprime_from_Phi,
+from .ode import (EVENT_TOL, Trajectory, v1prime_from_phi, wprime_from_Phi,
                   yprime_from_psi)
 
 
@@ -123,7 +123,7 @@ def curve_meta(curve, version: str) -> dict:
         "beta": curve.beta,
         "nonlinearity": curve.nl.describe(),
         "tolerances": {"rtol": curve.cfg.rtol, "atol": curve.cfg.atol,
-                       "event_tol": curve.cfg.event_tol},
+                       "event_tol": EVENT_TOL},
         "gamma_count": len(curve.gammas),
         "errors": [{"gamma": g, "message": m} for g, m in curve.errors],
         "version": version,

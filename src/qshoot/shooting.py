@@ -27,11 +27,10 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import comparison_z
-from .config import ProblemConfig
+from .config import ProblemConfig, check_dimension
 from .errors import AdmissionError, ConfigError, QShootError, SolverError
 from .nonlinearity import (Nonlinearity, convexity_floor, log_f, with_lambda)
-from .ode import (Trajectory, _tail_site, first_zero_of_y, integrate_r,
-                  integrate_t)
+from .ode import Trajectory, _tail_site, integrate_r, integrate_t
 # unused here: bound only so perfbench/tracer.py can wrap them as spans
 from .ode import tail_admissible, tail_start  # noqa: F401
 
@@ -77,6 +76,7 @@ def _route_setup(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
     None) from one floor evaluation and at most one tail site. The tail
     route is preferred well above the floor; a refusal by `_tail_site` then
     means "r", or raises when "t" was forced."""
+    check_dimension(n, cfg.beta_weight)
     if not math.isfinite(gamma):
         raise ConfigError(f"gamma must be finite, got {gamma}")
     if gamma <= 0.0:
@@ -123,7 +123,7 @@ def _radius_and_lambda(T: float, n: int, beta: float) -> tuple:
     return R, lam
 
 
-def _solve(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig | None,
+def _solve(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
            route: str | None, keep_trajectory: bool,
            lin_seed=None) -> ShootOutcome:
     """March one amplitude to its first zero on `route` (chosen when None),
@@ -131,17 +131,14 @@ def _solve(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig | None,
     Passing `lin_seed` attaches the linearization channel and adds V1(T):
     on the t-route it maps the tail start state and its snapshot to the
     seed (V1, phi); the r-route seeds from its own series."""
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     route, site, track = _route_setup(nl, n, gamma, cfg, route)
     lin = lin_seed is not None
     if route == "r":
-        traj = integrate_r(nl, n, gamma, first_zero_of_y(), cfg, lin=lin,
-                           track_s0=track)
+        traj = integrate_r(nl, n, gamma, cfg, lin=lin, track_s0=track)
     else:
-        traj = integrate_t(nl, n, site[0], first_zero_of_y(), cfg, lin=lin,
+        traj = integrate_t(nl, n, site[0], cfg, lin=lin,
                            lin_init=lin_seed(*site) if lin else (1.0, 0.0),
-                           track_s0=track, gamma=gamma)
+                           track_s0=track)
     T, yprime_T, Ttilde, state = traj.stop_readout()
     R, lam = _radius_and_lambda(T, n, cfg.beta_weight)
     return ShootOutcome(gamma=float(gamma), T=float(T),
@@ -153,7 +150,8 @@ def _solve(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig | None,
 
 
 def shoot(nl: Nonlinearity, n: int, gamma: float,
-          cfg: ProblemConfig | None = None, *, keep_trajectory: bool = False,
+          cfg: ProblemConfig = ProblemConfig(), *,
+          keep_trajectory: bool = False,
           route: str | None = None) -> ShootOutcome:
     """Solve one amplitude to its first zero."""
     return _solve(nl, n, gamma, cfg, route, keep_trajectory)
@@ -187,16 +185,15 @@ class BifurcationCurve:
             yield row
 
 
-def sweep(nl: Nonlinearity, n: int, gammas, cfg: ProblemConfig | None = None,
-          *, with_derivative: bool = False) -> BifurcationCurve:
+def sweep(nl: Nonlinearity, n: int, gammas,
+          cfg: ProblemConfig = ProblemConfig(), *,
+          with_derivative: bool = False) -> BifurcationCurve:
     """Shoot every amplitude in `gammas`, in order; a failed amplitude
     keeps its slot as a placeholder row. With derivatives, one channel
     march per amplitude gives the row and T'; a plain shoot stands in
     only when that march fails."""
     from .linearization import solve_V1, t_prime_fd
 
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     gam = tuple(float(g) for g in gammas)
 
     def one(g):
@@ -240,7 +237,7 @@ class RegimeReport:
 
 def classify_small_gamma(nl: Nonlinearity, n: int,
                          gammas=(1e-1, 1e-2, 1e-3, 1e-4),
-                         cfg: ProblemConfig | None = None) -> RegimeReport:
+                         cfg: ProblemConfig = ProblemConfig()) -> RegimeReport:
     """Small-amplitude trend of the first zero.
 
     T is computed along a decreasing amplitude ladder. A total variation
@@ -249,8 +246,6 @@ def classify_small_gamma(nl: Nonlinearity, n: int,
     "diverges_down". Mixed signs come back "inconclusive". The local power
     of f near zero is estimated alongside as a cross-reference.
     """
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     gs = tuple(sorted({float(g) for g in gammas}, reverse=True))
     if len(gs) < 3:
         raise ConfigError("need at least three amplitudes to read a trend")
@@ -278,18 +273,15 @@ def singular_reduce(nl: Nonlinearity, n: int, beta: float):
 
     With a = 1 - beta/n the reduced problem uses f / (n^beta a^n); first
     zeros map back through T = T_reduced / a."""
-    if not 0.0 <= beta < n:
-        raise ConfigError(f"weight exponent must sit in [0, n), got {beta}")
+    check_dimension(n, beta)
     a = 1.0 - beta / n
     scale = n ** beta * a ** n
     return with_lambda(nl, nl.lam / scale), a
 
 
 def shoot_singular(nl: Nonlinearity, n: int, beta: float, gamma: float,
-                   cfg: ProblemConfig | None = None) -> ShootOutcome:
+                   cfg: ProblemConfig = ProblemConfig()) -> ShootOutcome:
     """First zero of the weighted problem via the unweighted reduction."""
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     nl_red, a = singular_reduce(nl, n, beta)
     out = shoot(nl_red, n, gamma, replace(cfg, beta_weight=0.0))
     T = out.T / a
@@ -302,11 +294,10 @@ def shoot_singular(nl: Nonlinearity, n: int, beta: float, gamma: float,
 
 def shoot_weighted_direct(nl: Nonlinearity, n: int, beta: float,
                           gamma: float,
-                          cfg: ProblemConfig | None = None) -> ShootOutcome:
+                          cfg: ProblemConfig = ProblemConfig()
+                          ) -> ShootOutcome:
     """First zero of the weighted problem by direct outward marching; the
     independent cross-check for the reduction above."""
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     return shoot(nl, n, gamma, replace(cfg, beta_weight=float(beta)))
 
 
@@ -318,7 +309,7 @@ class ProfileResult:
 
 
 def export_profile(nl: Nonlinearity, n: int, gamma: float,
-                   cfg: ProblemConfig | None = None,
+                   cfg: ProblemConfig = ProblemConfig(),
                    npts: int = 401) -> ProfileResult:
     """Solution profile u(xi) = w(R xi) on xi in [0, 1].
 
@@ -327,8 +318,6 @@ def export_profile(nl: Nonlinearity, n: int, gamma: float,
     its own series below the startup radius. u(0) = gamma is the exact
     limit of both.
     """
-    if cfg is None:
-        cfg = ProblemConfig(n=n)
     out = shoot(nl, n, gamma, cfg, keep_trajectory=True)
     traj = out.traj
     xi = np.linspace(0.0, 1.0, int(npts))

@@ -29,8 +29,8 @@ BESSEL_FIRST_ZERO = 2.404825557695773
 
 SUITES = ("identities", "oracles", "asymptotics", "regimes")
 
-# the fixed planar solver settings every suite check runs at
-_CFG = ProblemConfig(n=2)
+# the fixed solver settings every suite check runs at
+_CFG = ProblemConfig()
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,8 @@ def suite_oracles() -> SuiteReport:
              ("exp", {}, 3, 3.0)]
     for fam, kw, n, gamma in cross:
         nl = make_nonlinearity(fam, n=n, **kw)
-        c = ProblemConfig(n=n)
-        Tt = shoot(nl, n, gamma, c, route="t").T
-        Tr = shoot(nl, n, gamma, c, route="r").T
+        Tt = shoot(nl, n, gamma, _CFG, route="t").T
+        Tr = shoot(nl, n, gamma, _CFG, route="r").T
         rows.append(_leq(f"route_agreement[{fam},n={n},gamma={gamma:g}]",
                          abs(Tt - Tr), 1e-6 * (1.0 + abs(Tt))))
 

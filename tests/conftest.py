@@ -9,12 +9,8 @@ from qshoot.nonlinearity import make_nonlinearity
 
 @pytest.fixture(scope="session")
 def cfg2():
-    return ProblemConfig(n=2)
-
-
-@pytest.fixture(scope="session")
-def cfg3():
-    return ProblemConfig(n=3)
+    """The default solver settings; the dimension is each call's argument."""
+    return ProblemConfig()
 
 
 @pytest.fixture(scope="session")

@@ -82,7 +82,7 @@ def test_criterion_03_cross_variable_consistency(nl_square, nl_exp,
     t0 = time.perf_counter()
     worst = 0.0
     for nl, n, gamma in cases:
-        cfg = ProblemConfig(n=n)
+        cfg = ProblemConfig()
         Tt = shoot(nl, n, gamma, cfg, route="t").T
         Tr = shoot(nl, n, gamma, cfg, route="r").T
         worst = max(worst, abs(Tt - Tr) / (1.0 + abs(Tt)))

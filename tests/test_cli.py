@@ -52,7 +52,8 @@ class TestExitCodes:
         assert "line 2" in err and "wibble" in err
 
     def test_unreachable_zero_is_a_solver_error(self, capsys):
-        # multiplier so small the profile stays positive inside r_max
+        # multiplier so small the profile stays positive inside the outward
+        # march's reach, ode.R_MAX
         code, _, err = run_cli(capsys, "shoot", "--family", "pow_exp",
                                "--gamma", "0.001", "--lambda", "1e-30")
         assert code == 2
@@ -68,6 +69,17 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"qshoot: error: {name} must be finite, got " \
             f"{float(value)}\n"
+
+    @pytest.mark.parametrize("argv,name", [
+        (("shoot", "--n", "1", "--gamma", "3"), "dimension n"),
+        (("shoot", "--n", "0", "--gamma", "3"), "dimension n"),
+        (("sweep", "--beta-weight", "2.5", "--gamma-min", "2",
+          "--gamma-max", "3", "--gamma-steps", "2"), "beta_weight")])
+    def test_dimension_and_weight_are_refused_up_front(self, capsys, argv,
+                                                       name):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("qshoot: error:") and name in err
 
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)

@@ -93,7 +93,7 @@ class TestAmplitudeDerivative:
     @pytest.mark.parametrize("n,gamma", [(2, 0.5), (2, 6.0), (3, 6.0)])
     def test_solve_record_matches_the_plain_shot(self, nl_family_ii, n,
                                                  gamma):
-        cfg = ProblemConfig(n=n)
+        cfg = ProblemConfig()
         res = solve_V1(nl_family_ii, n, gamma, cfg)
         out = shoot(nl_family_ii, n, gamma, cfg)
         assert res.route == out.route
@@ -107,7 +107,7 @@ class TestAmplitudeDerivative:
             shoot(nl_square, 2, 4.0, cfg2).tprime()
 
     def test_weighted_variational_channel_is_refused(self, nl_exp):
-        wcfg = ProblemConfig(n=2, beta_weight=1.0)
+        wcfg = ProblemConfig(beta_weight=1.0)
         with pytest.raises((AdmissionError, ConfigError)):
             solve_V1(nl_exp, 2, 2.0, wcfg)
 

@@ -13,23 +13,20 @@ from qshoot.errors import AdmissionError, ConfigError, EventNotFoundError
 from qshoot.linearization import solve_V1
 from qshoot.nonlinearity import find_s0, make_nonlinearity
 from qshoot.ode import (
+    EVENT_TOL,
     StateR,
     StateT,
     _dopri,
     energy_series,
     energy_violations,
-    first_zero_of_y,
     integrate_r,
     integrate_t,
     quad_dense,
     series_startup_radius,
-    state_t_from_r,
-    t_floor,
     tail_admissible,
     tail_refinement_delta,
     tail_start,
     wprime_from_Phi,
-    y_reaches,
     yprime_from_psi,
 )
 from qshoot.shooting import shoot
@@ -51,14 +48,6 @@ class TestStateHelpers:
         with pytest.raises(AttributeError):
             st.y = 0.0
 
-    def test_conversion_to_log_radius(self):
-        st = state_t_from_r(StateR(r=2.0, w=1.5, Phi=-4.0), 2)
-        assert st.t == pytest.approx(-2.0 * math.log(1.0), abs=1e-15)
-        assert st.y == 1.5
-        assert st.psi == 2.0
-        with pytest.raises(ConfigError):
-            state_t_from_r(StateR(r=0.0, w=1.0, Phi=0.0), 2)
-
 
 class TestTailStart:
     def test_linear_family_is_refused(self, nl_linear):
@@ -72,7 +61,7 @@ class TestTailStart:
 
     def test_short_tail_window_is_refused(self, nl_square):
         with pytest.raises(AdmissionError):
-            tail_start(nl_square, 2, 5.0, c_tail=0.1)
+            tail_start(nl_square, 2, 5.0, ProblemConfig(c_tail=0.1))
 
     def test_amplitude_below_convexity_floor_is_refused(self, nl_family_ii):
         floor = find_s0(nl_family_ii, strict=False).s0
@@ -103,22 +92,22 @@ class TestTailStart:
 class TestBackwardMarch:
     def test_zero_event_residual(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        traj = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2, gamma=5.0)
-        assert abs(traj.events["stop_residual"]) <= cfg2.event_tol
+        traj = integrate_t(nl_square, 2, st, cfg2)
+        assert abs(float(traj.dense(traj.stop)[0])) <= EVENT_TOL
 
     def test_dense_output_is_exact_at_nodes(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        traj = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2, gamma=5.0)
+        traj = integrate_t(nl_square, 2, st, cfg2)
         dev = max(abs(float(traj.dense(t)[0]) - traj.states[i, 0])
                   for i, t in enumerate(traj.ts))
         assert dev <= 1e-13
 
     def test_dense_midpoints_agree_with_a_tighter_run(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        tr1 = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2, gamma=5.0)
-        tight = ProblemConfig(n=2, rtol=1e-12, atol=1e-14)
-        tr2 = integrate_t(nl_square, 2, tail_start(nl_square, 2, 5.0, cfg=tight),
-                          first_zero_of_y(), tight, gamma=5.0)
+        tr1 = integrate_t(nl_square, 2, st, cfg2)
+        tight = ProblemConfig(rtol=1e-12, atol=1e-14)
+        tr2 = integrate_t(nl_square, 2,
+                          tail_start(nl_square, 2, 5.0, cfg=tight), tight)
         mids = 0.5 * (tr1.ts[:-1] + tr1.ts[1:])
         dev = max(abs(float(tr1.dense(m)[0]) - float(tr2.dense(m)[0]))
                   for m in mids if m > tr2.ts[-1])
@@ -126,11 +115,10 @@ class TestBackwardMarch:
 
     def test_tightening_the_tolerance_tightens_the_zero(self, nl_square):
         def T_of(rtol):
-            cfg = ProblemConfig(n=2, rtol=rtol, atol=rtol * 1e-2)
+            cfg = ProblemConfig(rtol=rtol, atol=rtol * 1e-2)
             st = tail_start(nl_square, 2, 5.0, cfg=cfg)
-            traj = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg,
-                               gamma=5.0)
-            return traj.events["stop_t"]
+            traj = integrate_t(nl_square, 2, st, cfg)
+            return traj.stop
 
         ref = T_of(1e-12)
         e_loose = abs(T_of(1e-5) - ref)
@@ -142,16 +130,15 @@ class TestBackwardMarch:
     def test_threshold_crossing_is_tracked(self, nl_family_ii, cfg2):
         s0 = find_s0(nl_family_ii).s0
         st = tail_start(nl_family_ii, 2, 8.0, cfg=cfg2)
-        traj = integrate_t(nl_family_ii, 2, st, first_zero_of_y(), cfg2,
-                           track_s0=s0, gamma=8.0)
-        assert "s0_t" in traj.events
-        y_at = float(traj.dense(traj.events["s0_t"])[0])
+        traj = integrate_t(nl_family_ii, 2, st, cfg2, track_s0=s0)
+        assert traj.s0 is not None
+        y_at = float(traj.dense(traj.s0)[0])
         assert y_at == pytest.approx(s0, abs=1e-9)
 
     def test_floor_must_lie_below_the_start(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
         with pytest.raises(ConfigError):
-            integrate_t(nl_square, 2, st, t_floor(st.t + 1.0), cfg2, gamma=5.0)
+            integrate_t(nl_square, 2, st, cfg2, floor=st.t + 1.0)
 
 
 class TestMarchingCore:
@@ -163,12 +150,9 @@ class TestMarchingCore:
         with pytest.raises(EventNotFoundError) as exc:
             if route == "t":
                 st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-                integrate_t(nl_square, 2, st,
-                            first_zero_of_y(floor=st.t - 1.0), cfg2,
-                            gamma=5.0)
+                integrate_t(nl_square, 2, st, cfg2, floor=st.t - 1.0)
             else:
-                integrate_r(nl_square, 2, 3.0, first_zero_of_y(),
-                            ProblemConfig(n=2, r_max=0.05))
+                integrate_r(nl_square, 2, 3.0, cfg2, r_end=0.05)
         last = exc.value.last_state
         if route == "t":
             assert isinstance(last, StateT)
@@ -182,11 +166,10 @@ class TestMarchingCore:
     def test_level_crossing_stop(self, route, nl_square, cfg2):
         if route == "t":
             st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-            traj = integrate_t(nl_square, 2, st, y_reaches(2.5), cfg2,
-                               gamma=5.0)
+            traj = integrate_t(nl_square, 2, st, cfg2, level=2.5)
         else:
-            traj = integrate_r(nl_square, 2, 3.0, y_reaches(2.5), cfg2)
-        x = traj.events[f"stop_{route}"]
+            traj = integrate_r(nl_square, 2, 3.0, cfg2, level=2.5)
+        x = traj.stop
         assert float(traj.dense(x)[0]) == pytest.approx(2.5, abs=1e-10)
 
     @pytest.mark.parametrize("route", ["t", "r"])
@@ -210,12 +193,12 @@ class TestMarchingCore:
 class TestOutwardMarch:
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_the_backward_march(self, n, nl_square):
-        cfg = ProblemConfig(n=n)
+        cfg = ProblemConfig()
         st = tail_start(nl_square, n, 3.0, cfg=cfg)
-        trt = integrate_t(nl_square, n, st, first_zero_of_y(), cfg, gamma=3.0)
-        Tt = trt.events["stop_t"]
-        trr = integrate_r(nl_square, n, 3.0, first_zero_of_y(), cfg)
-        Tr = -n * math.log(trr.events["stop_r"] / n)
+        trt = integrate_t(nl_square, n, st, cfg)
+        Tt = trt.stop
+        trr = integrate_r(nl_square, n, 3.0, cfg)
+        Tr = -n * math.log(trr.stop / n)
         assert abs(Tt - Tr) <= 1e-6 * (1.0 + abs(Tt))
 
     def test_startup_radius_formula(self, nl_square, cfg2):
@@ -227,7 +210,7 @@ class TestOutwardMarch:
     def test_exponent_budget_guards_the_startup(self, nl_square, cfg2):
         # log f(30) = 900 exceeds the exponent budget of about 220
         with pytest.raises(AdmissionError):
-            integrate_r(nl_square, 2, 30.0, first_zero_of_y(), cfg2)
+            integrate_r(nl_square, 2, 30.0, cfg2)
 
     def test_overflow_sentinel_never_cuts_an_admitted_march(
             self, nl_exp, monkeypatch):
@@ -236,12 +219,11 @@ class TestOutwardMarch:
         import qshoot.ode
 
         cases = [(2, 0.0, 220.0), (3, 1.0, 220.0)]
-        runs = [integrate_r(nl_exp, n, g, first_zero_of_y(),
-                            ProblemConfig(n=n, beta_weight=b)).events
+        runs = [integrate_r(nl_exp, n, g, ProblemConfig(beta_weight=b)).stop
                 for n, b, g in cases]
         monkeypatch.setattr(qshoot.ode, "_SOURCE_CAP", 1e300)
-        assert runs == [integrate_r(nl_exp, n, g, first_zero_of_y(),
-                                    ProblemConfig(n=n, beta_weight=b)).events
+        assert runs == [integrate_r(nl_exp, n, g,
+                                    ProblemConfig(beta_weight=b)).stop
                         for n, b, g in cases]
 
     def test_overflow_sentinel_budget_refuses_loudly(self, nl_exp):
@@ -249,24 +231,22 @@ class TestOutwardMarch:
         # clamped: refused instead of marching a different equation
         for b in (0.0, 1.0):
             with pytest.raises(AdmissionError, match="exponent budget"):
-                integrate_r(nl_exp, 2, 250.0, first_zero_of_y(),
-                            ProblemConfig(n=2, beta_weight=b))
+                integrate_r(nl_exp, 2, 250.0, ProblemConfig(beta_weight=b))
         # n - b < 1: the singular weight lifts the startup source past it
         with pytest.raises(AdmissionError, match="startup"):
-            integrate_r(nl_exp, 2, 150.0, first_zero_of_y(),
-                        ProblemConfig(n=2, beta_weight=1.9))
+            integrate_r(nl_exp, 2, 150.0, ProblemConfig(beta_weight=1.9))
 
     def test_weighted_linearization_is_refused(self, nl_square):
-        cfg = ProblemConfig(n=2, beta_weight=1.0)
+        cfg = ProblemConfig(beta_weight=1.0)
         with pytest.raises(ConfigError):
-            integrate_r(nl_square, 2, 2.0, first_zero_of_y(), cfg, lin=True)
+            integrate_r(nl_square, 2, 2.0, cfg, lin=True)
 
     def test_rejects_nonpositive_amplitude(self, nl_square, cfg2):
         with pytest.raises(ConfigError):
-            integrate_r(nl_square, 2, -1.0, first_zero_of_y(), cfg2)
+            integrate_r(nl_square, 2, -1.0, cfg2)
 
     def test_profile_decreases_from_the_amplitude(self, nl_square, cfg2):
-        traj = integrate_r(nl_square, 2, 3.0, first_zero_of_y(), cfg2)
+        traj = integrate_r(nl_square, 2, 3.0, cfg2)
         w = traj.states[:, 0]
         assert w[0] < 3.0
         assert all(b < a for a, b in zip(w, w[1:]))
@@ -275,20 +255,20 @@ class TestOutwardMarch:
 class TestEnergyMonitor:
     def test_no_violations_along_a_shot(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        traj = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2, gamma=5.0)
+        traj = integrate_t(nl_square, 2, st, cfg2)
         recs = energy_series(traj)
         assert len(recs) > 50
         assert energy_violations(recs) == []
         assert all(r.scale > 0.0 for r in recs)
 
     def test_restricted_to_the_log_radius_route(self, nl_square, cfg2):
-        traj = integrate_r(nl_square, 2, 3.0, first_zero_of_y(), cfg2)
+        traj = integrate_r(nl_square, 2, 3.0, cfg2)
         with pytest.raises(ConfigError):
             energy_series(traj)
 
     def test_linear_family_is_refused(self, nl_linear, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        traj = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2, gamma=5.0)
+        traj = integrate_t(nl_square, 2, st, cfg2)
         with pytest.raises(ConfigError):
             energy_series(traj, nl=nl_linear)
 
@@ -306,7 +286,7 @@ class TestEnergyMonitor:
 class TestDenseQuadrature:
     def test_matches_adaptive_quadrature(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        traj = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2, gamma=5.0)
+        traj = integrate_t(nl_square, 2, st, cfg2)
 
         def fun(x, state):
             return math.sin(0.3 * x) * float(state[0])
@@ -318,7 +298,7 @@ class TestDenseQuadrature:
 
     def test_orientation_and_degenerate_window(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        traj = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2, gamma=5.0)
+        traj = integrate_t(nl_square, 2, st, cfg2)
         fun = lambda x, state: float(state[1])
         a, b = float(traj.ts[-1]), float(traj.ts[0])
         assert quad_dense(traj, fun, b, a) == -quad_dense(traj, fun, a, b)
@@ -328,7 +308,7 @@ class TestDenseQuadrature:
 class TestTrajectoryViews:
     def test_span_and_bounds(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        traj = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2, gamma=5.0)
+        traj = integrate_t(nl_square, 2, st, cfg2)
         lo, hi = traj.t_bounds()
         assert lo < hi
         assert lo == pytest.approx(min(traj.ts), abs=0.0)
@@ -336,10 +316,10 @@ class TestTrajectoryViews:
 
     def test_slope_views_agree_across_routes(self, nl_square):
         # -(r/n) dw/dr at r = n e^{-t/n} is the t-route slope
-        cfg = ProblemConfig(n=2)
+        cfg = ProblemConfig()
         st = tail_start(nl_square, 2, 3.0, cfg=cfg)
-        trt = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg, gamma=3.0)
-        trr = integrate_r(nl_square, 2, 3.0, first_zero_of_y(), cfg)
+        trt = integrate_t(nl_square, 2, st, cfg)
+        trr = integrate_r(nl_square, 2, 3.0, cfg)
         lo_t, hi_t = trt.t_bounds()
         lo_r, hi_r = trr.t_bounds()
         for t in np.linspace(max(lo_t, lo_r) + 0.1, min(hi_t, hi_r) - 0.1, 7):
@@ -358,9 +338,9 @@ def _marched(monkeypatch, march):
     seen = {}
     core = qshoot.ode._march
 
-    def spy(kind, nl, n, gamma, cfg, rhs, span, y0, *args, **kw):
+    def spy(kind, nl, n, cfg, rhs, span, y0, *args, **kw):
         seen.update(rhs=rhs, span=span, y0=y0)
-        return core(kind, nl, n, gamma, cfg, rhs, span, y0, *args, **kw)
+        return core(kind, nl, n, cfg, rhs, span, y0, *args, **kw)
 
     monkeypatch.setattr(qshoot.ode, "_march", spy)
     traj = march()
@@ -386,7 +366,7 @@ class TestStepper:
     @pytest.mark.parametrize("n,lin", [(2, False), (3, True)])
     def test_matches_scipy_on_the_tail_march(self, monkeypatch, n, lin):
         nl = make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0, n=n)
-        cfg = ProblemConfig(n=n)
+        cfg = ProblemConfig()
         if lin:
             traj, seen = _marched(monkeypatch, lambda: solve_V1(
                 nl, n, 6.0, cfg, keep_trajectory=True, route="t").traj)
@@ -409,14 +389,14 @@ class TestStepper:
         assert dev[:-1].max() <= 1e-9
         # the landed stop against scipy's interpolant there
         assert dev[-1].max() <= 1e-8
-        assert traj.events["stop_t"] == pytest.approx(ref.t[-1], abs=1e-9)
+        assert traj.stop == pytest.approx(ref.t[-1], abs=1e-9)
 
     @pytest.mark.parametrize("route,lin", [("t", False), ("t", True),
                                            ("r", False), ("r", True)])
     def test_counters_account_for_every_evaluation(self, route, lin):
         # two to start, six per attempted step, six per landing pass
         nl = make_nonlinearity("exp")
-        cfg = ProblemConfig(n=2)
+        cfg = ProblemConfig()
         if lin:
             traj = solve_V1(nl, 2, 10.0, cfg, keep_trajectory=True,
                             route=route).traj
@@ -458,10 +438,10 @@ class TestStepper:
         # a stop just above zero keeps the last sample in the energy
         # monitor: an interpolated sample there breaks monotonicity at 5e-9
         st = tail_start(nl_exp, 2, 10.0, cfg=cfg2)
-        traj = integrate_t(nl_exp, 2, st, y_reaches(2e-9), cfg2, gamma=10.0)
+        traj = integrate_t(nl_exp, 2, st, cfg2, level=2e-9)
         assert traj.diagnostics["landed"]
-        assert traj.ts[-1] == traj.events["stop_t"]
-        assert abs(traj.states[-1, 0] - 2e-9) <= cfg2.event_tol
+        assert traj.ts[-1] == traj.stop
+        assert abs(traj.states[-1, 0] - 2e-9) <= EVENT_TOL
         recs = energy_series(traj)
         assert recs[-1].t == traj.ts[-1]
         assert energy_violations(recs, tol=1e-9) == []

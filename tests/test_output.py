@@ -9,7 +9,7 @@ import pytest
 
 from qshoot.config import ProblemConfig
 from qshoot.nonlinearity import make_nonlinearity
-from qshoot.ode import first_zero_of_y, integrate_r, integrate_t, tail_start
+from qshoot.ode import integrate_r, integrate_t, tail_start
 from qshoot.output import (
     atomic_write,
     csv_text,
@@ -64,18 +64,17 @@ class TestAtomicWrite:
 class TestRowSchemas:
     def test_trajectory_rows_by_route(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        trt = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2, gamma=5.0)
+        trt = integrate_t(nl_square, 2, st, cfg2)
         header, rows = trajectory_rows(trt)
         assert header == ("t", "y", "yprime", "psi")
         assert len(rows) == len(trt.ts)
-        trr = integrate_r(nl_square, 2, 3.0, first_zero_of_y(), cfg2)
+        trr = integrate_r(nl_square, 2, 3.0, cfg2)
         header_r, _ = trajectory_rows(trr)
         assert header_r == ("r", "w", "wprime", "Phi")
 
     def test_linearization_rows_need_the_lin_channel(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        plain = integrate_t(nl_square, 2, st, first_zero_of_y(), cfg2,
-                            gamma=5.0)
+        plain = integrate_t(nl_square, 2, st, cfg2)
         with pytest.raises(Exception):
             linearization_rows(plain)
         from qshoot.linearization import solve_V1

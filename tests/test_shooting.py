@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qshoot.asymptotics import snapshot
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError, QShootError, SolverError
 from qshoot.linearization import solve_V1
 from qshoot.nonlinearity import make_nonlinearity, with_lambda
+from qshoot.ode import integrate_r, integrate_t, tail_start
 from qshoot.shooting import (
     choose_route,
     classify_small_gamma,
@@ -108,8 +110,8 @@ class TestRouteChoice:
 
     def test_linear_and_weighted_always_march_outward(self, nl_linear,
                                                       nl_square, nl_exp):
-        assert choose_route(nl_linear, 2, 1.0, ProblemConfig(n=2)) == "r"
-        wcfg = ProblemConfig(n=2, beta_weight=1.0)
+        assert choose_route(nl_linear, 2, 1.0, ProblemConfig()) == "r"
+        wcfg = ProblemConfig(beta_weight=1.0)
         assert choose_route(nl_square, 2, 5.0, wcfg) == "r"
         # the tail expansion is for the unweighted problem: a forced t-route
         # refuses the weighted one instead of marching the wrong equation
@@ -162,16 +164,16 @@ class TestRouteChoice:
         for nl, n, gamma in ((nl_family_ii, 2, 8.0), (nl_family_ii, 2, 2.0),
                              (nl_exp, 2, 4.0), (three_halves, 3, 6.0),
                              (nl_square, 2, 5.0)):
-            out = shoot(nl, n, gamma, ProblemConfig(n=n))
+            out = shoot(nl, n, gamma, ProblemConfig())
             assert math.isfinite(out.T)
         custom = make_nonlinearity("pow_exp", q=2.0,
                                    custom_rho=lambda u, k: 0.0)
         with pytest.raises(AssertionError, match="find_s0"):
-            shoot(custom, 2, 5.0, ProblemConfig(n=2))
+            shoot(custom, 2, 5.0, ProblemConfig())
 
     def test_choice_is_the_route_marched(self, nl_family_ii, nl_exp,
                                          nl_linear, nl_square, cfg2):
-        wcfg = ProblemConfig(n=2, beta_weight=1.0)
+        wcfg = ProblemConfig(beta_weight=1.0)
         cases = [(nl_family_ii, float(g), cfg2) for g in range(1, 13)]
         cases += [(nl_exp, 1.0, cfg2), (nl_exp, 4.0, cfg2),
                   (nl_linear, 2.0, cfg2), (nl_square, 5.0, wcfg),
@@ -214,7 +216,7 @@ class TestSweep:
 
     def test_far_zero_keeps_a_placeholder_row(self):
         nl = _case_nl(FAR_ZERO_N3)
-        curve = sweep(nl, 3, [4.0, FAR_ZERO_N3[6]], ProblemConfig(n=3))
+        curve = sweep(nl, 3, [4.0, FAR_ZERO_N3[6]], ProblemConfig())
         assert curve.outcomes[0].T is not None
         assert curve.outcomes[1].T is None
         assert len(curve.errors) == 1 and "T=-2203" in curve.errors[0][1]
@@ -260,7 +262,7 @@ class TestSweep:
         # p < 1: the channel's step size collapses just above the zero,
         # while the plain march lands on it
         nl = make_nonlinearity("pow_exp", q=1.9, p=0.2, n=2)
-        cfg = ProblemConfig(n=2)
+        cfg = ProblemConfig()
         curve = sweep(nl, 2, [1.0, 3.0], cfg, with_derivative=True)
         for g, out, tv1, tfd in zip(curve.gammas, curve.outcomes,
                                     curve.tprime_v1, curve.tprime_fd):
@@ -278,6 +280,39 @@ class TestSweep:
                [o.as_dict() for o in b.outcomes]
 
 
+class TestDimension:
+    """n is each call's argument: every entry point that reads it refuses a
+    dimension that is not an integer >= 2, and a weight at or above it,
+    with a ConfigError rather than a ZeroDivisionError or a lost march."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2.5])
+    def test_entry_points_refuse_the_dimension(self, nl_exp, cfg2, n):
+        start = tail_start(nl_exp, 2, 3.0, cfg2)
+        calls = {"shoot": lambda: shoot(nl_exp, n, 3.0, cfg2),
+                 "solve_V1": lambda: solve_V1(nl_exp, n, 3.0, cfg2),
+                 "snapshot": lambda: snapshot(nl_exp, n, 3.0),
+                 "integrate_r": lambda: integrate_r(nl_exp, n, 3.0, cfg2),
+                 "integrate_t": lambda: integrate_t(nl_exp, n, start, cfg2),
+                 "tail_start": lambda: tail_start(nl_exp, n, 3.0, cfg2)}
+        for name, call in calls.items():
+            with pytest.raises(ConfigError, match="dimension n") as exc:
+                call()
+            assert str(n) in str(exc.value), name
+
+    def test_weight_at_or_above_the_dimension_is_named(self, nl_exp):
+        for beta in (2.0, 2.5):
+            with pytest.raises(ConfigError, match="beta_weight"):
+                shoot(nl_exp, 2, 1.0, ProblemConfig(beta_weight=beta))
+
+    def test_sweep_keeps_placeholder_rows_with_the_reason(self, nl_exp,
+                                                          cfg2):
+        curve = sweep(nl_exp, 1, [3.0, 4.0], cfg2)
+        assert [o.T for o in curve.outcomes] == [None, None]
+        assert curve.errors == tuple(
+            (g, "dimension n must be an integer >= 2, got 1")
+            for g in (3.0, 4.0))
+
+
 class TestFarZero:
     """A first zero beyond double range in R or lambda, above or below it,
     is a SolverError naming T."""
@@ -287,13 +322,13 @@ class TestFarZero:
     def test_shoot_refuses(self, case, T):
         n, gamma, route = case[1], case[6], case[7]
         with pytest.raises(SolverError, match=f"overflows at T={T}"):
-            shoot(_case_nl(case), n, gamma, ProblemConfig(n=n), route=route)
+            shoot(_case_nl(case), n, gamma, ProblemConfig(), route=route)
 
     @pytest.mark.parametrize("case,T", [(NEAR_ZERO_R, "2029"),
                                         (NEAR_ZERO_LAM, "1198")])
     def test_shoot_refuses_an_underflowing_zero(self, case, T):
         with pytest.raises(SolverError, match=f"underflows at T={T}"):
-            shoot(_case_nl(case), 2, case[6], ProblemConfig(n=2))
+            shoot(_case_nl(case), 2, case[6], ProblemConfig())
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_is_a_config_error(self, nl_square, cfg2,
@@ -317,7 +352,7 @@ class TestFarZero:
     def test_shoot_never_crashes(self, case):
         n, gamma, route = case[1], case[6], case[7]
         try:
-            out = shoot(_case_nl(case), n, gamma, ProblemConfig(n=n),
+            out = shoot(_case_nl(case), n, gamma, ProblemConfig(),
                         route=route)
         except QShootError:
             return
@@ -334,7 +369,7 @@ class TestFarZero:
     def test_linearized_flow_never_crashes(self, case):
         n, gamma, route = case[1], case[6], case[7]
         try:
-            tp = solve_V1(_case_nl(case), n, gamma, ProblemConfig(n=n),
+            tp = solve_V1(_case_nl(case), n, gamma, ProblemConfig(),
                           route=route).tprime()
         except QShootError:
             return
