@@ -1,9 +1,11 @@
-"""Closed-form tail quantities and asymptotic predictions.
+"""Closed-form tail values and asymptotic predictions.
 
-Everything here is a pure function of (gamma, n, nl). Freezing the exponent
-at gamma gives the comparison solution z, and its gamma-derivative V2; the
-GammaSnapshot of one (nl, n, gamma) holds both, and every tail start, tail
-integral and prediction reads them from there. The central change of scale
+Everything here is a pure function of (gamma, n, nl) and marches no
+trajectory; the bounded correction A, which needs one, is
+shooting.correction_A. Freezing the exponent at gamma gives the comparison
+solution z, and its gamma-derivative V2; the GammaSnapshot of one
+(nl, n, gamma) holds both, and every tail start, tail integral and
+prediction reads them from there. The central change of scale
 is x = (T1 - t)/(n - 1) with X = e^x; all expressions are evaluated through
 x itself (softplus / logistic) because T1 grows like g(gamma) and X
 overflows long before the formulas stop being meaningful.
@@ -23,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._stable import sigma, softplus
-from .config import ProblemConfig, check_dimension
+from .config import check_dimension
 from .errors import AdmissionError, ConfigError
 from .nonlinearity import Nonlinearity, eval_g
 
@@ -254,13 +256,15 @@ def turning_integrals(gamma: float, n: int, nl: Nonlinearity, t: float):
     return i1, i2, (s.gpp / s.gp) * i1 + s.gpp * i2
 
 
-def perturbed_root(a: float, n: int, b: float, *, tol: float = 1e-14,
-                   maxit: int = 80, full_output: bool = False):
+# Newton's relative step tolerance and iteration budget in perturbed_root
+_NEWTON_TOL = 1e-14
+_NEWTON_MAXIT = 80
+
+
+def perturbed_root(a: float, n: int, b: float) -> float:
     """Root of x^n - a x^{n-1} - b = 0 near x = a, by damped Newton from a.
 
-    The first Newton step from a is exactly a + b/a^{n-1}; the reported
-    constant C = |X - a - b/a^{n-1}| a^{2n-1} / b^2 measures the quadratic
-    remainder of that expansion.
+    The first Newton step from a is exactly a + b/a^{n-1}.
     """
     if a <= 0.0:
         raise ConfigError(f"a must be positive, got {a}")
@@ -268,7 +272,7 @@ def perturbed_root(a: float, n: int, b: float, *, tol: float = 1e-14,
         raise ConfigError(f"n must be a positive integer, got {n}")
     n = int(n)
     if b == 0.0:
-        return (a, 0.0, 0) if full_output else a
+        return a
 
     def h(x):
         return x ** n - a * x ** (n - 1) - b
@@ -277,8 +281,7 @@ def perturbed_root(a: float, n: int, b: float, *, tol: float = 1e-14,
         return n * x ** (n - 1) - (n - 1.0) * a * x ** (n - 2)
 
     x = a
-    iters = 0
-    for iters in range(1, maxit + 1):
+    for _ in range(_NEWTON_MAXIT):
         fx, dx = h(x), hp(x)
         if dx == 0.0:
             raise AdmissionError("Newton hit a flat spot; outside the basin")
@@ -292,17 +295,16 @@ def perturbed_root(a: float, n: int, b: float, *, tol: float = 1e-14,
             damp += 1
         if not math.isfinite(xn):
             raise AdmissionError("Newton diverged; outside the basin")
-        if abs(xn - x) <= tol * max(1.0, abs(xn)):
+        if abs(xn - x) <= _NEWTON_TOL * max(1.0, abs(xn)):
             x = xn
             break
         x = xn
     else:
-        raise AdmissionError(f"no convergence within {maxit} iterations")
+        raise AdmissionError(
+            f"no convergence within {_NEWTON_MAXIT} iterations")
     if abs(h(x)) > 1e-8 * max(1.0, abs(b), a ** n):
         raise AdmissionError("Newton stalled away from a root; outside the basin")
-    b2 = b * b  # underflows for denormal b; report 0 rather than divide by it
-    c_rep = abs(x - a - b / a ** (n - 1)) * a ** (2 * n - 1) / b2 if b2 > 0.0 else 0.0
-    return (x, c_rep, iters) if full_output else x
+    return x
 
 
 @dataclass(frozen=True)
@@ -313,14 +315,13 @@ class AsymptoticPrediction:
     yprime_T_pred: float
     Tprime_pred: float
     S_pred: float | None
-    A_correction: float
     declared_error_order: dict
 
     def as_dict(self) -> dict:
         return {
             "gamma": self.gamma, "n": self.n, "T_pred": self.T_pred,
             "yprime_T_pred": self.yprime_T_pred, "Tprime_pred": self.Tprime_pred,
-            "S_pred": self.S_pred, "A_correction": self.A_correction,
+            "S_pred": self.S_pred,
         }
 
 
@@ -332,22 +333,20 @@ _ERROR_ORDERS = {
 }
 
 
-def predict_all(gamma: float, n: int, nl: Nonlinearity,
-                include_A: bool = False,
-                cfg: ProblemConfig = ProblemConfig()) -> AsymptoticPrediction:
+def predict_all(gamma: float, n: int, nl: Nonlinearity) -> AsymptoticPrediction:
     """Leading-order predictions for T, y'(T), T' and the turning point.
 
     T_pred = g - ((n-1)/n) gamma g' + (n-1) log(((n-1)/n) g')
-             + alpha_n (n-1) gamma g''/g'   [+ A(gamma)]
+             + alpha_n (n-1) gamma g''/g'
     yprime_T_pred = n/((n-1) g') + n^2 alpha_n g'' / ((n-1)(g')^3)
     Tprime_pred = (1/n)(g' - (n-1) gamma g'')
     S_pred = T1 + (n-1) log((n-1) g''/(g')^2)   (absent when g'' <= 0)
 
     The displayed (log g')^2/g' term of the T expansion is an order, not a
     computable coefficient, so it is excluded from T_pred and only used to
-    normalize error-decay verdicts. include_A adds the bounded correction
-    that appears when f(0) > 0; its quadrature needs y'(t0) from a computed
-    trajectory, so that branch runs a shoot internally.
+    normalize error-decay verdicts. The bounded correction A that appears
+    when f(0) > 0 needs a computed trajectory, so it is
+    shooting.correction_A and not part of T_pred.
     """
     s = snapshot(nl, n, gamma)
     if s.gp <= 1.0:
@@ -359,49 +358,10 @@ def predict_all(gamma: float, n: int, nl: Nonlinearity,
     yprime = s.c + n * n * s.alpha_n * s.gpp \
         / ((n - 1.0) * checked_pow(s.gp, 3, gamma))
     tprime = (s.gp - (n - 1.0) * gamma * s.gpp) / n
-    a_corr = 0.0
-    if include_A and nl.f0 > 0.0:
-        a_corr = correction_A(gamma, n, nl, cfg)
     return AsymptoticPrediction(
-        gamma=float(gamma), n=int(n), T_pred=t_lead + a_corr,
+        gamma=float(gamma), n=int(n), T_pred=t_lead,
         yprime_T_pred=yprime, Tprime_pred=tprime, S_pred=s.S_pred,
-        A_correction=a_corr, declared_error_order=dict(_ERROR_ORDERS))
-
-
-def correction_A(gamma: float, n: int, nl: Nonlinearity,
-                 cfg: ProblemConfig = ProblemConfig()) -> float:
-    """Bounded first-zero correction active when f(0) > 0.
-
-    A = integral over (T + theta0, t0 + theta0) of (1+e^{-t})^{1/(n-1)} - 1,
-    with t0 = (n+3) log g' and theta0 = -log f(0) + (n-1) log y'(t0); zero
-    when the computed zero already sits above t0. Mixes computed and closed
-    form inputs by construction.
-    """
-    from scipy.integrate import quad
-
-    from .shooting import shoot
-
-    if nl.f0 <= 0.0:
-        return 0.0
-    s = snapshot(nl, n, gamma)
-    t0 = (n + 3.0) * math.log(max(s.gp, math.e))
-    out = shoot(nl, n, gamma, cfg, keep_trajectory=True)
-    if out.T is None or out.T >= t0:
-        return 0.0
-    traj = out.traj
-    t_lo, t_hi = traj.t_bounds()
-    t0c = min(max(t0, max(out.T, t_lo)), t_hi)
-    ypr = traj.yprime_t(t0c)
-    if ypr <= 0.0:
-        return 0.0
-    theta0 = -math.log(nl.f0) + (n - 1.0) * math.log(ypr)
-
-    def integrand(t):
-        # (1+e^{-t})^{1/(n-1)} - 1, written to stay accurate for large |t|
-        return math.expm1(float(softplus(-t)) / (n - 1.0))
-
-    val, _ = quad(integrand, out.T + theta0, t0c + theta0, limit=200)
-    return float(val)
+        declared_error_order=dict(_ERROR_ORDERS))
 
 
 @dataclass
@@ -416,13 +376,18 @@ class DecayReport:
         return all(v["bounded"] for v in self.verdicts.values())
 
 
-def error_decay_report(curve, predictions, *, bound_factor: float = 10.0,
-                       quantities=("T", "yprime_T", "Tprime")) -> DecayReport:
+# what error_decay_report judges, in report order
+_JUDGED = ("T", "yprime_T", "Tprime")
+
+
+def error_decay_report(curve, predictions, *,
+                       bound_factor: float = 10.0) -> DecayReport:
     """Raw and normalized prediction errors along a gamma ladder.
 
-    For each quantity the raw error is divided by the claimed error order
-    (see predict_all); the verdict is "bounded" when the normalized errors
-    over the upper half of the grid stay within bound_factor of each other.
+    For each of T, y'(T) and T' (when the curve has it) the raw error is
+    divided by the claimed error order (see predict_all); the verdict is
+    "bounded" when the normalized errors over the upper half of the grid
+    stay within bound_factor of each other.
     Asymptotic claims say nothing at small gamma, so the lower half is
     reported but not judged.
     """
@@ -459,7 +424,7 @@ def error_decay_report(curve, predictions, *, bound_factor: float = 10.0,
         computed = {"T": out.T, "yprime_T": out.yprime_T, "Tprime": tp}
         predicted = {"T": pred.T_pred, "yprime_T": pred.yprime_T_pred,
                      "Tprime": pred.Tprime_pred}
-        for qn in quantities:
+        for qn in _JUDGED:
             if computed[qn] is None:
                 continue
             raw = abs(computed[qn] - predicted[qn])
@@ -472,7 +437,7 @@ def error_decay_report(curve, predictions, *, bound_factor: float = 10.0,
             })
 
     verdicts = {}
-    for qn in quantities:
+    for qn in _JUDGED:
         sub = [r for r in rows if r["Q"] == qn]
         if not sub:
             continue

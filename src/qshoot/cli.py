@@ -73,6 +73,8 @@ KEY_MAP = {
 
 _INT_KEYS = {"n", "gamma-steps"}
 _STR_KEYS = {"family", "out", "format"}
+# output formats: the curve as CSV plus its meta sidecar, or an SVG sketch
+_FORMATS = ("csv", "svg")
 
 
 def parse_config_text(text: str) -> dict:
@@ -133,6 +135,9 @@ def load_run_config(path: str | None, flag_values: dict) -> RunConfig:
     for field_name, v in flag_values.items():
         if v is not None:
             merged[field_name] = v
+    if merged["fmt"] not in _FORMATS:
+        raise ConfigError(f"format must be one of {', '.join(_FORMATS)}, "
+                          f"got {merged['fmt']!r}")
     return RunConfig(**merged)
 
 
@@ -162,7 +167,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tail-c", type=float, dest="tail_c",
                    help="tail start depth multiplier")
     p.add_argument("--out", help="output file path")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"))
+    p.add_argument("--format", dest="fmt", choices=_FORMATS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +200,7 @@ def _flag_values(args) -> dict:
     return vals
 
 
-def _gamma_grid(rc: RunConfig) -> np.ndarray:
+def _gammas(rc: RunConfig) -> np.ndarray:
     if rc.gamma_min is not None or rc.gamma_max is not None:
         if rc.gamma_min is None or rc.gamma_max is None or rc.gamma_steps < 1:
             raise ConfigError("a grid needs --gamma-min, --gamma-max and "
@@ -239,7 +244,7 @@ def cmd_shoot(args) -> int:
 
 def cmd_sweep(args) -> int:
     rc = load_run_config(args.config, _flag_values(args))
-    grid = _gamma_grid(rc)
+    grid = _gammas(rc)
     curve = sweep(rc.nonlinearity(), rc.n, grid, rc.problem())
     solved = [o for o in curve.outcomes if o.T is not None]
     lines = [f"points={len(curve.gammas)}", f"solved={len(solved)}"]
@@ -263,7 +268,7 @@ def cmd_linearize(args) -> int:
     nl = rc.nonlinearity()
     cfg = rc.problem()
     if rc.gamma_min is not None or rc.gamma_max is not None:
-        grid = _gamma_grid(rc)
+        grid = _gammas(rc)
         curve = sweep(nl, rc.n, grid, cfg, with_derivative=True)
         lines = [f"points={len(curve.gammas)}"]
         # uniqueness window: first grid amplitude after which the derivative
@@ -333,7 +338,7 @@ def cmd_regimes(args) -> int:
     nl = rc.nonlinearity()
     cfg = rc.problem()
     if rc.gamma_min is not None or rc.gamma_max is not None:
-        grid = tuple(_gamma_grid(rc))
+        grid = tuple(_gammas(rc))
     else:
         grid = (1e-1, 1e-2, 1e-3, 1e-4)
     rep = classify_small_gamma(nl, rc.n, gammas=grid, cfg=cfg)

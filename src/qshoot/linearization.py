@@ -45,11 +45,7 @@ def solve_V1(nl: Nonlinearity, n: int, gamma: float,
     the solve record of `shoot` plus the boundary value V1(T), from one
     march. The t-route channel starts from the closed-form V2 of the
     comparison solution at the tail start."""
-    def seed(start, s):
-        v2, v2p, _ = s.v2(start.t)
-        return v2, yprime_from_psi(start.psi, n) ** (n - 2.0) * v2p
-
-    return _solve(nl, n, gamma, cfg, route, keep_trajectory, seed)
+    return _solve(nl, n, gamma, cfg, route, keep_trajectory, lin=True)
 
 
 def t_prime(nl: Nonlinearity, n: int, gamma: float,

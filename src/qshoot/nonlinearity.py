@@ -1,9 +1,9 @@
-"""Source terms f(u) = lam * e^{g(u)} with g(u) = a*u^q + rho(u).
+"""Source terms f(u) = lam * e^{g(u)} with g(u) = a*u^q + p*log(u) + b*u.
 
-The lower-order part rho is a derivative family rather than a symbolic
-expression: built-ins cover p*log(u) and b*u, and a user callable can be
-attached for anything else. Derivatives up to order three are exact for the
-built-ins, which the flux-identity checks rely on.
+The lower-order part rho(u) = p*log(u) + b*u is carried as the two
+coefficients p and b of the Nonlinearity; `_rho` is its derivative table.
+Derivatives of g up to order three are exact, which the flux-identity
+checks rely on.
 
 A `linear` flag covers the non-exponential special case f(u) = lam*u used as
 an oracle (the radial problem then has a closed-form first zero for n = 2).
@@ -12,8 +12,7 @@ an oracle (the radial problem then has a closed-form first zero for n = 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,50 +25,14 @@ DEFAULT_HYPOTHESIS_GRID = tuple(float(2**j) for j in range(15))
 
 
 @dataclass(frozen=True)
-class Rho:
-    """rho(u) = p*log(u) + b*u plus an optional user part.
-
-    `custom`, when given, is called as custom(u, k) and must return the k-th
-    derivative for k = 0..3.
-    """
-
-    p: float = 0.0
-    b: float = 0.0
-    custom: Optional[Callable[[float, int], float]] = None
-
-    def __call__(self, u: float, k: int = 0) -> float:
-        val = 0.0
-        if self.p != 0.0:
-            if u <= 0.0:
-                raise ConfigError("log term in rho is singular at u <= 0")
-            if k == 0:
-                val += self.p * math.log(u)
-            elif k == 1:
-                val += self.p / u
-            elif k == 2:
-                val += -self.p / (u * u)
-            else:
-                val += 2.0 * self.p / (u * u * u)
-        if self.b != 0.0:
-            if k == 0:
-                val += self.b * u
-            elif k == 1:
-                val += self.b
-        if self.custom is not None:
-            val += self.custom(u, k)
-        return val
-
-    @property
-    def trivial(self) -> bool:
-        return self.p == 0.0 and self.b == 0.0 and self.custom is None
-
-
-@dataclass(frozen=True)
 class Nonlinearity:
+    """f(u) = lam e^{a u^q + p log(u) + b u}, or lam*u when `linear`."""
+
     lam: float = 1.0
     a: float = 1.0
     q: float = 2.0
-    rho: Rho = field(default_factory=Rho)
+    p: float = 0.0
+    b: float = 0.0
     linear: bool = False
     f0: float = 1.0
     family: str = "pow_exp"
@@ -79,10 +42,32 @@ class Nonlinearity:
         """Flat parameter dict, used by config files and JSON meta blocks."""
         d = {"family": self.family, "lambda": self.lam}
         if not self.linear:
-            d.update({"a": self.a, "q": self.q, "p": self.rho.p, "rho_beta": self.rho.b})
+            d.update({"a": self.a, "q": self.q, "p": self.p, "rho_beta": self.b})
         if self.exploratory:
             d["exploratory"] = True
         return d
+
+
+def _rho(nl: Nonlinearity, u: float, k: int) -> float:
+    """k-th derivative of rho(u) = p*log(u) + b*u."""
+    val = 0.0
+    if nl.p != 0.0:
+        if u <= 0.0:
+            raise ConfigError("log term in rho is singular at u <= 0")
+        if k == 0:
+            val += nl.p * math.log(u)
+        elif k == 1:
+            val += nl.p / u
+        elif k == 2:
+            val += -nl.p / (u * u)
+        else:
+            val += 2.0 * nl.p / (u * u * u)
+    if nl.b != 0.0:
+        if k == 0:
+            val += nl.b * u
+        elif k == 1:
+            val += nl.b
+    return val
 
 
 def _require_finite(*pairs) -> None:
@@ -94,9 +79,7 @@ def _require_finite(*pairs) -> None:
 
 def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
                       p: float = 0.0, rho_beta: float = 0.0, lam: float = 1.0,
-                      n: int | None = None,
-                      custom_rho: Optional[Callable[[float, int], float]] = None,
-                      ) -> Nonlinearity:
+                      n: int | None = None) -> Nonlinearity:
     """Build one of the named families.
 
     pow_exp  g(u) = a*u^q + p*log(u) + rho_beta*u
@@ -116,14 +99,13 @@ def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
     if family == "linear":
         return Nonlinearity(lam=lam, linear=True, f0=0.0, family="linear")
     if family == "exp":
-        q, p, rho_beta, custom_rho = 1.0, 0.0, 0.0, None
+        q, p, rho_beta = 1.0, 0.0, 0.0
     elif family != "pow_exp":
         raise ConfigError(f"unknown family {family!r}")
-    if a <= 0.0 and custom_rho is None and rho_beta <= 0.0:
+    if a <= 0.0 and rho_beta <= 0.0:
         raise ConfigError("need a positive leading coefficient in g")
     if p < 0.0:
         raise ConfigError(f"log coefficient p must be >= 0, got {p}")
-    rho = Rho(p=p, b=rho_beta, custom=custom_rho)
 
     exploratory = q <= 1.0 and family != "exp"
     if family == "exp":
@@ -133,15 +115,10 @@ def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
     if a <= 0.0 or rho_beta < 0.0:
         exploratory = True
 
-    # f(0): a log term kills the source at 0, otherwise g(0+) is finite.
-    if p > 0.0:
-        f0 = 0.0
-    elif custom_rho is not None:
-        f0 = lam * math.exp(custom_rho(0.0, 0))
-    else:
-        f0 = lam
-    return Nonlinearity(lam=lam, a=a, q=q, rho=rho, f0=f0, family=family,
-                        exploratory=exploratory)
+    # f(0): a log term kills the source at 0, otherwise g(0+) = 0
+    f0 = 0.0 if p > 0.0 else lam
+    return Nonlinearity(lam=lam, a=a, q=q, p=p, b=rho_beta, f0=f0,
+                        family=family, exploratory=exploratory)
 
 
 def with_lambda(nl: Nonlinearity, lam: float) -> Nonlinearity:
@@ -170,7 +147,7 @@ def eval_g(nl: Nonlinearity, u: float, k: int = 0) -> float:
         raise ConfigError(f"g evaluated at negative u={u}")
     q = nl.q
     if u == 0.0:
-        if nl.rho.p != 0.0 or (nl.rho.custom is not None and k > 0):
+        if nl.p != 0.0:
             raise ConfigError("g singular at u = 0 for this rho")
         e = q - k
         if e > 0 or nl.a == 0.0:
@@ -179,9 +156,8 @@ def eval_g(nl: Nonlinearity, u: float, k: int = 0) -> float:
             power = nl.a * _falling(q, k)
         else:
             raise ConfigError(f"u^{{q-k}} singular at 0 for q={q}, k={k}")
-        rterm = nl.rho(u, k) if not nl.rho.trivial else 0.0
-        return power + rterm
-    return nl.a * _falling(q, k) * u ** (q - k) + nl.rho(u, k)
+        return power + _rho(nl, u, k)
+    return nl.a * _falling(q, k) * u ** (q - k) + _rho(nl, u, k)
 
 
 def log_f(nl: Nonlinearity, u: float) -> float:
@@ -224,7 +200,7 @@ def eval_fprime_source(nl: Nonlinearity, u: float, t: float) -> float:
         if nl.f0 == 0.0:
             return 0.0
         # f'(0+) = f(0) * g'(0+); only the linear part of g survives at 0
-        gp0 = nl.rho.b if nl.q > 1.0 else (nl.a + nl.rho.b if nl.q == 1.0 else 0.0)
+        gp0 = nl.b if nl.q > 1.0 else (nl.a + nl.b if nl.q == 1.0 else 0.0)
         arg = math.log(nl.f0) - t
         if arg > EXP_ARG_MAX:
             raise OverflowError(f"exponent {arg:.6g} exceeds representable range")
@@ -241,22 +217,12 @@ def eval_fprime_source(nl: Nonlinearity, u: float, t: float) -> float:
     return gp * math.exp(arg)
 
 
-@dataclass(frozen=True)
-class ConvexityThreshold:
-    """Last sample of the `DEFAULT_S0_SCAN` grid failing the test, or 0.0."""
-
-    s0: float
-
-
-def find_s0(nl: Nonlinearity, *, strict: bool = True) -> ConvexityThreshold:
+def find_s0(nl: Nonlinearity) -> float:
     """Convexity threshold s0 read off a geometric scan: the last sample
-    failing g' > 0 and g'' > 0, so the test still fails just above it and
-    s0 lies up to one grid ratio below the true threshold.
-
-    With strict=False the curvature test is g'' >= 0, which admits the pure
-    exponential family (g'' identically zero); the solvers use that weaker
-    floor for monotonicity gating.
-    """
+    failing g' > 0 and g'' >= 0 (0.0 when none does), so the test still
+    fails just above it and s0 lies up to one grid ratio below the true
+    threshold. g'' >= 0 admits the pure exponential family (g'' identically
+    zero)."""
     if nl.linear:
         raise ConfigError("linear family has no convexity threshold")
     us = np.geomspace(*DEFAULT_S0_SCAN)
@@ -264,23 +230,23 @@ def find_s0(nl: Nonlinearity, *, strict: bool = True) -> ConvexityThreshold:
     for i, u in enumerate(us):
         gp = eval_g(nl, float(u), 1)
         gpp = eval_g(nl, float(u), 2)
-        ok[i] = gp > 0.0 and (gpp > 0.0 if strict else gpp >= 0.0)
+        ok[i] = gp > 0.0 and gpp >= 0.0
     if not ok[-1]:
         raise AdmissionError("no convexity threshold found within the scan range")
     bad = np.flatnonzero(~ok)
-    return ConvexityThreshold(s0=float(us[bad[-1]]) if len(bad) else 0.0)
+    return float(us[bad[-1]]) if len(bad) else 0.0
 
 
 def convexity_floor(nl: Nonlinearity) -> float:
     """s0 for route switching and energy gating; inf when weak convexity
-    never holds (then only the radius-variable route applies). Exact for the
-    built-in rho with a > 0, q >= 1 and p, b >= 0: the smallest double with
-    g'' >= 0, a few ulps from the root (p / (a q (q-1)))^{1/q}. The scan
-    serves other inputs and roots outside 1e+-150 (s^2 must stay normal)."""
+    never holds (then only the radius-variable route applies). Exact for
+    a > 0, q >= 1 and p, b >= 0: the smallest double with g'' >= 0, a few
+    ulps from the root (p / (a q (q-1)))^{1/q}. The scan serves other
+    inputs and roots outside 1e+-150 (s^2 must stay normal)."""
     if nl.linear:
         return math.inf
-    a, q, p = nl.a, nl.q, nl.rho.p
-    if nl.rho.custom is None and a > 0.0 and q >= 1.0 and min(p, nl.rho.b) >= 0:
+    a, q, p = nl.a, nl.q, nl.p
+    if a > 0.0 and q >= 1.0 and min(p, nl.b) >= 0:
         if p == 0.0 or q == 1.0:
             return 0.0 if p == 0.0 else math.inf
         s = (p / (a * q * (q - 1.0))) ** (1.0 / q)
@@ -292,7 +258,7 @@ def convexity_floor(nl: Nonlinearity) -> float:
             else:
                 return s
     try:
-        return find_s0(nl, strict=False).s0
+        return find_s0(nl)
     except AdmissionError:
         return math.inf
 
@@ -302,14 +268,14 @@ def g_is_linear(nl: Nonlinearity) -> bool:
     solves the full equation rather than an approximation of it."""
     if nl.linear:
         return False
-    if nl.rho.p != 0.0 or nl.rho.custom is not None:
+    if nl.p != 0.0:
         return False
     return nl.q == 1.0 or nl.a == 0.0
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    gamma_grid: tuple
+    gammas: tuple
     h1_ratios: dict
     h2_values: tuple
     h3_values: tuple
@@ -349,19 +315,15 @@ def _trend(values, grid) -> str:
     return "bounded_below" if np.min(tail) > 0.0 else "inconclusive"
 
 
-def check_hypotheses(nl: Nonlinearity, n: int, gamma_grid=None) -> HypothesisReport:
+def check_hypotheses(nl: Nonlinearity, n: int) -> HypothesisReport:
     """Sampled trend report for the three standing growth assumptions.
 
     These are limits; the verdicts are trend labels on a finite grid, not
-    proofs. The default grid is geometric, 2^0 .. 2^14.
+    proofs. The grid is geometric, 2^0 .. 2^14.
     """
     if nl.linear:
         raise ConfigError("hypothesis probes need the exponential form")
-    grid = tuple(float(x) for x in (gamma_grid if gamma_grid is not None
-                                    else DEFAULT_HYPOTHESIS_GRID))
-    if len(grid) == 0 or any(x <= 0 for x in grid) or any(
-            b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("gamma grid must be positive and increasing")
+    grid = DEFAULT_HYPOTHESIS_GRID
 
     h1 = {k: [] for k in range(4)}
     h2, h3 = [], []
@@ -370,8 +332,7 @@ def check_hypotheses(nl: Nonlinearity, n: int, gamma_grid=None) -> HypothesisRep
         gp = eval_g(nl, gam, 1)
         gpp = eval_g(nl, gam, 2)
         for k in range(4):
-            rk = nl.rho(gam, k) if not nl.rho.trivial else 0.0
-            h1[k].append(rk / gam ** (nl.q - k))
+            h1[k].append(_rho(nl, gam, k) / gam ** (nl.q - k))
         h2.append(gv - (n - 1.0) / n * gam * gp)
         second = gp - (n - 1.0) * gam * gpp
         if gpp <= 0.0 or gp <= 1.0:
@@ -384,7 +345,7 @@ def check_hypotheses(nl: Nonlinearity, n: int, gamma_grid=None) -> HypothesisRep
     h2_trend = _trend(h2, grid)
     h3_trend = _trend(h3, grid)
     return HypothesisReport(
-        gamma_grid=grid,
+        gammas=grid,
         h1_ratios={k: tuple(v) for k, v in h1.items()},
         h2_values=tuple(h2),
         h3_values=tuple(h3),

@@ -228,6 +228,13 @@ def _tail_site(nl: Nonlinearity, n: int, gamma: float, c_tail: float,
     return StateT(t=t_start, y=z0, psi=zp0 ** (n - 1.0)), s
 
 
+def _v2_seed(start: StateT, s, n: int) -> tuple:
+    """The t-route channel's seed (V1, phi) at the tail start `start`: the
+    closed-form V2 of the comparison solution in the snapshot `s`."""
+    v2, v2p, _ = s.v2(start.t)
+    return v2, yprime_from_psi(start.psi, n) ** (n - 2.0) * v2p
+
+
 def tail_start(nl: Nonlinearity, n: int, gamma: float,
                cfg: ProblemConfig = ProblemConfig()) -> StateT:
     """Initial state for the backward t-route march, read off the comparison
@@ -237,10 +244,11 @@ def tail_start(nl: Nonlinearity, n: int, gamma: float,
 
 def tail_admissible(nl: Nonlinearity, n: int, gamma: float,
                     cfg: ProblemConfig) -> bool:
+    """Whether the tail admits gamma; bad inputs raise, as in tail_start."""
     try:
         _tail_site(nl, n, gamma, cfg.c_tail, cfg.beta_weight)
         return True
-    except ConfigError:
+    except AdmissionError:
         return False
 
 
@@ -474,15 +482,16 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
 
 def integrate_t(nl: Nonlinearity, n: int, start: StateT,
                 cfg: ProblemConfig = ProblemConfig(), *, level: float = 0.0,
-                floor: float | None = None, lin: bool = False,
-                lin_init: tuple = (1.0, 0.0),
+                floor: float | None = None,
+                lin_init: tuple | None = None,
                 track_s0: float | None = None) -> Trajectory:
     """March the flux system backwards in t from `start` until y lands on
-    `level`, giving up at `floor` (far below the start unless given);
-    `lin_init` seeds (V1, phi) when the channel is attached."""
+    `level`, giving up at `floor` (far below the start unless given). A
+    seed (V1, phi) in `lin_init` attaches the linearization channel."""
     check_dimension(n, cfg.beta_weight)
     ex = 1.0 / (n - 1.0)
     exd = (n - 2.0) / (n - 1.0)
+    lin = lin_init is not None
 
     def rhs(t, u):
         y, psi = u[0], u[1]
@@ -584,13 +593,12 @@ class EnergyRecord:
     scale: float
 
 
-def energy_series(traj: Trajectory, nl: Nonlinearity | None = None) -> list:
+def energy_series(traj: Trajectory) -> list:
     """E = psi - ((n-1)/n) psi^{n/(n-1)} g'(y) - e^{g(y)-t} at each accepted
     sample with y above the convexity floor. E decreases in t there; the
     returned records keep the trajectory's (decreasing-t) order, and `scale`
     is the natural comparison magnitude |E| + e^{g(y)-t}."""
-    nl = nl if nl is not None else traj.nl
-    n = traj.n
+    nl, n = traj.nl, traj.n
     if traj.kind != "t":
         raise ConfigError("the energy monitor runs in the log-radius variable")
     if nl.linear:

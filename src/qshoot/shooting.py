@@ -25,12 +25,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import quad
 
-from .asymptotics import comparison_z
+from ._stable import softplus
+from .asymptotics import comparison_z, snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import AdmissionError, ConfigError, QShootError, SolverError
 from .nonlinearity import (Nonlinearity, convexity_floor, log_f, with_lambda)
-from .ode import Trajectory, _tail_site, integrate_r, integrate_t
+from .ode import Trajectory, _tail_site, _v2_seed, integrate_r, integrate_t
 # unused here: bound only so perfbench/tracer.py can wrap them as spans
 from .ode import tail_admissible, tail_start  # noqa: F401
 
@@ -125,19 +127,18 @@ def _radius_and_lambda(T: float, n: int, beta: float) -> tuple:
 
 def _solve(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
            route: str | None, keep_trajectory: bool,
-           lin_seed=None) -> ShootOutcome:
+           lin: bool = False) -> ShootOutcome:
     """March one amplitude to its first zero on `route` (chosen when None),
     tracking the convexity floor crossing, and read out its solve record.
-    Passing `lin_seed` attaches the linearization channel and adds V1(T):
-    on the t-route it maps the tail start state and its snapshot to the
-    seed (V1, phi); the r-route seeds from its own series."""
+    `lin` attaches the linearization channel and adds V1(T); the t-route
+    seeds it from the closed-form V2 at the tail start, the r-route from
+    its own series."""
     route, site, track = _route_setup(nl, n, gamma, cfg, route)
-    lin = lin_seed is not None
     if route == "r":
         traj = integrate_r(nl, n, gamma, cfg, lin=lin, track_s0=track)
     else:
-        traj = integrate_t(nl, n, site[0], cfg, lin=lin,
-                           lin_init=lin_seed(*site) if lin else (1.0, 0.0),
+        traj = integrate_t(nl, n, site[0], cfg,
+                           lin_init=_v2_seed(*site, n) if lin else None,
                            track_s0=track)
     T, yprime_T, Ttilde, state = traj.stop_readout()
     R, lam = _radius_and_lambda(T, n, cfg.beta_weight)
@@ -226,6 +227,39 @@ def sweep(nl: Nonlinearity, n: int, gammas,
                             tprime_fd=tfd, errors=errs)
 
 
+def correction_A(gamma: float, n: int, nl: Nonlinearity,
+                 cfg: ProblemConfig = ProblemConfig()) -> float:
+    """Bounded correction to asymptotics.predict_all's T_pred, active when
+    f(0) > 0.
+
+    A = integral over (T + theta0, t0 + theta0) of (1+e^{-t})^{1/(n-1)} - 1,
+    with t0 = (n+3) log g' and theta0 = -log f(0) + (n-1) log y'(t0); zero
+    when the computed zero already sits above t0. Mixes computed and closed
+    form inputs by construction.
+    """
+    if nl.f0 <= 0.0:
+        return 0.0
+    s = snapshot(nl, n, gamma)
+    t0 = (n + 3.0) * math.log(max(s.gp, math.e))
+    out = shoot(nl, n, gamma, cfg, keep_trajectory=True)
+    if out.T is None or out.T >= t0:
+        return 0.0
+    traj = out.traj
+    t_lo, t_hi = traj.t_bounds()
+    t0c = min(max(t0, max(out.T, t_lo)), t_hi)
+    ypr = traj.yprime_t(t0c)
+    if ypr <= 0.0:
+        return 0.0
+    theta0 = -math.log(nl.f0) + (n - 1.0) * math.log(ypr)
+
+    def integrand(t):
+        # (1+e^{-t})^{1/(n-1)} - 1, written to stay accurate for large |t|
+        return math.expm1(float(softplus(-t)) / (n - 1.0))
+
+    val, _ = quad(integrand, out.T + theta0, t0c + theta0, limit=200)
+    return float(val)
+
+
 @dataclass(frozen=True)
 class RegimeReport:
     verdict: str
@@ -309,9 +343,8 @@ class ProfileResult:
 
 
 def export_profile(nl: Nonlinearity, n: int, gamma: float,
-                   cfg: ProblemConfig = ProblemConfig(),
-                   npts: int = 401) -> ProfileResult:
-    """Solution profile u(xi) = w(R xi) on xi in [0, 1].
+                   cfg: ProblemConfig = ProblemConfig()) -> ProfileResult:
+    """Solution profile u(xi) = w(R xi) at 401 points xi in [0, 1].
 
     Inside the tail-start radius the t-route trajectory is extended by the
     comparison closed form (it is what seeded the march); the r-route uses
@@ -320,7 +353,7 @@ def export_profile(nl: Nonlinearity, n: int, gamma: float,
     """
     out = shoot(nl, n, gamma, cfg, keep_trajectory=True)
     traj = out.traj
-    xi = np.linspace(0.0, 1.0, int(npts))
+    xi = np.linspace(0.0, 1.0, 401)
     u = np.empty_like(xi)
     u[0] = gamma
     if traj.kind == "r":

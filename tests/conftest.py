@@ -1,10 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qshoot.config import ProblemConfig
 from qshoot.nonlinearity import make_nonlinearity
+
+# Hypothesis imports its patch writer, and libcst with it, only when a
+# property fails. libcst then warns a DeprecationWarning, which the pytest
+# warning filters turn into an INTERNALERROR that ends the whole run.
+# Importing it here once, with only that warning ignored, keeps a failing
+# property an ordinary test failure.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst absent: Hypothesis writes no patches
+        pass
 
 
 @pytest.fixture(scope="session")

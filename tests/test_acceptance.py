@@ -191,8 +191,7 @@ def test_criterion_09_zero_error_decay(nl_three_halves, cfg2):
     gammas = np.geomspace(20.0, 200.0, 6)
     curve = sweep(nl_three_halves, 2, gammas, cfg2)
     preds = [predict_all(float(g), 2, nl_three_halves) for g in gammas]
-    rep = error_decay_report(curve, preds, bound_factor=10.0,
-                             quantities=("T",))
+    rep = error_decay_report(curve, preds, bound_factor=10.0)
     ratio = rep.verdicts["T"]["max_over_min"]
     lead = 2.0 / (1.5 * math.sqrt(200.0))
     slope_rel = abs(curve.outcomes[-1].yprime_T

@@ -81,6 +81,23 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("qshoot: error:") and name in err
 
+    @pytest.mark.parametrize("where,value", [("flag", "json"),
+                                             ("file", "xml")])
+    def test_format_must_be_csv_or_svg(self, capsys, tmp_path, where, value):
+        out = tmp_path / "s.out"
+        argv = ["sweep", "--family", "exp", "--gamma-min", "1",
+                "--gamma-max", "2", "--gamma-steps", "2", "--out", str(out)]
+        if where == "flag":
+            argv += ["--format", value]
+        else:
+            cfile = tmp_path / "run.cfg"
+            cfile.write_text(f"format={value}\n")
+            argv += ["--config", str(cfile)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("qshoot: error:") and repr(value) in err
+        assert not out.exists()
+
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1
@@ -103,7 +120,7 @@ class TestExitCodes:
 class TestRunConfig:
     def test_text_round_trip(self):
         rc = RunConfig(family="exp", gamma=2.5, n=3, tol=1e-9,
-                       out="x.csv", fmt="json")
+                       out="x.csv", fmt="svg")
         assert load_run_config(None, parse_config_text(config_text(rc))) == rc
 
     def test_canonical_text_is_sorted_and_stable(self):

@@ -64,7 +64,7 @@ class TestTailStart:
             tail_start(nl_square, 2, 5.0, ProblemConfig(c_tail=0.1))
 
     def test_amplitude_below_convexity_floor_is_refused(self, nl_family_ii):
-        floor = find_s0(nl_family_ii, strict=False).s0
+        floor = find_s0(nl_family_ii)
         with pytest.raises(AdmissionError):
             tail_start(nl_family_ii, 2, 0.5 * floor)
 
@@ -81,6 +81,15 @@ class TestTailStart:
         assert tail_admissible(nl_exp, 2, 3.0, cfg2)
         assert tail_admissible(nl_square, 2, 5.0, cfg2)
         assert not tail_admissible(nl_square, 2, 0.4, cfg2)
+
+    @pytest.mark.parametrize("n, gamma, reason", [
+        (1, 3.0, "dimension n"), (2, math.nan, "gamma must be finite")])
+    def test_bad_input_is_an_error_not_a_refusal(self, nl_exp, cfg2, n,
+                                                 gamma, reason):
+        for call in (tail_start, tail_admissible):
+            with pytest.raises(ConfigError, match=reason) as exc:
+                call(nl_exp, n, gamma, cfg2)
+            assert not isinstance(exc.value, AdmissionError)
 
     def test_picard_pass_confirms_the_start_state(self, nl_square):
         rep = tail_refinement_delta(nl_square, 2, 5.0)
@@ -128,7 +137,7 @@ class TestBackwardMarch:
         assert e_tight <= 1e-7
 
     def test_threshold_crossing_is_tracked(self, nl_family_ii, cfg2):
-        s0 = find_s0(nl_family_ii).s0
+        s0 = find_s0(nl_family_ii)
         st = tail_start(nl_family_ii, 2, 8.0, cfg=cfg2)
         traj = integrate_t(nl_family_ii, 2, st, cfg2, track_s0=s0)
         assert traj.s0 is not None
@@ -266,11 +275,11 @@ class TestEnergyMonitor:
         with pytest.raises(ConfigError):
             energy_series(traj)
 
-    def test_linear_family_is_refused(self, nl_linear, nl_square, cfg2):
-        st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        traj = integrate_t(nl_square, 2, st, cfg2)
+    def test_linear_family_is_refused(self, nl_linear, cfg2):
+        # no tail start admits the linear family, but a direct march can
+        traj = integrate_t(nl_linear, 2, StateT(t=0.0, y=1.0, psi=0.5), cfg2)
         with pytest.raises(ConfigError):
-            energy_series(traj, nl=nl_linear)
+            energy_series(traj)
 
     def test_violation_detector_flags_an_increase(self):
         from qshoot.ode import EnergyRecord

@@ -95,10 +95,10 @@ class TestRowSchemas:
         assert "nonlinearity" in meta
 
     def test_profile_rows(self, nl_exp, cfg2):
-        pr = export_profile(nl_exp, 2, 2.0, cfg2, npts=31)
+        pr = export_profile(nl_exp, 2, 2.0, cfg2)
         header, rows = profile_rows(pr)
         assert header == ("xi", "u")
-        assert len(rows) == 31
+        assert len(rows) == 401
         assert rows[0] == (0.0, 2.0)
 
     def test_svg_has_labeled_axes(self, nl_square, cfg2):

@@ -166,10 +166,9 @@ class TestRouteChoice:
                              (nl_square, 2, 5.0)):
             out = shoot(nl, n, gamma, ProblemConfig())
             assert math.isfinite(out.T)
-        custom = make_nonlinearity("pow_exp", q=2.0,
-                                   custom_rho=lambda u, k: 0.0)
+        drift = make_nonlinearity("pow_exp", q=2.0, rho_beta=-1.0)
         with pytest.raises(AssertionError, match="find_s0"):
-            shoot(custom, 2, 5.0, ProblemConfig())
+            shoot(drift, 2, 5.0, ProblemConfig())
 
     def test_choice_is_the_route_marched(self, nl_family_ii, nl_exp,
                                          nl_linear, nl_square, cfg2):
@@ -452,5 +451,14 @@ class TestProfileExport:
         assert all(b < a for a, b in zip(pr.u, pr.u[1:]))
 
     def test_point_count_is_respected(self, nl_exp, cfg2):
-        pr = export_profile(nl_exp, 2, 2.0, cfg2, npts=101)
-        assert len(pr.xi) == 101 and len(pr.u) == 101
+        pr = export_profile(nl_exp, 2, 2.0, cfg2)
+        assert len(pr.xi) == 401 and len(pr.u) == 401
+
+    @pytest.mark.parametrize("name, gamma", [
+        ("nl_exp", 0.5), ("nl_linear", 1.0), ("nl_family_ii", 1.5)])
+    def test_radius_route_profile(self, request, cfg2, name, gamma):
+        pr = export_profile(request.getfixturevalue(name), 2, gamma, cfg2)
+        assert pr.outcome.route == "r"
+        assert pr.u[0] == gamma
+        assert all(b < a for a, b in zip(pr.u, pr.u[1:]))
+        assert abs(pr.u[-1]) <= 1e-9
