@@ -11,7 +11,6 @@ may be evaluated on a whole grid at once.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 # np.exp overflows past ~709.78; anything above this is an error upstream.
 EXP_ARG_MAX = 709.0
@@ -23,6 +22,10 @@ def softplus(x):
 
 
 def sigma(x):
-    """Logistic function e^x / (1 + e^x)."""
-    return expit(x)
+    """Logistic function e^x / (1 + e^x), from e^{-|x|} so that no
+    exponential overflows."""
+    e = np.exp(-np.abs(x))
+    # [()] turns the 0-d result of a scalar x into a numpy float
+    return np.where(np.greater_equal(x, 0.0), 1.0 / (1.0 + e),
+                    e / (1.0 + e))[()]
 

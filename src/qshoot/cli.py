@@ -2,13 +2,15 @@
 
 Subcommands: shoot, sweep, linearize, verify, regimes, singular. Options
 can come from flags or a flat key=value config file (flags win, file next,
-defaults last). Exit codes: 0 success, 1 configuration or usage error,
-2 solver failure, 3 verification failure.
+defaults last); `main` reuses one parser per process. Exit codes: 0
+success, 1 configuration or usage error, 2 solver failure, 3 verification
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -170,7 +172,10 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="fmt", choices=_FORMATS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, so each `main` call reuses it."""
     top = _Parser(prog="qshoot",
                   description="first-zero shooting for quasilinear radial "
                               "problems with exponential growth")

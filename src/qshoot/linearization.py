@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._numeric import brentq
 from .asymptotics import checked_pow, snapshot
 from .config import ProblemConfig
 from .errors import ConfigError

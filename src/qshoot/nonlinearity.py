@@ -222,14 +222,17 @@ def find_s0(nl: Nonlinearity) -> float:
     failing g' > 0 and g'' >= 0 (0.0 when none does), so the test still
     fails just above it and s0 lies up to one grid ratio below the true
     threshold. g'' >= 0 admits the pure exponential family (g'' identically
-    zero)."""
+    zero); a sample where g' or g'' overflows fails the test."""
     if nl.linear:
         raise ConfigError("linear family has no convexity threshold")
     us = np.geomspace(*DEFAULT_S0_SCAN)
     ok = np.empty(len(us), dtype=bool)
     for i, u in enumerate(us):
-        gp = eval_g(nl, float(u), 1)
-        gpp = eval_g(nl, float(u), 2)
+        try:
+            gp = eval_g(nl, float(u), 1)
+            gpp = eval_g(nl, float(u), 2)
+        except OverflowError:
+            gp = gpp = math.nan
         ok[i] = gp > 0.0 and gpp >= 0.0
     if not ok[-1]:
         raise AdmissionError("no convexity threshold found within the scan range")

@@ -40,17 +40,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from ._numeric import brentq, quad
 from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import (AdmissionError, ConfigError, EventNotFoundError,
                      SolverError)
 from .nonlinearity import (Nonlinearity, convexity_floor, eval_fprime_source,
                            eval_g, eval_source, g_is_linear, log_f)
-# unused here: bound only so perfbench/tracer.py can wrap it as a span
-from scipy.integrate import solve_ivp  # noqa: F401
 
 # pure relative control on the flux component (see module docstring)
 _PSI_ATOL = 1e-300
@@ -264,14 +261,25 @@ def tail_refinement_delta(nl: Nonlinearity, n: int, gamma: float,
     st, s = _tail_site(nl, n, gamma, cfg.c_tail, cfg.beta_weight)
     t0, hi = st.t, st.t + 40.0 * (n - 1.0)
 
+    def source(us):
+        return [eval_source(nl, z, u) for z, u in zip(s.z(us)[0], us)]
+
     def psi1(t):
-        val, _ = quad(lambda u: eval_source(nl, s.z(u)[0], u), t, hi, limit=200)
+        val, _ = quad(source, t, hi, limit=200)
         return val + math.exp(s.g - hi)  # source ~ f(gamma) e^{-s} past the window
 
-    y_int, _ = quad(lambda u: psi1(u) ** (1.0 / (n - 1.0)), t0, hi, limit=100)
+    y_int, _ = quad(lambda us: [psi1(u) ** (1.0 / (n - 1.0)) for u in us],
+                    t0, hi, limit=100)
     y1 = s.z(hi)[0] - y_int  # z itself past the window
     return {"delta_y": abs(y1 - st.y), "delta_psi": abs(psi1(t0) - st.psi),
             "t_start": t0, "window": 40.0 * (n - 1.0)}
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's solve_ivp, imported on the first call. The march does not
+    use it: it is bound only so perfbench/tracer.py can wrap it as a span."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 # weights of the stages in the last coefficient of Shampine's dense output
@@ -519,7 +527,10 @@ def series_startup_radius(nl: Nonlinearity, n: int, gamma: float,
 
 
 def _f_at(nl: Nonlinearity, gamma: float) -> float:
-    lf = log_f(nl, gamma)
+    try:
+        lf = log_f(nl, gamma)
+    except OverflowError:
+        lf = math.inf
     if lf > _LOG_CAP:
         raise AdmissionError(
             f"log f(gamma) = {lf:.3g} exceeds the exponent budget "

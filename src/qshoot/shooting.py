@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._numeric import quad
 from ._stable import softplus
 from .asymptotics import comparison_z, snapshot
 from .config import ProblemConfig, check_dimension
@@ -254,7 +254,7 @@ def correction_A(gamma: float, n: int, nl: Nonlinearity,
 
     def integrand(t):
         # (1+e^{-t})^{1/(n-1)} - 1, written to stay accurate for large |t|
-        return math.expm1(float(softplus(-t)) / (n - 1.0))
+        return np.expm1(softplus(-t) / (n - 1.0))
 
     val, _ = quad(integrand, out.T + theta0, t0c + theta0, limit=200)
     return float(val)

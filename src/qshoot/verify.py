@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._numeric import quad
 from .asymptotics import (comparison_z, harmonic, perturbed_root, predict_all,
                           psi_eval, snapshot, tail_power_integral,
                           turning_integrals, z_ode_log_residual)

@@ -1,14 +1,17 @@
 """Command line surface: exit codes, config file handling, deterministic
 file outputs."""
 
+import gc
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qshoot.cli import (
     RunConfig,
+    build_parser,
     config_text,
     load_run_config,
     main,
@@ -97,6 +100,16 @@ class TestExitCodes:
         assert (code, stdout) == (1, "")
         assert err.startswith("qshoot: error:") and repr(value) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # the floor scan overflows g' at u = 1e-6
+        ("shoot", "--q", "-50", "--gamma", "2"),
+        # the tail refuses, then log f(gamma) overflows at the radius start
+        ("shoot", "--gamma", "1e160")])
+    def test_overflowing_exponent_is_a_typed_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (1, 2) and out == ""
+        assert err.startswith("qshoot: ") and err.count("\n") == 1
 
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)
@@ -324,3 +337,77 @@ class TestOtherCommands:
                                "--beta-weight", "2", "--gamma", "1")
         assert code == 1
         assert "beta" in err
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; no call leaves state in
+    it for the next."""
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_suite_flags_do_not_accumulate(self, capsys):
+        run_cli(capsys, "verify", "--suite", "identities")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "oracles")
+        assert code == 0
+        assert [l.split(":")[0] for l in out.splitlines()
+                if l.startswith("suite")] == ["suite oracles"]
+
+    def test_an_amplitude_is_not_remembered(self, capsys):
+        assert run_cli(capsys, "shoot", "--gamma", "3")[0] == 0
+        code, out, err = run_cli(capsys, "shoot")
+        assert (code, out) == (1, "")
+        assert "shoot needs --gamma" in err
+
+    def test_config_file_values_are_not_remembered(self, capsys, tmp_path):
+        fresh = run_cli(capsys, "shoot", "--gamma", "2")
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("family=exp\nn=3\n")
+        with_file = run_cli(capsys, "shoot", "--config", str(cfile),
+                            "--gamma", "2")
+        assert with_file != fresh
+        assert run_cli(capsys, "shoot", "--gamma", "2") == fresh
+
+    def test_usage_and_version_are_unchanged_by_a_solve(self, capsys):
+        def usage_and_version():
+            usage = run_cli(capsys)
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            return usage, exc.value.code, capsys.readouterr()
+
+        before = usage_and_version()
+        assert run_cli(capsys, "shoot", "--family", "exp", "--gamma", "3")[0] \
+            == 0
+        assert usage_and_version() == before
+
+
+class TestCallCost:
+    """A warm call leaves no cyclic garbage, and a cold one imports no
+    scipy."""
+
+    @pytest.mark.parametrize("argv", [
+        ("shoot", "--family", "exp", "--n", "2", "--gamma", "3"),
+        ("sweep", "--family", "exp", "--n", "2", "--gamma-min", "2",
+         "--gamma-max", "4", "--gamma-steps", "3")])
+    def test_a_warm_call_leaves_no_cyclic_garbage(self, capsys, argv):
+        run_cli(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_cli(capsys, *argv)[0] == 0
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert freed <= 20
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys\n"
+                f"sys.path.insert(0, {src!r})\n"
+                "import qshoot.cli\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m == 'scipy' or m.startswith('scipy.')))\n")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"

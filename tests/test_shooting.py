@@ -347,6 +347,9 @@ class TestFarZero:
     @example(FAR_ZERO_N4)
     @example(NEAR_ZERO_R)
     @example(NEAR_ZERO_LAM)
+    # g' overflows in the floor scan; log f(gamma) overflows at the r start
+    @example(("pow_exp", 2, -50.0, 0.0, 0.0, 1.0, 2.0, None))
+    @example(("pow_exp", 2, 2.0, 0.0, 0.0, 1.0, 1e160, None))
     @settings(max_examples=150, deadline=None)
     def test_shoot_never_crashes(self, case):
         n, gamma, route = case[1], case[6], case[7]
