@@ -24,6 +24,10 @@ def softplus(x):
 def sigma(x):
     """Logistic function e^x / (1 + e^x), from e^{-|x|} so that no
     exponential overflows."""
+    if isinstance(x, float):
+        # the same numpy exp, without the array machinery's cost per call
+        e = np.exp(-abs(x))
+        return 1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e)
     e = np.exp(-np.abs(x))
     # [()] turns the 0-d result of a scalar x into a numpy float
     return np.where(np.greater_equal(x, 0.0), 1.0 / (1.0 + e),

@@ -1,14 +1,15 @@
 """Event-detecting integration of the radial problem in flux form.
 
 One marching core (`_march`) serves both coordinate setups of the same
-equation. It drives the in-repo DOPRI5(4) stepper (`_dopri`: the
-Dormand-Prince pair with Shampine's dense output under RK45's control law),
-which ends the march with a genuine step onto the stop level. It finds the
-convexity floor crossing on the dense output, raises with the last accepted
-state when the march fails or misses its stop, and assembles the
-Trajectory. Each setup only supplies its start state, its span and one
-right-hand side, which appends the linearization block (the derivative of
-the flow with respect to gamma; see the linearization module) when asked:
+equation. It drives the in-repo DOP853 stepper (`_dopri`: the
+Dormand-Prince 8(5,3) pair with its 7th-order dense output, under scipy
+DOP853's control law), which ends the march with a genuine step onto the
+stop level. It finds the convexity floor crossing on the dense output,
+raises with the last accepted state when the march fails or misses its
+stop, and assembles the Trajectory. Each setup only supplies its start
+state, its span and one right-hand side, which appends the linearization
+block (the derivative of the flow with respect to gamma; see the
+linearization module) when asked:
 
   t-route   y' = psi^{1/(n-1)}, psi' = -f(y) e^{-t}, integrated backwards in
             the log-radius variable t from a tail start down to the first
@@ -282,46 +283,159 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-# weights of the stages in the last coefficient of Shampine's dense output
-# (Hairer, Norsett & Wanner, II.6, as in their DOPRI5)
-_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-      -10690763975 / 1880347072, 701980252875 / 199316789632,
-      -1453857185 / 822651844, 69997945 / 29380423)
+# The DOP853 tableau (Hairer, Norsett & Wanner, II.5; the coefficients of
+# their dop853.f), 0-based by stage: _A[s][j] weighs stage j into stage s.
+# Stages 0-11 make the step, row 12 holds the 8th-order weights and stage
+# 12 is the slope at the new point, stages 13-15 serve the dense output
+# only. _E5 and _E3 weigh the stages into the 5th- and 3rd-order error
+# estimates, _D into the dense output's four highest coefficients (II.6).
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+      0.7777777777777778)
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+       1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+       -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
+_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
+_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+)
 
 
 def _dp_step(rhs, t, y, k1, h, rtol, atol):
-    """One Dormand-Prince step of length h from (t, y), k1 = rhs(t, y): the
-    new state, the seven stages (the last is rhs there) and the RMS error
-    norm over atol + rtol max(|y|, |y_new|), inf or NaN to fail the step."""
-    k2 = rhs(t + 0.2 * h, [u + h * (0.2 * a) for u, a in zip(y, k1)])
-    k3 = rhs(t + 0.3 * h, [u + h * (3 / 40 * a + 9 / 40 * b)
-                           for u, a, b in zip(y, k1, k2)])
-    k4 = rhs(t + 0.8 * h, [u + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
-                           for u, a, b, c in zip(y, k1, k2, k3)])
-    k5 = rhs(t + 8 / 9 * h, [
-        u + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
-                 - 212 / 729 * d)
-        for u, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + h, [
-        u + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
-                 + 49 / 176 * d - 5103 / 18656 * e)
-        for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [u + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
-                      - 2187 / 6784 * e + 11 / 84 * f)
-             for u, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(t + h, y_new)
-    err = math.hypot(*[h * (-71 / 57600 * a + 71 / 16695 * c - 71 / 1920 * d
-                            + 17253 / 339200 * e - 22 / 525 * f + g / 40)
-                       / (at + max(abs(u), abs(v)) * rtol)
-                       for u, v, a, c, d, e, f, g, at
-                       in zip(y, y_new, k1, k3, k4, k5, k6, k7, atol)])
-    return y_new, (k1, k2, k3, k4, k5, k6, k7), err / math.sqrt(len(y))
+    """One DOP853 step of length h from (t, y), k1 = rhs(t, y): the new
+    state, the thirteen stages (the last is rhs there) and the 3/5 error
+    norm over atol + rtol max(|y|, |y_new|) (II.10), inf or NaN to fail
+    the step. The stage sums are unrolled over the tableau's nonzeros, in
+    Hairer's 1-based names: a loop over the tableau costs more than the
+    right-hand side."""
+    _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _C[:11]
+    (a21,), (a31, a32), (a41, _, a43), (a51, _, a53, a54) = _A[1:5]
+    a61, _, _, a64, a65 = _A[5]
+    a71, _, _, a74, a75, a76 = _A[6]
+    a81, _, _, a84, a85, a86, a87 = _A[7]
+    a91, _, _, a94, a95, a96, a97, a98 = _A[8]
+    a101, _, _, a104, a105, a106, a107, a108, a109 = _A[9]
+    a111, _, _, a114, a115, a116, a117, a118, a119, a1110 = _A[10]
+    a121, _, _, a124, a125, a126, a127, a128, a129, a1210, a1211 = _A[11]
+    b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = _A[12]
+    # the error weights: er the 5th-order ones, eb = b - bhh the 3rd-order
+    er1, _, _, _, _, er6, er7, er8, er9, er10, er11, er12, _ = _E5
+    eb1, _, _, _, _, eb6, eb7, eb8, eb9, eb10, eb11, eb12, _ = _E3
+    k2 = rhs(t + c2 * h, [u + h * (a21 * a) for u, a in zip(y, k1)])
+    k3 = rhs(t + c3 * h, [u + h * (a31 * a + a32 * b)
+                          for u, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + c4 * h, [u + h * (a41 * a + a43 * c)
+                          for u, a, c in zip(y, k1, k3)])
+    k5 = rhs(t + c5 * h, [u + h * (a51 * a + a53 * c + a54 * d)
+                          for u, a, c, d in zip(y, k1, k3, k4)])
+    k6 = rhs(t + c6 * h, [u + h * (a61 * a + a64 * d + a65 * e)
+                          for u, a, d, e in zip(y, k1, k4, k5)])
+    k7 = rhs(t + c7 * h, [u + h * (a71 * a + a74 * d + a75 * e + a76 * f)
+                          for u, a, d, e, f in zip(y, k1, k4, k5, k6)])
+    k8 = rhs(t + c8 * h, [
+        u + h * (a81 * a + a84 * d + a85 * e + a86 * f + a87 * g)
+        for u, a, d, e, f, g in zip(y, k1, k4, k5, k6, k7)])
+    k9 = rhs(t + c9 * h, [
+        u + h * (a91 * a + a94 * d + a95 * e + a96 * f + a97 * g + a98 * m)
+        for u, a, d, e, f, g, m in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = rhs(t + c10 * h, [
+        u + h * (a101 * a + a104 * d + a105 * e + a106 * f + a107 * g
+                 + a108 * m + a109 * o)
+        for u, a, d, e, f, g, m, o in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = rhs(t + c11 * h, [
+        u + h * (a111 * a + a114 * d + a115 * e + a116 * f + a117 * g
+                 + a118 * m + a119 * o + a1110 * p)
+        for u, a, d, e, f, g, m, o, p
+        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = rhs(t + h, [
+        u + h * (a121 * a + a124 * d + a125 * e + a126 * f + a127 * g
+                 + a128 * m + a129 * o + a1210 * p + a1211 * r)
+        for u, a, d, e, f, g, m, o, p, r
+        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+    y_new = [u + h * (b1 * a + b6 * f + b7 * g + b8 * m + b9 * o + b10 * p
+                      + b11 * r + b12 * s)
+             for u, a, f, g, m, o, p, r, s
+             in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+    k13 = rhs(t + h, y_new)
+    e5 = e3 = 0.0
+    for u, v, a, f, g, m, o, p, r, s, at in zip(y, y_new, k1, k6, k7, k8, k9,
+                                                k10, k11, k12, atol):
+        sc = at + max(abs(u), abs(v)) * rtol
+        x5 = (er1 * a + er6 * f + er7 * g + er8 * m + er9 * o + er10 * p
+              + er11 * r + er12 * s) / sc
+        x3 = (eb1 * a + eb6 * f + eb7 * g + eb8 * m + eb9 * o + eb10 * p
+              + eb11 * r + eb12 * s) / sc
+        e5 += x5 * x5
+        e3 += x3 * x3
+    err = abs(h) * e5 / math.sqrt(len(y) * (e5 + 0.01 * e3)) if e5 else 0.0
+    return y_new, (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12,
+                   k13), err
 
 
-def _at(c, x):
-    """A `DenseOutput.quartics` entry at the fraction x of its step."""
+def _poly(c, x):
+    """A `DenseOutput.coefficients` entry at the fraction x of its step."""
     w = 1.0 - x
-    return c[0] + x * (c[1] + w * (c[2] + x * (c[3] + w * c[4])))
+    return c[0] + x * (c[1] + w * (c[2] + x * (c[3] + w * (
+        c[4] + x * (c[5] + w * (c[6] + x * c[7]))))))
 
 
 def _crosses(g, g_new) -> bool:
@@ -330,34 +444,43 @@ def _crosses(g, g_new) -> bool:
 
 
 class DenseOutput:
-    """Piecewise quartic interpolant over the accepted steps of one march.
-    It keeps each step's ends and stages and builds the step's quartic when
-    first evaluated. A node belongs to the step ending there."""
+    """Piecewise 7th-order interpolant over the accepted steps of one march
+    (II.6, as in DOP853). It keeps each step's ends and stages, and on the
+    first evaluation inside a step pays that step's three extra stages.
+    A read at a node returns the stored sample."""
 
-    def __init__(self, ts, ys, stages):
-        self.ts, self.ys, self.stages = ts, ys, stages
+    def __init__(self, rhs, ts, ys, stages):
+        self.rhs, self.ts, self.ys, self.stages = rhs, ts, ys, stages
         self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
         self._keys = [self._sign * t for t in ts]
-        self._quartics = {}
+        self._coefficients = {}
 
-    def quartics(self, i):
-        """Shampine's quartic per component of step i, as `_at` reads it."""
-        if i not in self._quartics:
-            K, h = self.stages[i], self.ts[i + 1] - self.ts[i]
-            q = self._quartics[i] = []
-            for c, (u0, u1) in enumerate(zip(self.ys[i], self.ys[i + 1])):
-                dy = u1 - u0
-                b = h * K[0][c] - dy
-                q.append((u0, dy, b, dy - h * K[6][c] - b,
-                          h * sum(d * k[c] for d, k in zip(_D, K))))
-        return self._quartics[i]
+    def coefficients(self, i):
+        """The interpolant of step i per component, as `_poly` reads it."""
+        if i not in self._coefficients:
+            t, y, h = self.ts[i], self.ys[i], self.ts[i + 1] - self.ts[i]
+            K = list(self.stages[i])
+            for c, row in zip(_C[13:], _A[13:]):
+                K.append(self.rhs(t + c * h, [
+                    u + h * sum(a * k[j] for a, k in zip(row, K))
+                    for j, u in enumerate(y)]))
+            q = self._coefficients[i] = []
+            for j, (u0, u1) in enumerate(zip(y, self.ys[i + 1])):
+                dy, f0, f1 = u1 - u0, h * K[0][j], h * K[12][j]
+                q.append((u0, dy, f0 - dy, 2.0 * dy - f1 - f0)
+                         + tuple(h * sum(d * k[j] for d, k in zip(row, K))
+                                 for row in _D))
+        return self._coefficients[i]
 
     def __call__(self, x) -> np.ndarray:
         x, ts = float(x), self.ts
         i = min(max(bisect_left(self._keys, self._sign * x) - 1, 0),
                 len(self.stages) - 1)
+        for node in (i + 1, i):
+            if x == ts[node]:
+                return np.array(self.ys[node])
         frac = (x - ts[i]) / (ts[i + 1] - ts[i])
-        return np.array([_at(c, frac) for c in self.quartics(i)])
+        return np.array([_poly(c, frac) for c in self.coefficients(i)])
 
     def crossing(self, level, xtol):
         """First abscissa where y[0] meets `level`, or None. An end of the
@@ -365,34 +488,36 @@ class DenseOutput:
         ts, ys = self.ts, self.ys
         for i in range(len(self.stages)):
             if _crosses(ys[i][0] - level, ys[i + 1][0] - level):
-                c, h = self.quartics(i)[0], ts[i + 1] - ts[i]
-                if not _crosses(c[0] - level, _at(c, 1.0) - level):
+                c, h = self.coefficients(i)[0], ts[i + 1] - ts[i]
+                if not _crosses(c[0] - level, _poly(c, 1.0) - level):
                     return ts[i + 1]
                 return ts[i] + h * float(brentq(
-                    lambda x: _at(c, x) - level, 0.0, 1.0, xtol=xtol / abs(h)))
+                    lambda x: _poly(c, x) - level, 0.0, 1.0,
+                    xtol=xtol / abs(h)))
         return None
 
-    def land(self, rhs, level, xtol, tols, counts):
+    def land(self, level, xtol, tols, counts):
         """Where y[0] meets `level` on the last step, after replacing that
         step by one ending there: Newton on its length from the crossing on
-        the quartic, kept inside the step. If Newton leaves it (y' vanishing)
-        or a step fails the error test (a source exploding there), it stays."""
+        the interpolant, kept inside the step. If Newton leaves it (y'
+        vanishing) or a step fails the error test (a source exploding
+        there), it stays."""
         stop = self.crossing(level, xtol)
         t, y, f = self.ts[-2], self.ys[-2], self.stages[-1][0]
         h, h_acc = stop - t, self.ts[-1] - t
         for _ in range(8):
             t_new = t + h
             h = t_new - t
-            y_new, K, err = _dp_step(rhs, t, y, f, h, *tols)
-            counts["nfev"] += 6
+            y_new, K, err = _dp_step(self.rhs, t, y, f, h, *tols)
+            counts["nfev"] += 12
             counts["landing"] += 1
             miss = y_new[0] - level
-            h_next = h - miss / K[6][0] if K[6][0] else math.nan
+            h_next = h - miss / K[12][0] if K[12][0] else math.nan
             if not (err < 1.0 and 0.0 < h_next / h_acc <= 1.0):
                 break
             if abs(h_next - h) <= xtol:
                 self.ts[-1], self.ys[-1], self.stages[-1] = t_new, y_new, K
-                self._quartics.pop(len(self.stages) - 1, None)
+                self._coefficients.pop(len(self.stages) - 1, None)
                 counts["landed"] = True
                 return t_new
             h = h_next
@@ -400,10 +525,13 @@ class DenseOutput:
 
 
 def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
-    """DOPRI5(4) march of y' = rhs(t, y) from t towards t_end under RK45's
-    control law (initial step, safety 0.9, factors in [0.2, 10], none above
-    1 after a rejection, failure below 10 ulp(t)): the dense output, where
-    y[0] met `level` (None if not; see `land`), and the counters."""
+    """DOP853 march of y' = rhs(t, y) from t towards t_end under scipy
+    DOP853's control law (initial step, safety 0.9, exponent 1/8, factors
+    in [0.2, 10], none above 1 after a rejection, failure below 10
+    ulp(t)): the dense output, where y[0] met `level` (None if not; see
+    `land`), and the counters. `nfev` counts the march's own evaluations,
+    2 + 12 per attempted or landing step; the dense output's extra stages
+    are not in it."""
     sign, span = (1.0 if t_end > t else -1.0), abs(t_end - t)
     f = rhs(t, y)
     # initial step (Hairer, Norsett & Wanner, II.4)
@@ -415,7 +543,7 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
     d2 = math.hypot(*[(b - a) / s for a, b, s in zip(f, f1, scale)]) \
         / math.sqrt(len(y)) / h0 if h0 else math.inf
     h_abs = min(100.0 * h0, span, max(1e-6, h0 * 1e-3)
-                if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2)
+                if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125)
     ts, ys, stages = [t], [y], []
     counts = dict(status=0, nfev=2, rejected=0, landing=0, landed=False)
     g = None if level is None else y[0] - level
@@ -425,15 +553,15 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
         while True:
             if not h_abs >= min_step:  # a NaN step fails too
                 counts["status"] = -1
-                return DenseOutput(ts, ys, stages), None, counts
+                return DenseOutput(rhs, ts, ys, stages), None, counts
             t_new = t + sign * h_abs
             if sign * (t_new - t_end) > 0.0:
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
             y_new, K, err = _dp_step(rhs, t, y, f, h, rtol, atol)
-            counts["nfev"] += 6
-            factor = 10.0 if err == 0.0 else 0.9 * err ** -0.2
+            counts["nfev"] += 12
+            factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125
             if err < 1.0:
                 h_abs *= min(1.0 if retry else 10.0, factor)
                 break
@@ -444,15 +572,15 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
         ts.append(t_new)
         ys.append(y_new)
         stages.append(K)
-        t, y, f = t_new, y_new, K[6]
+        t, y, f = t_new, y_new, K[12]
         if g is not None:
             g_old, g = g, y[0] - level
             if _crosses(g_old, g):
                 counts["status"], counts["landed"] = 1, g == 0.0
                 break
-    dense = DenseOutput(ts, ys, stages)
+    dense = DenseOutput(rhs, ts, ys, stages)
     if counts["status"] == 1 and not counts["landed"]:
-        t = dense.land(rhs, level, xtol, (rtol, atol), counts)
+        t = dense.land(level, xtol, (rtol, atol), counts)
     return dense, t if counts["status"] == 1 else None, counts
 
 

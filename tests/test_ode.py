@@ -358,19 +358,33 @@ def _marched(monkeypatch, march):
 
 
 class TestStepper:
-    """The DOPRI5(4) stepper keeps scipy RK45's control law step for step;
-    only the stop differs, landed by a genuine step."""
+    """The DOP853 stepper keeps scipy DOP853's control law step for step;
+    only the stop differs, landed by a genuine step. Step ends are not
+    pinned bitwise: the error sums cancel heavily, so a different summation
+    order moves the norm by about 1e-4 and the step ends by about 1e-5.
+
+    `nfev` counts the march's own evaluations, 2 + 12 per attempted or
+    landing step. The three extra stages the dense output pays on each step
+    it evaluates off its nodes are not in it; scipy's `nfev` counts them
+    for every step when it builds a dense output."""
 
     def test_matches_scipy_on_exponential_decay(self):
         dense, _, counts = _dopri(lambda t, u: (-u[0],), 0.0, [1.0], 10.0,
                                   1e-8, [1e-10])
-        ref = solve_ivp(lambda t, u: -u, (0.0, 10.0), [1.0], method="RK45",
-                        rtol=1e-8, atol=1e-10, dense_output=True)
-        assert (counts["status"], len(dense.ts), counts["nfev"]) == \
-            (0, len(ref.t), ref.nfev)
+        ref = solve_ivp(lambda t, u: -u, (0.0, 10.0), [1.0],
+                        method="DOP853", rtol=1e-8, atol=1e-10,
+                        dense_output=True)
+        steps = len(ref.t) - 1
+        assert (counts["status"], len(dense.ts) - 1, counts["nfev"]) == \
+            (0, steps, ref.nfev - 3 * steps)
+        assert (steps, counts["nfev"]) == (18, 218)
         ts, ys = np.array(dense.ts), np.array(dense.ys)
         assert _dev(ys, ref.sol(ts).T).max() <= 1e-9
         assert _dev(ys, np.exp(-ts)[:, None]).max() <= 1e-8
+        # the 7th-order interpolant between the nodes
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        got = np.array([dense(m) for m in mids])
+        assert _dev(got, ref.sol(mids).T).max() <= 1e-9
 
     @pytest.mark.parametrize("n,lin", [(2, False), (3, True)])
     def test_matches_scipy_on_the_tail_march(self, monkeypatch, n, lin):
@@ -389,11 +403,12 @@ class TestStepper:
         zero.terminal = True
         atol = [cfg.atol, 1e-300] + [cfg.atol] * (len(seen["y0"]) - 2)
         ref = solve_ivp(lambda t, u: seen["rhs"](t, list(u)), seen["span"],
-                        seen["y0"], method="RK45", rtol=cfg.rtol, atol=atol,
-                        events=[zero], dense_output=True)
+                        seen["y0"], method="DOP853", rtol=cfg.rtol,
+                        atol=atol, events=[zero], dense_output=True)
         diag = traj.diagnostics
-        assert diag["steps"] == len(ref.t) - 1
-        assert diag["nfev"] == ref.nfev + 6 * diag["landing"]
+        steps = len(ref.t) - 1
+        assert diag["steps"] == steps
+        assert diag["nfev"] == ref.nfev - 3 * steps + 12 * diag["landing"]
         dev = _dev(traj.states, ref.sol(traj.ts).T)
         assert dev[:-1].max() <= 1e-9
         # the landed stop against scipy's interpolant there
@@ -403,7 +418,7 @@ class TestStepper:
     @pytest.mark.parametrize("route,lin", [("t", False), ("t", True),
                                            ("r", False), ("r", True)])
     def test_counters_account_for_every_evaluation(self, route, lin):
-        # two to start, six per attempted step, six per landing pass
+        # two to start, twelve per attempted step, twelve per landing pass
         nl = make_nonlinearity("exp")
         cfg = ProblemConfig()
         if lin:
@@ -413,8 +428,8 @@ class TestStepper:
             traj = shoot(nl, 2, 10.0, cfg, keep_trajectory=True,
                          route=route).traj
         d = traj.diagnostics
-        assert d["nfev"] == 2 + 6 * (d["steps"] + d["rejected"]
-                                     + d["landing"])
+        assert d["nfev"] == 2 + 12 * (d["steps"] + d["rejected"]
+                                      + d["landing"])
         assert d["landing"] >= 1 and d["landed"]
         assert d["steps"] == len(traj.ts) - 1
         if (route, lin) == ("t", False):
@@ -433,12 +448,12 @@ class TestStepper:
         ref = _dopri(lambda t, u: (-u[0],), 0.0, [1.0], 2.0, 1e-8,
                      [1e-10])[0]
         assert (counts["status"], counts["rejected"]) == (0, 1)
-        assert counts["nfev"] == 2 + 6 * len(dense.ts)
+        assert counts["nfev"] == 2 + 12 * len(dense.ts)
         # the retry is the clean first step cut by the 0.2 factor
         assert dense.ts[1] == pytest.approx(0.2 * ref.ts[1], rel=1e-12)
 
     def test_a_nan_slope_at_the_start_fails_the_march(self):
-        # the step size comes out NaN; scipy's RK45 loops forever on it
+        # the step size comes out NaN; scipy's DOP853 loops forever on it
         _, stop, counts = _dopri(lambda t, u: (math.nan,), 0.0, [1.0], 2.0,
                                  1e-8, [1e-10])
         assert (stop, counts["status"]) == (None, -1)
@@ -454,3 +469,34 @@ class TestStepper:
         recs = energy_series(traj)
         assert recs[-1].t == traj.ts[-1]
         assert energy_violations(recs, tol=1e-9) == []
+
+
+class TestTableau:
+    """The DOP853 tables in `qshoot.ode` are a transcription of scipy's."""
+
+    def test_tables_match_scipy_bitwise(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+        ode = qshoot.ode
+
+        def bits(x):
+            return np.asarray(x, dtype=float).tobytes()
+
+        assert bits(ode._C) == bits(ref.C)
+        assert len(ode._A) == len(ref.A)
+        for s, row in enumerate(ode._A):
+            assert bits(row) == bits(ref.A[s, :s])
+            assert not ref.A[s, s:].any()
+        assert bits(ode._E3) == bits(ref.E3)
+        assert bits(ode._E5) == bits(ref.E5)
+        assert bits(ode._D) == bits(ref.D)
+
+    def test_tables_are_consistent(self):
+        ode = qshoot.ode
+        for row, c in zip(ode._A, ode._C):
+            # each stage sits at the abscissa its weights sum to
+            assert math.fsum(row) == pytest.approx(
+                c, rel=0.0, abs=1e-15 * math.fsum(map(abs, row)))
+        assert math.fsum(ode._A[12]) == 1.0  # the 8th-order weights
+        for e in (ode._E3, ode._E5):
+            # an error estimate vanishes on a constant slope
+            assert abs(math.fsum(e)) <= 1e-15 * math.fsum(map(abs, e))

@@ -26,13 +26,22 @@ from qshoot.shooting import (
 )
 from conftest import bessel_first_zero
 
-# Supercritical tails (q > n/(n-1)) whose first zero lies beyond double range
-# in R: (family, n, q, p, rho_beta, lambda, gamma, route).
-FAR_ZERO_N3 = ("pow_exp", 3, 1.7997393727841493, 1.4061263845159186,
-               1.222662673970494, 5.269902340181269, 180.34620429937397, None)
-FAR_ZERO_N4 = ("pow_exp", 4, 1.737769577711514, 0.0017065717837739802,
-               0.03990673040854675, 0.6631839210811853, 110.26386035037876,
-               "t")
+# First zeros beyond double range, placed by the Liouville bubble of
+# f = lam e^u: (family, n, q, p, rho_beta, lambda, gamma, route). At n=5,
+# T = -705.3 overflows lambda = R^5; at n=3 the reduced zero T = -225.2 is
+# representable, but T / a = -2252 for the weight exponent 2.7 (a = 0.1)
+# overflows R.
+FAR_ZERO_N5 = ("exp", 5, 1.0, 0.0, 0.0, 1e-307, 8.0, None)
+FAR_ZERO_REDUCED = ("exp", 3, 1.0, 0.0, 0.0, 1e-100, 3.0, None)
+# Steep supercritical cores that a coarse march steps over at the default
+# tolerance (an order-5 pair reported T = -2203 and -1057 for them), with
+# the first zero of a DOP853 march capped at steps of 0.5 (scipy, rtol 1e-10).
+STEEP_CORE_N3 = ("pow_exp", 3, 1.7997393727841493, 1.4061263845159186,
+                 1.222662673970494, 5.269902340181269, 180.34620429937397,
+                 None)
+STEEP_CORE_N4 = ("pow_exp", 4, 1.737769577711514, 0.0017065717837739802,
+                 0.03990673040854675, 0.6631839210811853, 110.26386035037876,
+                 "t")
 # Subcritical tails at gamma = e^6 whose first zero underflows: T = 2029.2
 # gives R = 0, T = 1198.6 gives R = 1.1e-260 and lambda = R^2 = 0.
 NEAR_ZERO_R = ("pow_exp", 2, 1.5, 0.0, 0.0, 1.0, math.exp(6.0), None)
@@ -53,6 +62,21 @@ CASES = st.tuples(st.sampled_from(["exp", "pow_exp", "linear"]),
 def _case_nl(case):
     family, n, q, p, rb, lam = case[:6]
     return make_nonlinearity(family, q=q, p=p, rho_beta=rb, lam=lam, n=n)
+
+
+def _liouville_T(n, lam, gamma):
+    """First zero of f = lam e^u in the log-radius variable: log(lam) -
+    n log(R1/n), R1 = c_n^{1/n} (e^{gamma/n} - 1)^{(n-1)/n} e^{-gamma/n},
+    c_n = n (n^2/(n-1))^{n-1}."""
+    c = n * (n * n / (n - 1.0)) ** (n - 1.0)
+    R1 = c ** (1.0 / n) * math.expm1(gamma / n) ** ((n - 1.0) / n) \
+        * math.exp(-gamma / n)
+    return math.log(lam) - n * math.log(R1 / n)
+
+
+def _named_T(msg):
+    """The T a SolverError message names, to its 6 significant digits."""
+    return float(msg.split("T=")[1])
 
 
 class TestReferenceProblems:
@@ -98,6 +122,13 @@ class TestReferenceProblems:
         want = math.sqrt(8.0 * math.expm1(1.5) * math.exp(-3.0) / 4.0)
         assert out4.R == pytest.approx(want, rel=1e-6)
         assert out4.T > out1.T
+
+    def test_steep_amplitude_zero_meets_the_tolerance(self):
+        # g'(8) = 16: the plain march's T against a run at rtol 1e-13
+        nl = make_nonlinearity("pow_exp", q=2.0, n=2)
+        T = shoot(nl, 2, 8.0, ProblemConfig()).T
+        ref = shoot(nl, 2, 8.0, ProblemConfig(rtol=1e-13, atol=1e-16)).T
+        assert T == pytest.approx(ref, rel=2e-10)
 
 
 class TestRouteChoice:
@@ -214,11 +245,13 @@ class TestSweep:
         assert "gamma" in msg
 
     def test_far_zero_keeps_a_placeholder_row(self):
-        nl = _case_nl(FAR_ZERO_N3)
-        curve = sweep(nl, 3, [4.0, FAR_ZERO_N3[6]], ProblemConfig())
+        nl = _case_nl(FAR_ZERO_N5)
+        curve = sweep(nl, 5, [40.0, FAR_ZERO_N5[6]], ProblemConfig())
         assert curve.outcomes[0].T is not None
         assert curve.outcomes[1].T is None
-        assert len(curve.errors) == 1 and "T=-2203" in curve.errors[0][1]
+        assert len(curve.errors) == 1 and "overflows" in curve.errors[0][1]
+        assert _named_T(curve.errors[0][1]) == pytest.approx(
+            _liouville_T(5, 1e-307, FAR_ZERO_N5[6]), rel=5e-6)
 
     def test_non_finite_amplitudes_keep_placeholder_rows(self, nl_square,
                                                          cfg2):
@@ -316,12 +349,19 @@ class TestFarZero:
     """A first zero beyond double range in R or lambda, above or below it,
     is a SolverError naming T."""
 
-    @pytest.mark.parametrize("case,T", [(FAR_ZERO_N3, "-2203"),
-                                        (FAR_ZERO_N4, "-1057")])
-    def test_shoot_refuses(self, case, T):
-        n, gamma, route = case[1], case[6], case[7]
-        with pytest.raises(SolverError, match=f"overflows at T={T}"):
-            shoot(_case_nl(case), n, gamma, ProblemConfig(), route=route)
+    def test_shoot_refuses(self):
+        n, lam, gamma = 5, FAR_ZERO_N5[5], FAR_ZERO_N5[6]
+        with pytest.raises(SolverError, match="overflows at T=") as exc:
+            shoot(_case_nl(FAR_ZERO_N5), n, gamma, ProblemConfig())
+        assert _named_T(str(exc.value)) == pytest.approx(
+            _liouville_T(n, lam, gamma), rel=5e-6)
+
+    @pytest.mark.parametrize("case,T", [(STEEP_CORE_N3, 5.50469386853),
+                                        (STEEP_CORE_N4, 2.67919083589)])
+    def test_a_steep_core_is_not_stepped_over(self, case, T):
+        out = shoot(_case_nl(case), case[1], case[6], ProblemConfig(),
+                    route=case[7])
+        assert out.T == pytest.approx(T, rel=1e-9)
 
     @pytest.mark.parametrize("case,T", [(NEAR_ZERO_R, "2029"),
                                         (NEAR_ZERO_LAM, "1198")])
@@ -337,14 +377,20 @@ class TestFarZero:
                 solve(nl_square, 2, gamma, cfg2)
 
     def test_singular_reduction_refuses(self):
-        # the reduced zero T = -272 is representable; T / a = -2722 is not
-        nl = _case_nl(FAR_ZERO_N3)
-        with pytest.raises(SolverError, match="T=-272"):
-            shoot_singular(nl, 3, 2.7, 60.0)
+        # the reduced zero T = -225.2 is representable; T / a = -2252 is not
+        n, beta, lam, gamma = 3, 2.7, FAR_ZERO_REDUCED[5], FAR_ZERO_REDUCED[6]
+        a = 1.0 - beta / n
+        with pytest.raises(SolverError, match="overflows at T=") as exc:
+            shoot_singular(_case_nl(FAR_ZERO_REDUCED), n, beta, gamma)
+        # the reduced problem's multiplier is lam / (n^beta a^n)
+        T_reduced = _liouville_T(n, lam / (n ** beta * a ** n), gamma)
+        assert _named_T(str(exc.value)) == pytest.approx(T_reduced / a,
+                                                         rel=5e-6)
 
     @given(CASES)
-    @example(FAR_ZERO_N3)
-    @example(FAR_ZERO_N4)
+    @example(FAR_ZERO_N5)
+    @example(STEEP_CORE_N3)
+    @example(STEEP_CORE_N4)
     @example(NEAR_ZERO_R)
     @example(NEAR_ZERO_LAM)
     # g' overflows in the floor scan; log f(gamma) overflows at the r start
@@ -363,8 +409,9 @@ class TestFarZero:
         assert 0.0 < out.lam < math.inf
 
     @given(CASES)
-    @example(FAR_ZERO_N3)
-    @example(FAR_ZERO_N4)
+    @example(FAR_ZERO_N5)
+    @example(STEEP_CORE_N3)
+    @example(STEEP_CORE_N4)
     @example(NEAR_ZERO_R)
     @example(NEAR_ZERO_LAM)
     @settings(max_examples=100, deadline=None)
