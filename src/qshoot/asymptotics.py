@@ -1,8 +1,7 @@
 """Closed-form tail values and asymptotic predictions.
 
 Everything here is a pure function of (gamma, n, nl) and marches no
-trajectory; the bounded correction A, which needs one, is
-shooting.correction_A. Freezing the exponent at gamma gives the comparison
+trajectory. Freezing the exponent at gamma gives the comparison
 solution z, and its gamma-derivative V2; the GammaSnapshot of one
 (nl, n, gamma) holds both, and every tail start, tail integral and
 prediction reads them from there. The central change of scale
@@ -345,8 +344,7 @@ def predict_all(gamma: float, n: int, nl: Nonlinearity) -> AsymptoticPrediction:
     The displayed (log g')^2/g' term of the T expansion is an order, not a
     computable coefficient, so it is excluded from T_pred and only used to
     normalize error-decay verdicts. The bounded correction A that appears
-    when f(0) > 0 needs a computed trajectory, so it is
-    shooting.correction_A and not part of T_pred.
+    when f(0) > 0 needs a computed trajectory and is not part of T_pred.
     """
     s = snapshot(nl, n, gamma)
     if s.gp <= 1.0:

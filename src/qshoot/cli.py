@@ -113,18 +113,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def config_text(rc: RunConfig) -> str:
-    """Canonical serialization: every key, sorted, repr floats."""
-    vals = asdict(rc)
-    lines = []
-    for key in sorted(KEY_MAP):
-        v = vals[KEY_MAP[key]]
-        if v is None:
-            continue
-        lines.append(f"{key}={fmt_value(v)}")
-    return "\n".join(lines) + "\n"
-
-
 def load_run_config(path: str | None, flag_values: dict) -> RunConfig:
     merged = asdict(RunConfig())
     if path is not None:

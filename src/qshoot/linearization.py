@@ -20,7 +20,6 @@ import numpy as np
 from ._numeric import brentq
 from .asymptotics import checked_pow, snapshot
 from .config import ProblemConfig
-from .errors import ConfigError
 from .nonlinearity import (Nonlinearity, eval_fprime_source, eval_g,
                            eval_source)
 from .ode import quad_dense, tail_start, v1prime_from_phi, yprime_from_psi
@@ -160,9 +159,7 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
 
 
 def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
-                           cfg: ProblemConfig = ProblemConfig(),
-                           a: float | None = None,
-                           b: float | None = None) -> dict:
+                           cfg: ProblemConfig = ProblemConfig()) -> dict:
     """Normalized residual of the integrated flux identity for phi.
 
     With J = (1 - y' (g'(y) + g''(y)/g'(y))) phi + phi' and phi' taken from
@@ -171,21 +168,15 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
         J(a) = J(b) + int_a^b -(g''/g') f(y) e^{-t} V1' / (n-1) dt
                     + int_a^b (g'' + g'''/g' - (g''/g')^2) psi^{n/(n-1)} V1' dt
 
-    on any [a, b] inside the integrated span. Defaults: a at the convexity
-    crossing, b at the tail start. The residual is normalized by the largest
-    magnitude among the four terms.
+    on any [a, b] inside the integrated span; here a is the convexity
+    crossing (the zero T without one) and b the tail start, which the tail
+    admits only above the floor, so a < b. The residual is normalized by
+    the largest magnitude among the four terms.
     """
     res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True, route="t")
     traj = res.traj
-    if a is None:
-        a = res.Ttilde if res.Ttilde is not None else res.T
-    if b is None:
-        b = res.diagnostics["t_start"]
-    if not a < b:
-        if a == b:
-            return {"residual": 0.0, "J_a": 0.0, "J_b": 0.0, "I1": 0.0,
-                    "I2": 0.0, "a": a, "b": b}
-        raise ConfigError(f"need a < b, got a={a}, b={b}")
+    a = res.Ttilde if res.Ttilde is not None else res.T
+    b = res.diagnostics["t_start"]
 
     def parts(t, s):
         y, psi, v1, phi = (float(v) for v in s[:4])

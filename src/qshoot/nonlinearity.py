@@ -21,7 +21,6 @@ from .config import check_dimension
 from .errors import AdmissionError, ConfigError
 
 DEFAULT_S0_SCAN = (1e-6, 1e3, 6000)
-DEFAULT_HYPOTHESIS_GRID = tuple(float(2**j) for j in range(15))
 
 
 @dataclass(frozen=True)
@@ -275,87 +274,3 @@ def g_is_linear(nl: Nonlinearity) -> bool:
         return False
     return nl.q == 1.0 or nl.a == 0.0
 
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    gammas: tuple
-    h1_ratios: dict
-    h2_values: tuple
-    h3_values: tuple
-    h1_trends: dict
-    h2_trend: str
-    h3_trend: str
-    h1_holds: bool
-    h2_holds: bool
-    h3_holds: bool
-
-    def rows(self):
-        for name, trend, holds in (("H1", self.h1_trends, self.h1_holds),
-                                   ("H2", self.h2_trend, self.h2_holds),
-                                   ("H3", self.h3_trend, self.h3_holds)):
-            yield name, trend, "holds" if holds else "fails"
-
-
-def _trend(values, grid) -> str:
-    """Finite-sample trend label over the upper half of a geometric grid."""
-    v = np.asarray(values, dtype=float)
-    g = np.asarray(grid, dtype=float)
-    m = len(v) // 2
-    tail, gt = v[m:], g[m:]
-    finite = np.isfinite(tail)
-    if not np.all(finite):
-        return "inconclusive"
-    av = np.abs(tail)
-    if np.max(av) < 1e-12:
-        return "to_zero"
-    if np.min(av) <= 0.0:
-        return "inconclusive"
-    slope = float(np.polyfit(np.log(gt), np.log(av), 1)[0])
-    if slope < -0.1:
-        return "to_zero"
-    if slope > 0.1:
-        return "to_infinity"
-    return "bounded_below" if np.min(tail) > 0.0 else "inconclusive"
-
-
-def check_hypotheses(nl: Nonlinearity, n: int) -> HypothesisReport:
-    """Sampled trend report for the three standing growth assumptions.
-
-    These are limits; the verdicts are trend labels on a finite grid, not
-    proofs. The grid is geometric, 2^0 .. 2^14.
-    """
-    if nl.linear:
-        raise ConfigError("hypothesis probes need the exponential form")
-    grid = DEFAULT_HYPOTHESIS_GRID
-
-    h1 = {k: [] for k in range(4)}
-    h2, h3 = [], []
-    for gam in grid:
-        gv = eval_g(nl, gam, 0)
-        gp = eval_g(nl, gam, 1)
-        gpp = eval_g(nl, gam, 2)
-        for k in range(4):
-            h1[k].append(_rho(nl, gam, k) / gam ** (nl.q - k))
-        h2.append(gv - (n - 1.0) / n * gam * gp)
-        second = gp - (n - 1.0) * gam * gpp
-        if gpp <= 0.0 or gp <= 1.0:
-            h3.append(math.nan if gpp < 0.0 or gp <= 1.0 else
-                      (math.inf if second > 0 else 0.0))
-        else:
-            h3.append(gp / (gpp * math.log(gp) ** 4) * second)
-
-    h1_trends = {k: _trend(h1[k], grid) for k in range(4)}
-    h2_trend = _trend(h2, grid)
-    h3_trend = _trend(h3, grid)
-    return HypothesisReport(
-        gammas=grid,
-        h1_ratios={k: tuple(v) for k, v in h1.items()},
-        h2_values=tuple(h2),
-        h3_values=tuple(h3),
-        h1_trends=h1_trends,
-        h2_trend=h2_trend,
-        h3_trend=h3_trend,
-        h1_holds=all(tr == "to_zero" for tr in h1_trends.values()),
-        h2_holds=h2_trend == "to_infinity",
-        h3_holds=h3_trend in ("bounded_below", "to_infinity"),
-    )

@@ -161,22 +161,6 @@ class Trajectory:
             return yprime_from_psi(float(s[1]), self.n)
         return wprime_from_Phi(float(s[1]), t, self.n)
 
-    def t_bounds(self) -> tuple:
-        """Covered t-interval regardless of the marching variable."""
-        lo, hi = self.span()
-        if self.kind == "t":
-            return lo, hi
-        return _t_of_r(hi, self.n), _t_of_r(lo, self.n)
-
-    def yprime_t(self, t: float) -> float:
-        """dy/dt at t; for r-kind data this is -(r/n) dw/dr at r = n e^{-t/n}."""
-        if self.kind == "t":
-            return self.yprime_at(t)
-        n = self.n
-        lo, hi = self.span()
-        r = min(max(n * math.exp(-t / n), lo), hi)
-        return -(r / n) * self.yprime_at(r)
-
     def stop_readout(self) -> tuple:
         """(T, y'(T), Ttilde, state at the stop) in the log-radius variable,
         whichever route marched. Ttilde is None without a floor crossing."""
@@ -650,8 +634,12 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT,
 
 def series_startup_radius(nl: Nonlinearity, n: int, gamma: float,
                           cfg: ProblemConfig) -> float:
+    """Startup radius of the outward march, r0 = min(1e-3, (rtol (n-b) /
+    f(gamma))^{(n-1)/(n-b)}), with b the weight exponent: the origin's
+    series runs in powers r^{(n-b)/(n-1)} (see integrate_r)."""
+    nb = n - cfg.beta_weight
     fg = _f_at(nl, gamma)
-    return min(1e-3, (cfg.rtol * n / fg) ** ((n - 1.0) / n))
+    return min(1e-3, (cfg.rtol * nb / fg) ** ((n - 1.0) / nb))
 
 
 def _f_at(nl: Nonlinearity, gamma: float) -> float:
@@ -716,7 +704,13 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
         return du + (dW, _clamp(-_fprime_soft(nl, w, 0.0) * W
                                 * r ** (nb - 1.0) / (n - 1.0)))
 
-    if max(map(abs, rhs(r0, y0))) > math.exp(_LOG_CAP):
+    try:
+        start_rate = max(map(abs, rhs(r0, y0)))
+    except ZeroDivisionError:
+        # r0, or r0^{n-1} under a nonzero startup flux, underflowed to 0
+        raise AdmissionError(f"startup radius r0={r0:.3g} underflows; the "
+                             "radius route cannot start") from None
+    if start_rate > math.exp(_LOG_CAP):
         raise AdmissionError("radius-route startup slope or source beyond "
                              "the overflow sentinel's budget")
     if r_end <= r0:

@@ -15,8 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError
-from .ode import (EVENT_TOL, Trajectory, v1prime_from_phi, wprime_from_Phi,
-                  yprime_from_psi)
+from .ode import EVENT_TOL, Trajectory, v1prime_from_phi, yprime_from_psi
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -70,22 +69,6 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     return obj
-
-
-def trajectory_rows(traj: Trajectory):
-    """CSV header and one row per accepted step."""
-    n = traj.n
-    if traj.kind == "t":
-        header = ("t", "y", "yprime", "psi")
-        rows = [(float(t), float(s[0]), yprime_from_psi(float(s[1]), n),
-                 float(s[1]))
-                for t, s in zip(traj.ts, traj.states)]
-    else:
-        header = ("r", "w", "wprime", "Phi")
-        rows = [(float(r), float(s[0]),
-                 wprime_from_Phi(float(s[1]), float(r), n), float(s[1]))
-                for r, s in zip(traj.ts, traj.states)]
-    return header, rows
 
 
 def linearization_rows(traj: Trajectory):
@@ -176,8 +159,3 @@ def sweep_svg(curve) -> str:
     ]
     return "\n".join(parts) + "\n"
 
-
-def profile_rows(profile):
-    header = ("xi", "u")
-    rows = [(float(x), float(u)) for x, u in zip(profile.xi, profile.u)]
-    return header, rows

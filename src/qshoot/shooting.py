@@ -26,9 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._numeric import quad
-from ._stable import softplus
-from .asymptotics import comparison_z, snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import AdmissionError, ConfigError, QShootError, SolverError
 from .nonlinearity import (Nonlinearity, convexity_floor, log_f, with_lambda)
@@ -227,39 +224,6 @@ def sweep(nl: Nonlinearity, n: int, gammas,
                             tprime_fd=tfd, errors=errs)
 
 
-def correction_A(gamma: float, n: int, nl: Nonlinearity,
-                 cfg: ProblemConfig = ProblemConfig()) -> float:
-    """Bounded correction to asymptotics.predict_all's T_pred, active when
-    f(0) > 0.
-
-    A = integral over (T + theta0, t0 + theta0) of (1+e^{-t})^{1/(n-1)} - 1,
-    with t0 = (n+3) log g' and theta0 = -log f(0) + (n-1) log y'(t0); zero
-    when the computed zero already sits above t0. Mixes computed and closed
-    form inputs by construction.
-    """
-    if nl.f0 <= 0.0:
-        return 0.0
-    s = snapshot(nl, n, gamma)
-    t0 = (n + 3.0) * math.log(max(s.gp, math.e))
-    out = shoot(nl, n, gamma, cfg, keep_trajectory=True)
-    if out.T is None or out.T >= t0:
-        return 0.0
-    traj = out.traj
-    t_lo, t_hi = traj.t_bounds()
-    t0c = min(max(t0, max(out.T, t_lo)), t_hi)
-    ypr = traj.yprime_t(t0c)
-    if ypr <= 0.0:
-        return 0.0
-    theta0 = -math.log(nl.f0) + (n - 1.0) * math.log(ypr)
-
-    def integrand(t):
-        # (1+e^{-t})^{1/(n-1)} - 1, written to stay accurate for large |t|
-        return np.expm1(softplus(-t) / (n - 1.0))
-
-    val, _ = quad(integrand, out.T + theta0, t0c + theta0, limit=200)
-    return float(val)
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     verdict: str
@@ -334,44 +298,3 @@ def shoot_weighted_direct(nl: Nonlinearity, n: int, beta: float,
     independent cross-check for the reduction above."""
     return shoot(nl, n, gamma, replace(cfg, beta_weight=float(beta)))
 
-
-@dataclass
-class ProfileResult:
-    xi: np.ndarray
-    u: np.ndarray
-    outcome: ShootOutcome
-
-
-def export_profile(nl: Nonlinearity, n: int, gamma: float,
-                   cfg: ProblemConfig = ProblemConfig()) -> ProfileResult:
-    """Solution profile u(xi) = w(R xi) at 401 points xi in [0, 1].
-
-    Inside the tail-start radius the t-route trajectory is extended by the
-    comparison closed form (it is what seeded the march); the r-route uses
-    its own series below the startup radius. u(0) = gamma is the exact
-    limit of both.
-    """
-    out = shoot(nl, n, gamma, cfg, keep_trajectory=True)
-    traj = out.traj
-    xi = np.linspace(0.0, 1.0, 401)
-    u = np.empty_like(xi)
-    u[0] = gamma
-    if traj.kind == "r":
-        r_lo, r_hi = traj.span()
-        fg = math.exp(log_f(nl, gamma))
-        nb = n - cfg.beta_weight
-        coef = (n - 1.0) / nb * (fg / nb) ** (1.0 / (n - 1.0))
-        for i in range(1, len(xi)):
-            r = out.R * xi[i]
-            if r < r_lo:
-                u[i] = gamma - coef * r ** (nb / (n - 1.0))
-            else:
-                u[i] = float(traj.state_at(min(r, r_hi))[0])
-    else:
-        t_lo, t_hi = traj.span()
-        ts = [-n * math.log(out.R * x / n) for x in xi[1:]]
-        m = sum(t >= t_hi for t in ts)  # t falls along xi: a leading run
-        u[1:m + 1] = comparison_z(gamma, n, nl, np.array(ts[:m]))[0]
-        for i, t in enumerate(ts[m:], start=m + 1):
-            u[i] = float(traj.state_at(max(t, t_lo))[0])
-    return ProfileResult(xi=xi, u=u, outcome=out)

@@ -28,7 +28,7 @@ from qshoot.asymptotics import (
 from qshoot.errors import AdmissionError, ConfigError, QShootError
 from qshoot.linearization import detect_turning, v2_eval
 from qshoot.nonlinearity import eval_g, make_nonlinearity
-from qshoot.shooting import BifurcationCurve, ShootOutcome, correction_A, sweep
+from qshoot.shooting import BifurcationCurve, ShootOutcome, sweep
 from qshoot.verify import run_suites
 
 GRID = [(n, g) for n in (2, 3, 4) for g in (3.0, 5.0, 10.0)]
@@ -268,16 +268,6 @@ class TestPredictions:
     def test_error_orders_are_declared(self, nl_square):
         pred = predict_all(5.0, 2, nl_square)
         assert set(pred.declared_error_order) >= {"T", "yprime_T", "Tprime"}
-
-
-class TestBoundedCorrection:
-    def test_zero_when_source_vanishes_at_zero(self, nl_family_ii, cfg2):
-        # p > 0 forces f(0) = 0, so no correction applies
-        assert correction_A(8.0, 2, nl_family_ii, cfg2) == 0.0
-
-    def test_positive_and_bounded_for_square_family(self, nl_square, cfg2):
-        a = correction_A(5.0, 2, nl_square, cfg2)
-        assert 0.0 < a < 1.0
 
 
 def _fake_curve(nl, gammas, Ts, cfg):

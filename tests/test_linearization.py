@@ -175,16 +175,6 @@ class TestFluxIdentity:
         assert tight["residual"] <= 1e-6
         assert loose["residual"] <= 1e-6
 
-    def test_degenerate_window(self, nl_family_ii, cfg2):
-        rep = flux_identity_residual(nl_family_ii, 2, 5.0, cfg2, a=3.0, b=3.0)
-        assert rep["residual"] == 0.0
-
-    def test_custom_window(self, nl_family_ii, cfg2):
-        rep = flux_identity_residual(nl_family_ii, 2, 5.0, cfg2,
-                                     a=10.0, b=14.0)
-        assert rep["a"] == 10.0 and rep["b"] == 14.0
-        assert rep["residual"] <= 1e-6
-
     def test_report_carries_both_boundary_terms(self, nl_family_ii, cfg2):
         rep = flux_identity_residual(nl_family_ii, 2, 5.0, cfg2)
         for key in ("J_a", "J_b", "I1", "I2"):

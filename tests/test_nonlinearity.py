@@ -6,8 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qshoot.errors import AdmissionError, ConfigError
-from qshoot.nonlinearity import (DEFAULT_S0_SCAN, check_hypotheses,
-                                 convexity_floor, eval_g, eval_fprime_source,
+from qshoot.nonlinearity import (DEFAULT_S0_SCAN, convexity_floor, eval_g, eval_fprime_source,
                                  eval_source, find_s0, g_is_linear, log_f,
                                  make_nonlinearity, with_lambda)
 
@@ -198,50 +197,6 @@ def test_describe_mentions_lambda():
     d = nl.describe()
     assert d["lambda"] == 2.5
     assert d["family"] == "pow_exp"
-
-
-class TestHypothesisProbes:
-    def test_critical_square_family_is_borderline(self):
-        # q equals the critical exponent for n=2 with no drift: the H2 and
-        # H3 quantities vanish identically, so both assumptions fail
-        nl = make_nonlinearity("pow_exp", q=2.0)
-        rep = check_hypotheses(nl, 2)
-        assert rep.h1_holds
-        assert not rep.h2_holds
-        assert not rep.h3_holds
-        assert max(abs(v) for v in rep.h2_values) == 0.0
-
-    def test_family_with_drift(self):
-        nl = make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0)
-        rep = check_hypotheses(nl, 3)
-        assert rep.h1_holds
-        assert rep.h2_holds
-
-    def test_subcritical_exponent_h3_diverges(self):
-        nl = make_nonlinearity("pow_exp", q=1.5)
-        rep = check_hypotheses(nl, 2)
-        assert rep.h3_trend == "to_infinity"
-        assert rep.h3_holds
-
-    @given(st.floats(min_value=1.1, max_value=1.9))
-    @settings(max_examples=20, deadline=None)
-    def test_subcritical_h3_ratio_grows(self, q):
-        """For q below critical (n=2) the H3 quantity exceeds 1 at the top
-        of the grid and grows along it."""
-        nl = make_nonlinearity("pow_exp", q=q)
-        rep = check_hypotheses(nl, 2)
-        vals = [v for v in rep.h3_values if math.isfinite(v)]
-        assert vals[-1] > 1.0
-        assert vals[-1] > vals[len(vals) // 2]
-
-    def test_rejects_linear(self):
-        with pytest.raises(ConfigError):
-            check_hypotheses(make_nonlinearity("linear"), 2)
-
-    def test_rows_shape(self):
-        rep = check_hypotheses(make_nonlinearity("pow_exp", q=2.0), 2)
-        rows = list(rep.rows())
-        assert [r[0] for r in rows] == ["H1", "H2", "H3"]
 
 
 def test_config_interface_families():

@@ -2,6 +2,7 @@
 radius-variable route, and the energy monitor."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,10 @@ class TestOutwardMarch:
         assert r0 == pytest.approx(
             (cfg2.rtol * 2.0 / math.exp(9.0)) ** 0.5, rel=1e-13)
         assert r0 <= 1e-3
+        # the weight r^{-beta} sets the series' power: (n-beta)/(n-1) of r
+        weighted = replace(cfg2, beta_weight=1.0)
+        r0w = series_startup_radius(nl_square, 2, 3.0, weighted)
+        assert r0w == pytest.approx(cfg2.rtol / math.exp(9.0), rel=1e-13)
 
     def test_exponent_budget_guards_the_startup(self, nl_square, cfg2):
         # log f(30) = 900 exceeds the exponent budget of about 220
@@ -318,22 +323,26 @@ class TestTrajectoryViews:
     def test_span_and_bounds(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
         traj = integrate_t(nl_square, 2, st, cfg2)
-        lo, hi = traj.t_bounds()
+        lo, hi = traj.span()
         assert lo < hi
-        assert lo == pytest.approx(min(traj.ts), abs=0.0)
-        assert hi == pytest.approx(max(traj.ts), abs=0.0)
+        assert (lo, hi) == (min(traj.ts), max(traj.ts))
+        trr = integrate_r(nl_square, 2, 3.0, cfg2)
+        assert trr.span() == (min(trr.ts), max(trr.ts))
 
     def test_slope_views_agree_across_routes(self, nl_square):
         # -(r/n) dw/dr at r = n e^{-t/n} is the t-route slope
-        cfg = ProblemConfig()
-        st = tail_start(nl_square, 2, 3.0, cfg=cfg)
-        trt = integrate_t(nl_square, 2, st, cfg)
-        trr = integrate_r(nl_square, 2, 3.0, cfg)
-        lo_t, hi_t = trt.t_bounds()
-        lo_r, hi_r = trr.t_bounds()
-        for t in np.linspace(max(lo_t, lo_r) + 0.1, min(hi_t, hi_r) - 0.1, 7):
-            assert trt.yprime_t(float(t)) == pytest.approx(
-                trr.yprime_t(float(t)), rel=1e-6, abs=1e-9)
+        cfg, n = ProblemConfig(), 2
+        st = tail_start(nl_square, n, 3.0, cfg=cfg)
+        trt = integrate_t(nl_square, n, st, cfg)
+        trr = integrate_r(nl_square, n, 3.0, cfg)
+        lo_t, hi_t = trt.span()
+        r_lo, r_hi = trr.span()
+        lo = max(lo_t, -n * math.log(r_hi / n))
+        hi = min(hi_t, -n * math.log(r_lo / n))
+        for t in np.linspace(lo + 0.1, hi - 0.1, 7):
+            r = n * math.exp(-t / n)
+            assert trt.yprime_at(float(t)) == pytest.approx(
+                -(r / n) * trr.yprime_at(r), rel=1e-6, abs=1e-9)
 
 
 def _dev(a, b):

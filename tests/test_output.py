@@ -9,7 +9,7 @@ import pytest
 
 from qshoot.config import ProblemConfig
 from qshoot.nonlinearity import make_nonlinearity
-from qshoot.ode import integrate_r, integrate_t, tail_start
+from qshoot.ode import integrate_t, tail_start
 from qshoot.output import (
     atomic_write,
     csv_text,
@@ -18,11 +18,9 @@ from qshoot.output import (
     fmt_value,
     json_text,
     linearization_rows,
-    profile_rows,
     sweep_svg,
-    trajectory_rows,
 )
-from qshoot.shooting import export_profile, sweep
+from qshoot.shooting import sweep
 
 
 class TestFormatting:
@@ -62,16 +60,6 @@ class TestAtomicWrite:
 
 
 class TestRowSchemas:
-    def test_trajectory_rows_by_route(self, nl_square, cfg2):
-        st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        trt = integrate_t(nl_square, 2, st, cfg2)
-        header, rows = trajectory_rows(trt)
-        assert header == ("t", "y", "yprime", "psi")
-        assert len(rows) == len(trt.ts)
-        trr = integrate_r(nl_square, 2, 3.0, cfg2)
-        header_r, _ = trajectory_rows(trr)
-        assert header_r == ("r", "w", "wprime", "Phi")
-
     def test_linearization_rows_need_the_lin_channel(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
         plain = integrate_t(nl_square, 2, st, cfg2)
@@ -93,13 +81,6 @@ class TestRowSchemas:
         assert meta["version"] == "9.9.9"
         assert meta["gamma_count"] == 2
         assert "nonlinearity" in meta
-
-    def test_profile_rows(self, nl_exp, cfg2):
-        pr = export_profile(nl_exp, 2, 2.0, cfg2)
-        header, rows = profile_rows(pr)
-        assert header == ("xi", "u")
-        assert len(rows) == 401
-        assert rows[0] == (0.0, 2.0)
 
     def test_svg_has_labeled_axes(self, nl_square, cfg2):
         curve = sweep(nl_square, 2, [3.0, 4.0, 5.0], cfg2)

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from qshoot.asymptotics import snapshot
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError, QShootError, SolverError
-from qshoot.linearization import solve_V1
+from qshoot.linearization import solve_V1, t_prime
 from qshoot.nonlinearity import make_nonlinearity, with_lambda
 from qshoot.ode import integrate_r, integrate_t, tail_start
 from qshoot.shooting import (
     choose_route,
     classify_small_gamma,
-    export_profile,
     shoot,
     shoot_singular,
     shoot_weighted_direct,
@@ -64,14 +63,19 @@ def _case_nl(case):
     return make_nonlinearity(family, q=q, p=p, rho_beta=rb, lam=lam, n=n)
 
 
-def _liouville_T(n, lam, gamma):
-    """First zero of f = lam e^u in the log-radius variable: log(lam) -
-    n log(R1/n), R1 = c_n^{1/n} (e^{gamma/n} - 1)^{(n-1)/n} e^{-gamma/n},
+def _liouville_R(n, gamma):
+    """First zero of f = e^u, from the n-Laplace Liouville bubble:
+    c_n^{1/n} (e^{gamma/n} - 1)^{(n-1)/n} e^{-gamma/n}, with
     c_n = n (n^2/(n-1))^{n-1}."""
     c = n * (n * n / (n - 1.0)) ** (n - 1.0)
-    R1 = c ** (1.0 / n) * math.expm1(gamma / n) ** ((n - 1.0) / n) \
+    return c ** (1.0 / n) * math.expm1(gamma / n) ** ((n - 1.0) / n) \
         * math.exp(-gamma / n)
-    return math.log(lam) - n * math.log(R1 / n)
+
+
+def _liouville_T(n, lam, gamma):
+    """First zero of f = lam e^u in the log-radius variable:
+    log(lam) - n log(R1/n), with R1 the zero at lam = 1."""
+    return math.log(lam) - n * math.log(_liouville_R(n, gamma) / n)
 
 
 def _named_T(msg):
@@ -94,6 +98,28 @@ class TestReferenceProblems:
         out = shoot(nl_exp, 2, gamma, cfg2)
         assert out.R == pytest.approx(want, rel=1e-6)
         assert out.lam == pytest.approx(out.R ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [1.0, 5.0, 12.0])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_liouville_closed_form_in_higher_dimensions(self, nl_exp, cfg2,
+                                                        n, gamma):
+        # f = e^u in every n: R from the bubble, and
+        # T'(gamma) = 1 - (n-1) / (n (1 - e^{-gamma/n}))
+        assert shoot(nl_exp, n, gamma, cfg2).R == pytest.approx(
+            _liouville_R(n, gamma), rel=1e-8)
+        want = 1.0 - (n - 1.0) / (n * -math.expm1(-gamma / n))
+        assert t_prime(nl_exp, n, gamma, cfg2) == pytest.approx(want,
+                                                                rel=1e-8)
+
+    def test_matches_the_planar_exponential_profile(self, nl_exp, cfg2):
+        # u(xi) = gamma - 2 log(1 + expm1(gamma/2) xi^2) at lambda = 1, read
+        # off the radius route's dense output at r = xi R
+        gamma = 2.0
+        out = shoot(nl_exp, 2, gamma, cfg2, keep_trajectory=True, route="r")
+        for xi in (0.25, 0.5, 0.75):
+            want = gamma - 2.0 * math.log1p(math.expm1(gamma / 2.0) * xi ** 2)
+            assert out.traj.state_at(xi * out.R)[0] == pytest.approx(
+                want, abs=1e-9)
 
     def test_slope_near_its_leading_order(self, cfg2):
         # f = u e^{u^2}: at gamma=4 the slope should sit within a quarter
@@ -478,37 +504,22 @@ class TestWeightedReduction:
         with pytest.raises(ConfigError):
             shoot_singular(nl_exp, 2, -0.5, 1.0, cfg2)
 
+    @pytest.mark.parametrize("n, beta, gamma", [
+        (2, 1.0, 10.0), (2, 1.0, 20.0), (2, 1.0, 25.0), (2, 1.0, 30.0),
+        (3, 2.5, 0.2), (3, 2.5, 2.0), (3, 2.5, 10.0)])
+    def test_direct_march_holds_at_larger_amplitudes(self, nl_exp, cfg2,
+                                                     n, beta, gamma):
+        # the startup radius follows the weighted series' power
+        # (n-beta)/(n-1) of r, so the march holds up to gamma=30
+        red = shoot_singular(nl_exp, n, beta, gamma, cfg2)
+        direct = shoot_weighted_direct(nl_exp, n, beta, gamma, cfg2)
+        assert direct.R == pytest.approx(red.R, rel=1e-8)
 
-class TestProfileExport:
-    def test_endpoints_are_pinned(self, nl_exp, cfg2):
-        pr = export_profile(nl_exp, 2, 2.0, cfg2)
-        assert pr.xi[0] == 0.0 and pr.xi[-1] == 1.0
-        assert pr.u[0] == 2.0
-        assert abs(pr.u[-1]) <= 1e-10
-
-    def test_matches_the_planar_exponential_profile(self, nl_exp, cfg2):
-        # u(xi) = gamma - 2 log(1 + expm1(gamma/2) xi^2) at lambda = 1
-        gamma = 2.0
-        pr = export_profile(nl_exp, 2, gamma, cfg2)
-        for frac in (0.25, 0.5, 0.75):
-            i = int(np.argmin(np.abs(pr.xi - frac)))
-            want = gamma - 2.0 * math.log1p(math.expm1(gamma / 2.0)
-                                            * pr.xi[i] ** 2)
-            assert pr.u[i] == pytest.approx(want, abs=1e-9)
-
-    def test_profile_is_strictly_decreasing(self, nl_square, cfg2):
-        pr = export_profile(nl_square, 2, 5.0, cfg2)
-        assert all(b < a for a, b in zip(pr.u, pr.u[1:]))
-
-    def test_point_count_is_respected(self, nl_exp, cfg2):
-        pr = export_profile(nl_exp, 2, 2.0, cfg2)
-        assert len(pr.xi) == 401 and len(pr.u) == 401
-
-    @pytest.mark.parametrize("name, gamma", [
-        ("nl_exp", 0.5), ("nl_linear", 1.0), ("nl_family_ii", 1.5)])
-    def test_radius_route_profile(self, request, cfg2, name, gamma):
-        pr = export_profile(request.getfixturevalue(name), 2, gamma, cfg2)
-        assert pr.outcome.route == "r"
-        assert pr.u[0] == gamma
-        assert all(b < a for a, b in zip(pr.u, pr.u[1:]))
-        assert abs(pr.u[-1]) <= 1e-9
+    @pytest.mark.parametrize("lam, n, beta, gamma", [
+        (1.0, 2, 1.9, 60.0),
+        (0.2615207558015738, 4, 3.755233464017968, 2.5201444234387718)])
+    def test_underflowing_startup_radius_is_refused(self, cfg2, lam, n, beta,
+                                                    gamma):
+        nl = make_nonlinearity("exp", lam=lam)
+        with pytest.raises(AdmissionError, match="underflows"):
+            shoot_weighted_direct(nl, n, beta, gamma, cfg2)
