@@ -100,7 +100,14 @@ class GammaSnapshot:
         if self.gpp <= 0.0:
             return None
         return self.T1 + (self.n - 1.0) * math.log(
-            (self.n - 1.0) * self.gpp / checked_pow(self.gp, 2, self.gamma))
+            (self.n - 1.0) * self.gpp / self.gp_squared())
+
+    def gp_squared(self) -> float:
+        """(g')^2 as a divisor: AdmissionError if it overflows or is 0."""
+        sq = checked_pow(self.gp, 2, self.gamma)
+        if sq == 0.0:
+            raise AdmissionError(f"(g')^2 underflows at gamma={self.gamma}")
+        return sq
 
     def x(self, t):
         """Tail variable x = (T1 - t)/(n-1)."""

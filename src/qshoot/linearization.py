@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._numeric import brentq
-from .asymptotics import checked_pow, snapshot
+from .asymptotics import snapshot
 from .config import ProblemConfig
 from .nonlinearity import (Nonlinearity, eval_fprime_source, eval_g,
                            eval_source)
@@ -118,7 +118,7 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
     s = snapshot(nl, n, gamma)
     comparator = None
     if s.gpp > 0.0:
-        comparator = n / (n - 1.0) * s.gpp / checked_pow(s.gp, 2, gamma)
+        comparator = n / (n - 1.0) * s.gpp / s.gp_squared()
     s6 = None
     if nl.q > 1.0:
         s6 = s.T1 - (4.0 * nl.q / (nl.q - 1.0) + 1.0) * (n - 1.0) \

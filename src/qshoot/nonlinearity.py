@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -214,6 +215,59 @@ def eval_fprime_source(nl: Nonlinearity, u: float, t: float) -> float:
     if arg > EXP_ARG_MAX:
         raise OverflowError(f"exponent {arg:.6g} exceeds representable range")
     return gp * math.exp(arg)
+
+
+def source_terms(nl: Nonlinearity) -> tuple:
+    """(src, fprime): eval_source and eval_fprime_source as closures over
+    the family's constants, for the integrator's right-hand sides. Each
+    value is bitwise equal to the reference's and overflows at the same
+    inputs: g keeps eval_g's grouping a u^q + (p log u + b u), each rho term
+    present exactly when _rho adds it. The linear family's reference calls
+    nothing, so its pair is the reference itself."""
+    if nl.linear:
+        return partial(eval_source, nl), partial(eval_fprime_source, nl)
+    big, exp, log = EXP_ARG_MAX, math.exp, math.log
+
+    def overflow(arg):
+        return OverflowError(f"exponent {arg:.6g} exceeds representable range")
+
+    llam, a, q, p, b = math.log(nl.lam), nl.a, nl.q, nl.p, nl.b
+    aq, qm1, hp, hb = a * q, q - 1, p != 0.0, b != 0.0
+    lf0 = math.log(nl.f0) if nl.f0 != 0.0 else None
+    gp0 = b if q > 1.0 else (a + b if q == 1.0 else 0.0)  # g'(0+)
+
+    def src(u, t):
+        if u <= 0.0:
+            if lf0 is None:
+                return 0.0
+            arg = lf0 - t
+        else:
+            rho = (p * log(u) if hp else 0.0) + (b * u if hb else 0.0)
+            arg = llam + (a * u ** q + rho) - t
+        if arg > big:
+            raise overflow(arg)
+        return exp(arg)
+
+    def fprime(u, t):
+        if u <= 0.0:
+            if lf0 is None:
+                return 0.0
+            gp, arg = gp0, lf0 - t
+        else:
+            rho = (p * log(u) if hp else 0.0) + (b * u if hb else 0.0)
+            # p/u + b is _rho's rho' also with p or b zero: 0/u is +0.0
+            gp = aq * u ** qm1 + (p / u + b)
+            arg = llam + (a * u ** q + rho) - t
+            if gp > 0.0:
+                arg += log(gp)
+                if arg > big:
+                    raise overflow(arg)
+                return exp(arg)
+        if arg > big:
+            raise overflow(arg)
+        return gp * exp(arg)
+
+    return src, fprime
 
 
 def find_s0(nl: Nonlinearity) -> float:

@@ -48,7 +48,8 @@ from .config import ProblemConfig, check_dimension
 from .errors import (AdmissionError, ConfigError, EventNotFoundError,
                      SolverError)
 from .nonlinearity import (Nonlinearity, convexity_floor, eval_fprime_source,
-                           eval_g, eval_source, g_is_linear, log_f)
+                           eval_g, eval_source, g_is_linear, log_f,
+                           source_terms)
 
 # pure relative control on the flux component (see module docstring)
 _PSI_ATOL = 1e-300
@@ -60,27 +61,12 @@ R_MAX = 1e5
 
 # finite overflow sentinel: a capped slope or source blows up the trial
 # step's error norm, so the stepper rejects and shrinks that step. The
+# right-hand sides report a source that overflows as the cap itself. The
 # radius-route budget below is read off it, hence it stays at 1e100.
 _SOURCE_CAP = 1e100
 # largest log of a legitimate radius-route source or slope: both peak at the
 # startup or stay below f(gamma), so the clamps then only cut trial steps
 _LOG_CAP = math.log(_SOURCE_CAP) - 10.0
-
-
-def _source_soft(nl, y, t):
-    """Source term for integrator right-hand sides: an overflowing trial
-    step reports a huge value so the stepper rejects and shrinks it."""
-    try:
-        return min(eval_source(nl, y, t), _SOURCE_CAP)
-    except OverflowError:
-        return _SOURCE_CAP
-
-
-def _fprime_soft(nl, y, t):
-    try:
-        return _clamp(eval_fprime_source(nl, y, t))
-    except OverflowError:
-        return _SOURCE_CAP
 
 
 def _clamp(v: float) -> float:
@@ -612,16 +598,25 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT,
     ex = 1.0 / (n - 1.0)
     exd = (n - 2.0) / (n - 1.0)
     lin = lin_init is not None
+    src, fprime = source_terms(nl)
 
     def rhs(t, u):
         y, psi = u[0], u[1]
         yp = psi ** ex if psi > 0.0 else 0.0
-        du = (min(yp, _SOURCE_CAP), -_source_soft(nl, y, t))
+        try:
+            f = min(src(y, t), _SOURCE_CAP)
+        except OverflowError:
+            f = _SOURCE_CAP
+        du = (min(yp, _SOURCE_CAP), -f)
         if not lin:
             return du
         v1, phi = u[2], u[3]
         dv1 = phi if n == 2 else _clamp(phi / max(psi, _PSI_ATOL) ** exd)
-        return du + (dv1, _clamp(-_fprime_soft(nl, y, t) * v1 / (n - 1.0)))
+        try:
+            fp = _clamp(fprime(y, t))
+        except OverflowError:
+            fp = _SOURCE_CAP
+        return du + (dv1, _clamp(-fp * v1 / (n - 1.0)))
 
     if floor is None:
         floor = start.t - max(1000.0, 4.0 * abs(start.t) + 400.0 * (n - 1.0))
@@ -689,20 +684,27 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
 
     ex = 1.0 / (n - 1.0)
     exd = (n - 2.0) / (n - 1.0)
+    src, fprime = source_terms(nl)
 
     def rhs(r, u):
         w, Phi = u[0], u[1]
         aPhi = max(-Phi, 0.0)
         wp = -((aPhi / r ** (n - 1.0)) ** ex) if aPhi > 0.0 else 0.0
-        du = (max(wp, -_SOURCE_CAP),
-              _clamp(-_source_soft(nl, w, 0.0) * r ** (nb - 1.0)))
+        try:
+            f = min(src(w, 0.0), _SOURCE_CAP)
+        except OverflowError:
+            f = _SOURCE_CAP
+        du = (max(wp, -_SOURCE_CAP), _clamp(-f * r ** (nb - 1.0)))
         if not lin:
             return du
         W, chi = u[2], u[3]
         dW = _clamp(chi / r if n == 2
                     else chi / (r * max(aPhi, _PSI_ATOL) ** exd))
-        return du + (dW, _clamp(-_fprime_soft(nl, w, 0.0) * W
-                                * r ** (nb - 1.0) / (n - 1.0)))
+        try:
+            fp = _clamp(fprime(w, 0.0))
+        except OverflowError:
+            fp = _SOURCE_CAP
+        return du + (dW, _clamp(-fp * W * r ** (nb - 1.0) / (n - 1.0)))
 
     try:
         start_rate = max(map(abs, rhs(r0, y0)))

@@ -374,6 +374,8 @@ class TestSnapshot:
     @example("pow_exp", 1.986, 0.0, 0.0, 4, 4.99e149)
     @example("pow_exp", 1.943, 0.0, 0.0, 3, 1.59e-92)
     @example("pow_exp", 1.949, 0.0, 0.0, 3, 2.13e-132)
+    # g' = 1.5e-162 here: (g')^2 underflowed to 0 under a division
+    @example("pow_exp", 2.5, 0.0, 0.0, 2, math.exp(-249.0))
     @settings(max_examples=300, deadline=None)
     def test_fields_are_finite_or_the_error_is_typed(self, family, q, p, rb,
                                                      n, gamma):

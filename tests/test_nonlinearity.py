@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from qshoot.errors import AdmissionError, ConfigError
 from qshoot.nonlinearity import (DEFAULT_S0_SCAN, convexity_floor, eval_g, eval_fprime_source,
                                  eval_source, find_s0, g_is_linear, log_f,
-                                 make_nonlinearity, with_lambda)
+                                 make_nonlinearity, source_terms, with_lambda)
 
 
 def fd_derivative(nl, u, k, h):
@@ -79,6 +79,44 @@ def test_fprime_source_matches_product():
     for u in (0.5, 2.0, 7.0):
         want = eval_g(nl, u, 1) * eval_source(nl, u, 3.0)
         assert eval_fprime_source(nl, u, 3.0) == pytest.approx(want, rel=1e-12)
+
+
+def _bits(fn, *args):
+    """The value's exact bits (float.hex keeps the sign of zero), or
+    OverflowError when fn raises it."""
+    try:
+        return fn(*args).hex()
+    except OverflowError:
+        return OverflowError
+
+
+_maybe_zero = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))
+
+
+@seed(18)
+@given(st.sampled_from(["linear", "exp", "pow_exp"]),
+       st.floats(min_value=0.5, max_value=2.0),
+       # q above ~103 makes u**q itself overflow for u near 1e3
+       st.one_of(st.floats(min_value=1.0, max_value=3.0),
+                 st.floats(min_value=100.0, max_value=150.0)),
+       _maybe_zero, _maybe_zero,
+       st.floats(min_value=0.1, max_value=10.0),
+       st.one_of(st.floats(min_value=-1.0, max_value=0.0, exclude_min=True),
+                 st.floats(min_value=0.0, max_value=20.0),
+                 st.floats(min_value=0.0, max_value=1e3)),
+       st.floats(min_value=-800.0, max_value=800.0))
+@example("pow_exp", 1.0, 1.5, 1.0, 1.0, 1.0, -0.5, 2.0)  # f(0) = 0
+@example("pow_exp", 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, -700.0)
+@example("exp", 1.0, 1.0, 0.0, 0.0, 1.0, 1e3, 0.0)  # exp(arg) overflows
+@example("pow_exp", 1.0, 120.0, 1.0, 0.0, 1.0, 1e3, 0.0)  # u**q overflows
+@example("linear", 1.0, 2.0, 0.0, 0.0, 3.0, -0.5, -710.0)
+@settings(max_examples=500, deadline=None)
+def test_compiled_terms_are_bitwise_the_reference(family, a, q, p, rb, lam,
+                                                  u, t):
+    nl = make_nonlinearity(family, a=a, q=q, p=p, rho_beta=rb, lam=lam)
+    src, fprime = source_terms(nl)
+    assert _bits(src, u, t) == _bits(eval_source, nl, u, t)
+    assert _bits(fprime, u, t) == _bits(eval_fprime_source, nl, u, t)
 
 
 def test_with_lambda_rescales():

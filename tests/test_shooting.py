@@ -208,6 +208,35 @@ class TestRouteChoice:
         assert shoot(nl_square, 2, 0.5, cfg2).route == "r"
         assert calls == {"floor": 1, "snapshot": 0}
 
+    def test_the_march_stays_off_the_generic_path(self, nl_family_ii, cfg2,
+                                                  monkeypatch):
+        # the right-hand sides evaluate the source through the closures of
+        # source_terms; eval_g is left to route setup
+        import importlib
+        import pkgutil
+
+        import qshoot
+
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+            return wrapper
+
+        for info in pkgutil.iter_modules(qshoot.__path__):
+            mod = importlib.import_module(f"qshoot.{info.name}")
+            if hasattr(mod, "eval_g"):
+                monkeypatch.setattr(mod, "eval_g", counted(mod.eval_g))
+        solves = (lambda: shoot(nl_family_ii, 2, 6.0, cfg2, route="t"),
+                  lambda: shoot(nl_family_ii, 2, 6.0, cfg2, route="r"),
+                  lambda: solve_V1(nl_family_ii, 2, 6.0, cfg2))
+        for solve in solves:
+            calls[0] = 0
+            assert math.isfinite(solve().T)
+            assert 0 < calls[0] < 50
+
     def test_built_in_families_never_scan_the_floor(self, nl_family_ii,
                                                     nl_exp, nl_square,
                                                     monkeypatch):
