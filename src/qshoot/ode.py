@@ -3,13 +3,14 @@
 One marching core (`_march`) serves both coordinate setups of the same
 equation. It drives the in-repo DOP853 stepper (`_dopri`: the
 Dormand-Prince 8(5,3) pair with its 7th-order dense output, under scipy
-DOP853's control law), which ends the march with a genuine step onto the
-stop level. It finds the convexity floor crossing on the dense output,
-raises with the last accepted state when the march fails or misses its
-stop, and assembles the Trajectory. Each setup only supplies its start
-state, its span and one right-hand side, which appends the linearization
-block (the derivative of the flow with respect to gamma; see the
-linearization module) when asked:
+DOP853's control law until it aims its steps at the stop level), which
+ends the march with a genuine step onto that level, rewinding a crossing
+step that no such step can replace. It finds the convexity floor crossing
+on the dense output, raises with the last accepted state when the march
+fails or misses its stop, and assembles the Trajectory. Each setup only
+supplies its start state, its span and one right-hand side, which appends
+the linearization block (the derivative of the flow with respect to
+gamma; see the linearization module) when asked:
 
   t-route   y' = psi^{1/(n-1)}, psi' = -f(y) e^{-t}, integrated backwards in
             the log-radius variable t from a tail start down to the first
@@ -466,13 +467,13 @@ class DenseOutput:
                     xtol=xtol / abs(h)))
         return None
 
-    def land(self, level, xtol, tols, counts):
+    def land(self, level, xtol, tols, counts, stop=None):
         """Where y[0] meets `level` on the last step, after replacing that
-        step by one ending there: Newton on its length from the crossing on
-        the interpolant, kept inside the step. If Newton leaves it (y'
-        vanishing) or a step fails the error test (a source exploding
-        there), it stays."""
-        stop = self.crossing(level, xtol)
+        step by one ending there: Newton on its length from `stop`, else
+        from the crossing on the interpolant, kept inside the step. If
+        Newton leaves it (y' vanishing) or a step fails the error test, it
+        stays and `counts["landed"]` stays False."""
+        stop = self.crossing(level, xtol) if stop is None else stop
         t, y, f = self.ts[-2], self.ys[-2], self.stages[-1][0]
         h, h_acc = stop - t, self.ts[-1] - t
         for _ in range(8):
@@ -485,7 +486,8 @@ class DenseOutput:
             h_next = h - miss / K[12][0] if K[12][0] else math.nan
             if not (err < 1.0 and 0.0 < h_next / h_acc <= 1.0):
                 break
-            if abs(h_next - h) <= xtol:
+            # Newton cannot resolve a length below the float spacing at t_new
+            if abs(h_next - h) <= xtol + 4.0 * math.ulp(t_new):
                 self.ts[-1], self.ys[-1], self.stages[-1] = t_new, y_new, K
                 self._coefficients.pop(len(self.stages) - 1, None)
                 counts["landed"] = True
@@ -498,10 +500,25 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
     """DOP853 march of y' = rhs(t, y) from t towards t_end under scipy
     DOP853's control law (initial step, safety 0.9, exponent 1/8, factors
     in [0.2, 10], none above 1 after a rejection, failure below 10
-    ulp(t)): the dense output, where y[0] met `level` (None if not; see
-    `land`), and the counters. `nfev` counts the march's own evaluations,
-    2 + 12 per attempted or landing step; the dense output's extra stages
-    are not in it."""
+    ulp(t)), aimed at `level`: the dense output, where y[0] met the level
+    (None if not), and the counters.
+
+    The aim: while y[0]' points at the level, the tangent puts it a
+    distance d ahead. A longer trial step is cut to 1.0001 d, to end just
+    past the level, if d is within a third of it, and else to 2d/3, so
+    that the step that crosses is short. That step is replaced by one
+    ending on the level (`land`): past the level the source is frozen at
+    f(0), and a step reaching there sees the kink in its error test and
+    its last stage. A landing that fails rewinds the crossing step as a
+    rejection, to retry at half its length, three times at most; then the
+    stop is read off the step's interpolant. The first aimed trial
+    that crosses and fails is offered to the landing too, from its chord.
+
+    Counters: `aimed` trials cut by the aim, `rejected` trials in all,
+    `rejected_stop` those whose end crossed the level (rewinds included;
+    an offered trial that lands counts as the step it became), `landing`
+    passes, and `nfev` the march's own evaluations, 2 + 12 per attempted
+    or landing step; the dense output's extra stages are not in it."""
     sign, span = (1.0 if t_end > t else -1.0), abs(t_end - t)
     f = rhs(t, y)
     # initial step (Hairer, Norsett & Wanner, II.4)
@@ -515,8 +532,10 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
     h_abs = min(100.0 * h0, span, max(1e-6, h0 * 1e-3)
                 if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125)
     ts, ys, stages = [t], [y], []
-    counts = dict(status=0, nfev=2, rejected=0, landing=0, landed=False)
+    counts = dict(status=0, nfev=2, rejected=0, rejected_stop=0, aimed=0,
+                  landing=0, landed=False)
     g = None if level is None else y[0] - level
+    offered, rewinds = False, 0
     while sign * (t - t_end) < 0.0:
         min_step = 10.0 * abs(math.nextafter(t, sign * math.inf) - t)
         h_abs, retry = max(h_abs, min_step), False
@@ -524,6 +543,14 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
             if not h_abs >= min_step:  # a NaN step fails too
                 counts["status"] = -1
                 return DenseOutput(rhs, ts, ys, stages), None, counts
+            # d: the tangent's distance to the level, when heading there
+            d = g is not None and g * sign * f[0] < 0.0 and g / -(sign * f[0])
+            aim = d and max(1.0001 * d if 3.0 * d <= h_abs else d / 1.5,
+                            min_step)
+            aimed = aim and aim < h_abs
+            if aimed:
+                h_abs = aim
+                counts["aimed"] += 1
             t_new = t + sign * h_abs
             if sign * (t_new - t_end) > 0.0:
                 t_new = t_end
@@ -532,6 +559,20 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
             y_new, K, err = _dp_step(rhs, t, y, f, h, rtol, atol)
             counts["nfev"] += 12
             factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125
+            crossed = g is not None and _crosses(g, y_new[0] - level)
+            if crossed and y_new[0] != level and (
+                    err < 1.0 or aimed and not offered):
+                passed, offered = err < 1.0, offered or err >= 1.0
+                dense = DenseOutput(rhs, ts + [t_new], ys + [y_new],
+                                    stages + [K])
+                chord = None if passed else t + h * g / (g + level - y_new[0])
+                stop = dense.land(level, xtol, (rtol, atol), counts, chord)
+                if counts["landed"] or passed and rewinds == 3:
+                    counts["status"] = 1
+                    return dense, stop, counts
+                if passed:  # rewind: reject it, retry at half its length
+                    rewinds += 1
+                    err, factor = math.inf, 0.5
             if err < 1.0:
                 h_abs *= min(1.0 if retry else 10.0, factor)
                 break
@@ -539,19 +580,17 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
             h_abs *= factor if factor > 0.2 else 0.2
             retry = True
             counts["rejected"] += 1
+            counts["rejected_stop"] += crossed
         ts.append(t_new)
         ys.append(y_new)
         stages.append(K)
         t, y, f = t_new, y_new, K[12]
         if g is not None:
-            g_old, g = g, y[0] - level
-            if _crosses(g_old, g):
-                counts["status"], counts["landed"] = 1, g == 0.0
-                break
-    dense = DenseOutput(rhs, ts, ys, stages)
-    if counts["status"] == 1 and not counts["landed"]:
-        t = dense.land(level, xtol, (rtol, atol), counts)
-    return dense, t if counts["status"] == 1 else None, counts
+            g = y[0] - level
+            if crossed:  # the step ended on the level exactly
+                counts["status"], counts["landed"] = 1, True
+                return DenseOutput(rhs, ts, ys, stages), t, counts
+    return DenseOutput(rhs, ts, ys, stages), None, counts
 
 
 def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,

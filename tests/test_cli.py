@@ -170,9 +170,13 @@ class TestSweepCommand:
         assert lines[0] == "gamma,T,R,lambda,yprime_T"
         gam = [float(l.split(",")[0]) for l in lines[1:]]
         assert gam == sorted(gam) and len(gam) == 5
-        meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
+        meta_text = (tmp_path / "curve.csv.meta.json").read_text()
+        meta = json.loads(meta_text)
         assert meta["gamma_count"] == 5
         assert meta["n"] == 2
+        # the march counters stay in Trajectory.diagnostics
+        for counter in ("nfev", "rejected", "aimed", "landing"):
+            assert counter not in text + out.read_text() + meta_text
 
     def test_sweep_rows_match_single_shots(self, capsys, tmp_path):
         out = tmp_path / "c.csv"

@@ -367,10 +367,12 @@ def _marched(monkeypatch, march):
 
 
 class TestStepper:
-    """The DOP853 stepper keeps scipy DOP853's control law step for step;
-    only the stop differs, landed by a genuine step. Step ends are not
-    pinned bitwise: the error sums cancel heavily, so a different summation
-    order moves the norm by about 1e-4 and the step ends by about 1e-5.
+    """The DOP853 stepper keeps scipy DOP853's control law step for step
+    until the march aims at its stop level: then a step that would reach
+    past the tangent's estimate of the level is cut, and the stop is landed
+    by a genuine step. Step ends are not pinned bitwise: the error sums
+    cancel heavily, so a different summation order moves the norm by about
+    1e-4 and the step ends by about 1e-5.
 
     `nfev` counts the march's own evaluations, 2 + 12 per attempted or
     landing step. The three extra stages the dense output pays on each step
@@ -395,6 +397,10 @@ class TestStepper:
         got = np.array([dense(m) for m in mids])
         assert _dev(got, ref.sol(mids).T).max() <= 1e-9
 
+    # (the first step the aim cuts, steps, nfev) of each march; scipy takes
+    # 44 steps (842 nfev) and 71 (1,475)
+    TAIL_PINS = {(2, False): (39, 42, 614), (3, True): (58, 62, 890)}
+
     @pytest.mark.parametrize("n,lin", [(2, False), (3, True)])
     def test_matches_scipy_on_the_tail_march(self, monkeypatch, n, lin):
         nl = make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0, n=n)
@@ -415,9 +421,12 @@ class TestStepper:
                         seen["y0"], method="DOP853", rtol=cfg.rtol,
                         atol=atol, events=[zero], dense_output=True)
         diag = traj.diagnostics
-        steps = len(ref.t) - 1
-        assert diag["steps"] == steps
-        assert diag["nfev"] == ref.nfev - 3 * steps + 12 * diag["landing"]
+        first, steps, nfev = self.TAIL_PINS[n, lin]
+        assert (diag["steps"], diag["nfev"]) == (steps, nfev)
+        # scipy's steps up to the first one the aim cuts, which parts them
+        ts = np.asarray(traj.ts)
+        assert np.abs(ts[:first + 1] - ref.t[:first + 1]).max() <= 1e-6
+        assert abs(ts[first + 1] - ref.t[first + 1]) > 1e-3
         dev = _dev(traj.states, ref.sol(traj.ts).T)
         assert dev[:-1].max() <= 1e-9
         # the landed stop against scipy's interpolant there
@@ -441,8 +450,34 @@ class TestStepper:
                                       + d["landing"])
         assert d["landing"] >= 1 and d["landed"]
         assert d["steps"] == len(traj.ts) - 1
+        assert d["aimed"] >= 1 and 0 <= d["rejected_stop"] <= d["rejected"]
         if (route, lin) == ("t", False):
             assert d["rejected"] > 0
+
+    def test_counters_account_for_a_rewound_step(self, monkeypatch):
+        # the march first crosses y = 0 inside a steep core, where no step
+        # lands: the crossing step is rewound as a rejection, and the march
+        # goes on to the first zero (3.4710749 when capped at steps of 0.5)
+        landed = []
+        land = qshoot.ode.DenseOutput.land
+
+        def spy(dense, *args):
+            stop = land(dense, *args)
+            landed.append(args[3]["landed"])
+            return stop
+
+        monkeypatch.setattr(qshoot.ode.DenseOutput, "land", spy)
+        nl = make_nonlinearity(
+            "pow_exp", q=2.048104938325588, p=1.2205259916931035,
+            rho_beta=1.468465276109871, lam=0.29230008974150495, n=2)
+        traj = shoot(nl, 2, 142.00054031975856, ProblemConfig(),
+                     keep_trajectory=True, route="t").traj
+        d = traj.diagnostics
+        assert landed[0] is False and landed[-1] is True
+        assert d["nfev"] == 2 + 12 * (d["steps"] + d["rejected"]
+                                      + d["landing"])
+        assert 0 < d["rejected_stop"] <= d["rejected"]
+        assert traj.stop == pytest.approx(3.4710749, abs=1e-7)
 
     @pytest.mark.parametrize("bad", [math.nan, 1e300])
     def test_a_non_finite_error_norm_is_a_rejection(self, bad):
@@ -478,6 +513,51 @@ class TestStepper:
         recs = energy_series(traj)
         assert recs[-1].t == traj.ts[-1]
         assert energy_violations(recs, tol=1e-9) == []
+
+
+class TestLanding:
+    """Every march lands its stop by a genuine step, and the stop agrees
+    with an rtol 1e-13 shoot on the same route. The exp family at n=4
+    starts at gamma=2: below it the radius route errs up to 5e-10 relative
+    against that reference, the same before the aim, and also against the
+    closed form."""
+
+    FAMILY_II = dict(q=1.5, p=1.0, rho_beta=1.0)
+    GROUPS = {
+        "family_ii-2": ("pow_exp", FAMILY_II, 2, (2.3, 11.5, 40), shoot),
+        "family_ii-3": ("pow_exp", FAMILY_II, 3, (2.3, 11.5, 40), shoot),
+        "exp-2": ("exp", {}, 2, (0.2, 12.0, 20), shoot),
+        "exp-3": ("exp", {}, 3, (0.2, 12.0, 20), shoot),
+        "exp-4": ("exp", {}, 4, (2.0, 12.0, 20), shoot),
+        "linear-2": ("linear", {}, 2, (0.1, 5.0, 20), shoot),
+        "solve_V1-3": ("pow_exp", dict(q=1.5), 3, (3.0, 12.0, 20), solve_V1),
+    }
+
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    def test_every_march_lands_accurately(self, group):
+        family, kw, n, grid, solve = self.GROUPS[group]
+        nl = make_nonlinearity(family, n=n, **kw)
+        cfg = ProblemConfig()
+        tight = replace(cfg, rtol=1e-13)
+        for gamma in np.linspace(*grid):
+            out = solve(nl, n, float(gamma), cfg, keep_trajectory=True)
+            ref = shoot(nl, n, float(gamma), tight, route=out.route)
+            assert out.traj.diagnostics["landed"], gamma
+            assert out.T == pytest.approx(ref.T, rel=1e-10)
+            assert out.yprime_T == pytest.approx(ref.yprime_T, rel=1e-10)
+
+    def test_a_stop_far_out_lands(self):
+        # the radius route stops at r = 8.3e3, where the float spacing is
+        # above the stop tolerance: Newton on the landing step converges
+        # to that spacing, in one pass here
+        nl = make_nonlinearity(
+            "pow_exp", q=2.241937444429604, p=2.7170013314033414,
+            rho_beta=2.4625338705116473, lam=0.31486428271855005, n=2)
+        out = shoot(nl, 2, 0.00022065807470623684, ProblemConfig(),
+                    keep_trajectory=True)
+        d = out.traj.diagnostics
+        assert (out.route, d["landed"], d["landing"]) == ("r", True, 1)
+        assert out.T == pytest.approx(-16.656208212, abs=1e-8)
 
 
 class TestTableau:

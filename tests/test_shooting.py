@@ -46,6 +46,23 @@ STEEP_CORE_N4 = ("pow_exp", 4, 1.737769577711514, 0.0017065717837739802,
 NEAR_ZERO_R = ("pow_exp", 2, 1.5, 0.0, 0.0, 1.0, math.exp(6.0), None)
 NEAR_ZERO_LAM = ("pow_exp", 2, 1.375, 0.0, 0.0, 1.0, math.exp(6.0), None)
 
+# Marches that stepped over a steep core before the march aimed its steps at
+# the stop, with first zeros from a DOP853 march capped at steps of 0.5 or
+# 0.1 (scipy, rtol 1e-10). The first returned T = -26.9305 at the default
+# rtol, the second a far-zero SolverError at T = -1652.13, the third
+# 7.4869535 at every rtol.
+STEPPED_OVER = [
+    (("pow_exp", 2, 2.106328425665315, 1.4897613642514065,
+      0.21868676329316428, 2.3434853490342125, 23.04408826394745, None),
+     0.9085337, 1e-6),
+    (("pow_exp", 3, 1.808816813520795, 1.2128197937503327,
+      0.9511579499233984, 0.2320621683784375, 147.0194609360151, "t"),
+     1.7831, 1e-4),
+    (("pow_exp", 2, 2.019598503561868, 1.4945643485508957,
+      0.5442631117538587, 0.13604418173747487, 22.282727530755327, None),
+     7.4870116, 1e-6),
+]
+
 # the space of the no-crash properties, drawn as such cases
 CASES = st.tuples(st.sampled_from(["exp", "pow_exp", "linear"]),
                   st.sampled_from([2, 3, 4]),
@@ -441,6 +458,14 @@ class TestFarZero:
         T_reduced = _liouville_T(n, lam / (n ** beta * a ** n), gamma)
         assert _named_T(str(exc.value)) == pytest.approx(T_reduced / a,
                                                          rel=5e-6)
+
+    @pytest.mark.parametrize("case,T,tol", STEPPED_OVER,
+                             ids=["wrong_T", "far_zero", "every_rtol"])
+    def test_a_core_stepped_over_before_the_aim_is_found(self, case, T, tol):
+        out = shoot(_case_nl(case), case[1], case[6], ProblemConfig(),
+                    route=case[7], keep_trajectory=True)
+        assert out.route == "t" and out.traj.diagnostics["landed"]
+        assert out.T == pytest.approx(T, abs=tol)
 
     @given(CASES)
     @example(FAR_ZERO_N5)
