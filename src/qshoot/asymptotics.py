@@ -67,8 +67,8 @@ class GammaSnapshot:
     """The comparison solution at a single gamma, and everything the closed
     forms need there.
 
-    g is the full source exponent log f(gamma) (multiplier included); gp,
-    gpp, gppp are plain derivatives of g(u) at gamma. delta = T1 - T0. The
+    g is the full source exponent log f(gamma) (multiplier included); gp
+    and gpp are plain derivatives of g(u) at gamma. delta = T1 - T0. The
     methods take scalar or array t and return floats or arrays to match.
     """
 
@@ -77,7 +77,6 @@ class GammaSnapshot:
     g: float
     gp: float
     gpp: float
-    gppp: float
     alpha_n: float
     T1: float
     T0: float
@@ -153,7 +152,6 @@ def snapshot(nl: Nonlinearity, n: int, gamma: float) -> GammaSnapshot:
         g = eval_g(nl, gamma, 0) + math.log(nl.lam)
         gp = eval_g(nl, gamma, 1)
         gpp = eval_g(nl, gamma, 2)
-        gppp = eval_g(nl, gamma, 3)
         if gp <= 0.0:
             raise AdmissionError(f"g'({gamma}) = {gp} is not positive")
         T1 = g + (n - 1.0) * math.log((n - 1.0) * gp / n)
@@ -164,8 +162,7 @@ def snapshot(nl: Nonlinearity, n: int, gamma: float) -> GammaSnapshot:
         raise AdmissionError(f"closed forms leave double range at "
                              f"gamma={gamma}: {exc}") from None
     s = GammaSnapshot(gamma=float(gamma), n=int(n), g=g, gp=gp, gpp=gpp,
-                      gppp=gppp, alpha_n=harmonic(n), T1=T1, T0=T0,
-                      delta=T1 - T0)
+                      alpha_n=harmonic(n), T1=T1, T0=T0, delta=T1 - T0)
     bad = [k for k, v in asdict(s).items() if not math.isfinite(v)]
     if bad:
         raise AdmissionError(f"closed forms leave double range at "

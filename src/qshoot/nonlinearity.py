@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -217,19 +216,30 @@ def eval_fprime_source(nl: Nonlinearity, u: float, t: float) -> float:
     return gp * math.exp(arg)
 
 
+# The march's overflow sentinel: source_terms saturates at it, ode clamps
+# its slopes there and reads its radius-route budget off it. A saturated
+# value blows up the trial step's error norm, so the step is retried shorter.
+SOURCE_CAP = 1e100
+
+
 def source_terms(nl: Nonlinearity) -> tuple:
     """(src, fprime): eval_source and eval_fprime_source as closures over
-    the family's constants, for the integrator's right-hand sides. Each
-    value is bitwise equal to the reference's and overflows at the same
-    inputs: g keeps eval_g's grouping a u^q + (p log u + b u), each rho term
-    present exactly when _rho adds it. The linear family's reference calls
-    nothing, so its pair is the reference itself."""
+    the family's constants for the integrator's right-hand sides, saturated
+    at SOURCE_CAP. Bitwise, src is min(eval_source, SOURCE_CAP) and fprime
+    eval_fprime_source clamped to +-SOURCE_CAP; either is SOURCE_CAP where
+    the reference raises OverflowError (u**q included), and a NaN passes.
+    A saturated value only rejects the trial step that met it. g keeps
+    eval_g's grouping a u^q + (p log u + b u), each rho term present exactly
+    when _rho adds it. The cap is compared after exp: exp(log(cap)) > cap."""
+    big, cap, exp, log = EXP_ARG_MAX, SOURCE_CAP, math.exp, math.log
     if nl.linear:
-        return partial(eval_source, nl), partial(eval_fprime_source, nl)
-    big, exp, log = EXP_ARG_MAX, math.exp, math.log
+        lam = nl.lam
 
-    def overflow(arg):
-        return OverflowError(f"exponent {arg:.6g} exceeds representable range")
+        def src(u, t):
+            v = cap if -t > big else lam * u * exp(-t)
+            return cap if v > cap else v
+
+        return src, lambda u, t: src(1.0, t)  # f' = lam = f(1)
 
     llam, a, q, p, b = math.log(nl.lam), nl.a, nl.q, nl.p, nl.b
     aq, qm1, hp, hb = a * q, q - 1, p != 0.0, b != 0.0
@@ -243,10 +253,12 @@ def source_terms(nl: Nonlinearity) -> tuple:
             arg = lf0 - t
         else:
             rho = (p * log(u) if hp else 0.0) + (b * u if hb else 0.0)
-            arg = llam + (a * u ** q + rho) - t
-        if arg > big:
-            raise overflow(arg)
-        return exp(arg)
+            try:
+                arg = llam + (a * u ** q + rho) - t
+            except OverflowError:
+                return cap
+        v = cap if arg > big else exp(arg)
+        return cap if v > cap else v
 
     def fprime(u, t):
         if u <= 0.0:
@@ -255,17 +267,18 @@ def source_terms(nl: Nonlinearity) -> tuple:
             gp, arg = gp0, lf0 - t
         else:
             rho = (p * log(u) if hp else 0.0) + (b * u if hb else 0.0)
-            # p/u + b is _rho's rho' also with p or b zero: 0/u is +0.0
-            gp = aq * u ** qm1 + (p / u + b)
-            arg = llam + (a * u ** q + rho) - t
+            try:
+                # p/u + b is _rho's rho' also with p or b zero: 0/u is +0.0
+                gp = aq * u ** qm1 + (p / u + b)
+                arg = llam + (a * u ** q + rho) - t
+            except OverflowError:
+                return cap
             if gp > 0.0:
                 arg += log(gp)
-                if arg > big:
-                    raise overflow(arg)
-                return exp(arg)
-        if arg > big:
-            raise overflow(arg)
-        return gp * exp(arg)
+                v = cap if arg > big else exp(arg)
+                return cap if v > cap else v
+        v = cap if arg > big else gp * exp(arg)
+        return cap if v > cap else (-cap if v < -cap else v)
 
     return src, fprime
 

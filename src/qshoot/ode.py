@@ -27,6 +27,10 @@ zero; the t-route gives up at a `floor` in t, the r-route at a radius
 either route to the log-radius variable, r = n e^{-t/n}. The dimension n is
 each call's argument, checked by config.check_dimension.
 
+Overflow policy: the closures of nonlinearity.source_terms saturate at the
+sentinel nonlinearity.SOURCE_CAP, and the slope clamps here at the same
+one, so a saturated value only rejects the trial step that met it.
+
 Tolerance policy: scalar absolute tolerance on the solution value, but a
 purely relative control on the flux. The flux spans many orders of magnitude
 along the tail and an absolute floor there shows up as spurious wiggle in
@@ -48,9 +52,9 @@ from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import (AdmissionError, ConfigError, EventNotFoundError,
                      SolverError)
-from .nonlinearity import (Nonlinearity, convexity_floor, eval_fprime_source,
-                           eval_g, eval_source, g_is_linear, log_f,
-                           source_terms)
+from .nonlinearity import (SOURCE_CAP, Nonlinearity, convexity_floor,
+                           eval_fprime_source, eval_g, eval_source,
+                           g_is_linear, log_f, source_terms)
 
 # pure relative control on the flux component (see module docstring)
 _PSI_ATOL = 1e-300
@@ -58,20 +62,13 @@ _PSI_ATOL = 1e-300
 EVENT_TOL = 1e-12
 # radius where the outward march gives up looking for its stop
 R_MAX = 1e5
-
-
-# finite overflow sentinel: a capped slope or source blows up the trial
-# step's error norm, so the stepper rejects and shrinks that step. The
-# right-hand sides report a source that overflows as the cap itself. The
-# radius-route budget below is read off it, hence it stays at 1e100.
-_SOURCE_CAP = 1e100
 # largest log of a legitimate radius-route source or slope: both peak at the
-# startup or stay below f(gamma), so the clamps then only cut trial steps
-_LOG_CAP = math.log(_SOURCE_CAP) - 10.0
+# startup or stay below f(gamma), so the sentinel then only cuts trial steps
+_LOG_CAP = math.log(SOURCE_CAP) - 10.0
 
 
 def _clamp(v: float) -> float:
-    return min(max(v, -_SOURCE_CAP), _SOURCE_CAP)
+    return min(max(v, -SOURCE_CAP), SOURCE_CAP)
 
 
 @dataclass(frozen=True)
@@ -595,15 +592,14 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
 
 def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
            span: tuple, y0: list, level: float, track_s0: float | None,
-           where: str, **diag) -> Trajectory:
+           where: str, xtol: float = 0.5 * EVENT_TOL, **diag) -> Trajectory:
     """The marching core of both routes: integrate `rhs` over `span` until
     the first component lands on `level`, and find the crossing of
-    track_s0 on the dense output. A 4-component `y0` carries the
-    linearization channel; `where` ends the miss message."""
+    track_s0 on the dense output, both to within `xtol`. A 4-component
+    `y0` carries the linearization channel; `where` ends the miss message."""
     level = float(level)
     track = track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0)
     atol = [cfg.atol, _PSI_ATOL] + [cfg.atol] * (len(y0) - 2)
-    xtol = 0.5 * EVENT_TOL
     try:
         dense, stop, counts = _dopri(rhs, span[0], [float(v) for v in y0],
                                      span[1], cfg.rtol, atol, level, xtol)
@@ -642,20 +638,12 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT,
     def rhs(t, u):
         y, psi = u[0], u[1]
         yp = psi ** ex if psi > 0.0 else 0.0
-        try:
-            f = min(src(y, t), _SOURCE_CAP)
-        except OverflowError:
-            f = _SOURCE_CAP
-        du = (min(yp, _SOURCE_CAP), -f)
+        du = (min(yp, SOURCE_CAP), -src(y, t))
         if not lin:
             return du
         v1, phi = u[2], u[3]
         dv1 = phi if n == 2 else _clamp(phi / max(psi, _PSI_ATOL) ** exd)
-        try:
-            fp = _clamp(fprime(y, t))
-        except OverflowError:
-            fp = _SOURCE_CAP
-        return du + (dv1, _clamp(-fp * v1 / (n - 1.0)))
+        return du + (dv1, _clamp(-fprime(y, t) * v1 / (n - 1.0)))
 
     if floor is None:
         floor = start.t - max(1000.0, 4.0 * abs(start.t) + 400.0 * (n - 1.0))
@@ -666,26 +654,18 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT,
                   track_s0, f"above the floor t={floor}", t_start=start.t)
 
 
-def series_startup_radius(nl: Nonlinearity, n: int, gamma: float,
+def series_startup_radius(fg: float, n: int, gamma: float,
                           cfg: ProblemConfig) -> float:
-    """Startup radius of the outward march, r0 = min(1e-3, (rtol (n-b) /
-    f(gamma))^{(n-1)/(n-b)}), with b the weight exponent: the origin's
-    series runs in powers r^{(n-b)/(n-1)} (see integrate_r)."""
+    """Startup radius r0 = min(1e-3, x0^{(n-1)/(n-b)}) of the outward march,
+    with fg = f(gamma), b the weight exponent and x = r^{(n-b)/(n-1)} the
+    origin's series variable (see integrate_r). x0 is rtol (n-b) / fg, for
+    a next series term below the step tolerance, or where the series has
+    taken half of gamma, if smaller: an amplitude of a few rtol then starts
+    above zero."""
     nb = n - cfg.beta_weight
-    fg = _f_at(nl, gamma)
-    return min(1e-3, (cfg.rtol * nb / fg) ** ((n - 1.0) / nb))
-
-
-def _f_at(nl: Nonlinearity, gamma: float) -> float:
-    try:
-        lf = log_f(nl, gamma)
-    except OverflowError:
-        lf = math.inf
-    if lf > _LOG_CAP:
-        raise AdmissionError(
-            f"log f(gamma) = {lf:.3g} exceeds the exponent budget "
-            f"{_LOG_CAP:.3g}; the radius route cannot start")
-    return math.exp(lf)
+    x_tol = cfg.rtol * nb / fg
+    x_half = 0.5 * gamma * nb / (n - 1.0) * (nb / fg) ** (1.0 / (n - 1.0))
+    return min(1e-3, min(x_tol, x_half) ** ((n - 1.0) / nb))
 
 
 def integrate_r(nl: Nonlinearity, n: int, gamma: float,
@@ -695,7 +675,7 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
     """March the weighted flux system outward in r from a series startup
     until w lands on `level`, giving up at the radius `r_end`.
 
-    The startup radius keeps the next series term below the step tolerance:
+    It starts at series_startup_radius on the origin's series:
     w = gamma - ((n-1)/(n-b)) (f(gamma)/(n-b))^{1/(n-1)} r^{(n-b)/(n-1)},
     Phi = -f(gamma) r^{n-b}/(n-b), with b the singular weight exponent.
     """
@@ -707,8 +687,20 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
         raise AdmissionError("linearized flow not wired for the weighted "
                              "problem; reduce it first")
     nb = n - b
-    fg = _f_at(nl, gamma)
-    r0 = series_startup_radius(nl, n, gamma, cfg)
+    try:
+        lf = log_f(nl, gamma)
+    except OverflowError:
+        lf = math.inf
+    if lf > _LOG_CAP:
+        raise AdmissionError(
+            f"log f(gamma) = {lf:.3g} exceeds the exponent budget "
+            f"{_LOG_CAP:.3g}; the radius route cannot start")
+    fg = math.exp(lf)
+    r0 = series_startup_radius(fg, n, gamma, cfg)
+    # the amplitude bound cuts r0 below r0_tol (gamma of a few rtol); the
+    # first zero shrinks with it, and so does the stop's tolerance
+    r0_tol = series_startup_radius(fg, n, math.inf, cfg)  # unbounded
+    xtol = 0.5 * EVENT_TOL * (r0 / r0_tol if r0 < r0_tol else 1.0)
     w0 = gamma - (n - 1.0) / nb * (fg / nb) ** (1.0 / (n - 1.0)) \
         * r0 ** (nb / (n - 1.0))
     Phi0 = -fg * r0 ** nb / nb
@@ -729,21 +721,14 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
         w, Phi = u[0], u[1]
         aPhi = max(-Phi, 0.0)
         wp = -((aPhi / r ** (n - 1.0)) ** ex) if aPhi > 0.0 else 0.0
-        try:
-            f = min(src(w, 0.0), _SOURCE_CAP)
-        except OverflowError:
-            f = _SOURCE_CAP
-        du = (max(wp, -_SOURCE_CAP), _clamp(-f * r ** (nb - 1.0)))
+        du = (max(wp, -SOURCE_CAP), _clamp(-src(w, 0.0) * r ** (nb - 1.0)))
         if not lin:
             return du
         W, chi = u[2], u[3]
         dW = _clamp(chi / r if n == 2
                     else chi / (r * max(aPhi, _PSI_ATOL) ** exd))
-        try:
-            fp = _clamp(fprime(w, 0.0))
-        except OverflowError:
-            fp = _SOURCE_CAP
-        return du + (dW, _clamp(-fp * W * r ** (nb - 1.0) / (n - 1.0)))
+        return du + (dW, _clamp(-fprime(w, 0.0) * W * r ** (nb - 1.0)
+                                / (n - 1.0)))
 
     try:
         start_rate = max(map(abs, rhs(r0, y0)))
@@ -757,7 +742,7 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
     if r_end <= r0:
         raise ConfigError(f"stop radius {r_end} not beyond startup {r0}")
     return _march("r", nl, n, cfg, rhs, (r0, r_end), y0, level, track_s0,
-                  f"inside r <= {r_end}", r0=r0)
+                  f"inside r <= {r_end}", xtol, r0=r0)
 
 
 @dataclass(frozen=True)

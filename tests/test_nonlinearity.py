@@ -6,8 +6,9 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from qshoot.errors import AdmissionError, ConfigError
-from qshoot.nonlinearity import (DEFAULT_S0_SCAN, convexity_floor, eval_g, eval_fprime_source,
-                                 eval_source, find_s0, g_is_linear, log_f,
+from qshoot.nonlinearity import (DEFAULT_S0_SCAN, SOURCE_CAP, convexity_floor,
+                                 eval_fprime_source, eval_g, eval_source,
+                                 find_s0, g_is_linear, log_f,
                                  make_nonlinearity, source_terms, with_lambda)
 
 
@@ -81,16 +82,24 @@ def test_fprime_source_matches_product():
         assert eval_fprime_source(nl, u, 3.0) == pytest.approx(want, rel=1e-12)
 
 
-def _bits(fn, *args):
-    """The value's exact bits (float.hex keeps the sign of zero), or
-    OverflowError when fn raises it."""
-    try:
-        return fn(*args).hex()
-    except OverflowError:
-        return OverflowError
+def _saturated(ref, lower):
+    """The march's overflow policy over a reference term: SOURCE_CAP where
+    it raises OverflowError, else min(value, SOURCE_CAP), clamped from
+    below at -SOURCE_CAP too when `lower`; min and max let a NaN through."""
+    def term(*args):
+        try:
+            v = ref(*args)
+        except OverflowError:
+            return SOURCE_CAP
+        return min(max(v, -SOURCE_CAP) if lower else v, SOURCE_CAP)
+    return term
 
 
+_saturated_source = _saturated(eval_source, lower=False)
+_saturated_fprime = _saturated(eval_fprime_source, lower=True)
 _maybe_zero = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))
+# the largest argument whose exponential stays at or below the sentinel
+_ARG_CAP = math.log(SOURCE_CAP)
 
 
 @seed(18)
@@ -103,20 +112,34 @@ _maybe_zero = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))
        st.floats(min_value=0.1, max_value=10.0),
        st.one_of(st.floats(min_value=-1.0, max_value=0.0, exclude_min=True),
                  st.floats(min_value=0.0, max_value=20.0),
-                 st.floats(min_value=0.0, max_value=1e3)),
+                 st.floats(min_value=0.0, max_value=1e3),
+                 st.just(math.nan)),
        st.floats(min_value=-800.0, max_value=800.0))
 @example("pow_exp", 1.0, 1.5, 1.0, 1.0, 1.0, -0.5, 2.0)  # f(0) = 0
 @example("pow_exp", 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, -700.0)
 @example("exp", 1.0, 1.0, 0.0, 0.0, 1.0, 1e3, 0.0)  # exp(arg) overflows
 @example("pow_exp", 1.0, 120.0, 1.0, 0.0, 1.0, 1e3, 0.0)  # u**q overflows
 @example("linear", 1.0, 2.0, 0.0, 0.0, 3.0, -0.5, -710.0)
+# at the cap: exp(log(1e100)) rounds above 1e100, its predecessor below
+@example("exp", 1.0, 1.0, 0.0, 0.0, 1.0, _ARG_CAP, 0.0)
+@example("exp", 1.0, 1.0, 0.0, 0.0, 1.0, math.nextafter(_ARG_CAP, 0.0), 0.0)
+@example("pow_exp", 1.0, 2.0, 0.0, 0.0, 1.0, 0.0, -_ARG_CAP)  # f(0) branch
+@example("exp", 1.0, 1.0, 0.0, 0.0, 1.0, 709.5, 0.0)  # past EXP_ARG_MAX
+@example("pow_exp", 1.0, 1.5, 1.0, 1.0, 1.0, math.nan, 0.0)
+@example("linear", 1.0, 2.0, 0.0, 0.0, 1.0, math.nan, 0.0)
+# lambda past the sentinel: the linear source saturates above only
+@example("linear", 1.0, 2.0, 0.0, 0.0, 1e150, 1.0, 0.0)
+@example("linear", 1.0, 2.0, 0.0, 0.0, 1e150, -1.0, 0.0)
+# g' < 0 far below -1e100: f' is clamped from below, here and at u <= 0
+@example("pow_exp", 1.0, 2.0, 0.0, -1e150, 1.0, 1e-200, -200.0)
+@example("pow_exp", 1.0, 2.0, 0.0, -1e150, 1.0, -0.5, -10.0)
 @settings(max_examples=500, deadline=None)
 def test_compiled_terms_are_bitwise_the_reference(family, a, q, p, rb, lam,
                                                   u, t):
     nl = make_nonlinearity(family, a=a, q=q, p=p, rho_beta=rb, lam=lam)
     src, fprime = source_terms(nl)
-    assert _bits(src, u, t) == _bits(eval_source, nl, u, t)
-    assert _bits(fprime, u, t) == _bits(eval_fprime_source, nl, u, t)
+    assert src(u, t).hex() == _saturated_source(nl, u, t).hex()
+    assert fprime(u, t).hex() == _saturated_fprime(nl, u, t).hex()
 
 
 def test_with_lambda_rescales():

@@ -212,14 +212,21 @@ class TestOutwardMarch:
         assert abs(Tt - Tr) <= 1e-6 * (1.0 + abs(Tt))
 
     def test_startup_radius_formula(self, nl_square, cfg2):
-        r0 = series_startup_radius(nl_square, 2, 3.0, cfg2)
+        fg = math.exp(9.0)  # f(3) for f = e^{u^2}
+        r0 = series_startup_radius(fg, 2, 3.0, cfg2)
         assert r0 == pytest.approx(
             (cfg2.rtol * 2.0 / math.exp(9.0)) ** 0.5, rel=1e-13)
         assert r0 <= 1e-3
         # the weight r^{-beta} sets the series' power: (n-beta)/(n-1) of r
         weighted = replace(cfg2, beta_weight=1.0)
-        r0w = series_startup_radius(nl_square, 2, 3.0, weighted)
+        r0w = series_startup_radius(fg, 2, 3.0, weighted)
         assert r0w == pytest.approx(cfg2.rtol / math.exp(9.0), rel=1e-13)
+        # an amplitude of a few rtol: the series takes half of it at r0;
+        # from 1e-9 up the tolerance bound alone sets r0, bitwise
+        r0t = series_startup_radius(1.0, 2, 1e-12, cfg2)
+        assert r0t == pytest.approx(math.sqrt(2e-12), rel=1e-13)
+        assert series_startup_radius(1.0, 2, 1e-9, cfg2) \
+            == (cfg2.rtol * 2.0) ** 0.5
 
     def test_exponent_budget_guards_the_startup(self, nl_square, cfg2):
         # log f(30) = 900 exceeds the exponent budget of about 220
@@ -228,14 +235,17 @@ class TestOutwardMarch:
 
     def test_overflow_sentinel_never_cuts_an_admitted_march(
             self, nl_exp, monkeypatch):
-        # below the budget the right-hand side never reaches the clamp: a far
-        # larger sentinel marches bitwise the same
+        # below the budget the right-hand side never reaches the sentinel: a
+        # far larger one, in the source closures and the slope clamps alike,
+        # marches bitwise the same
+        import qshoot.nonlinearity
         import qshoot.ode
 
         cases = [(2, 0.0, 220.0), (3, 1.0, 220.0)]
         runs = [integrate_r(nl_exp, n, g, ProblemConfig(beta_weight=b)).stop
                 for n, b, g in cases]
-        monkeypatch.setattr(qshoot.ode, "_SOURCE_CAP", 1e300)
+        monkeypatch.setattr(qshoot.nonlinearity, "SOURCE_CAP", 1e300)
+        monkeypatch.setattr(qshoot.ode, "SOURCE_CAP", 1e300)
         assert runs == [integrate_r(nl_exp, n, g,
                                     ProblemConfig(beta_weight=b)).stop
                         for n, b, g in cases]

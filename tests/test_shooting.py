@@ -128,6 +128,14 @@ class TestReferenceProblems:
         assert t_prime(nl_exp, n, gamma, cfg2) == pytest.approx(want,
                                                                 rel=1e-8)
 
+    @pytest.mark.parametrize("n,gamma", [(2, 1e-11), (2, 1e-12), (2, 1e-30),
+                                         (3, 1e-12)])
+    def test_amplitudes_of_a_few_rtol_find_their_zero(self, nl_exp, cfg2, n,
+                                                      gamma):
+        # the series start would drop w by about rtol, past gamma itself
+        assert shoot(nl_exp, n, gamma, cfg2).R == pytest.approx(
+            _liouville_R(n, gamma), rel=1e-6)
+
     def test_matches_the_planar_exponential_profile(self, nl_exp, cfg2):
         # u(xi) = gamma - 2 log(1 + expm1(gamma/2) xi^2) at lambda = 1, read
         # off the radius route's dense output at r = xi R
