@@ -2,15 +2,16 @@
 
 One marching core (`_march`) serves both coordinate setups of the same
 equation. It drives the in-repo DOP853 stepper (`_dopri`: the
-Dormand-Prince 8(5,3) pair with its 7th-order dense output, under scipy
-DOP853's control law until it aims its steps at the stop level), which
-ends the march with a genuine step onto that level, rewinding a crossing
-step that no such step can replace. It finds the convexity floor crossing
-on the dense output, raises with the last accepted state when the march
-fails or misses its stop, and assembles the Trajectory. Each setup only
-supplies its start state, its span and one right-hand side, which appends
-the linearization block (the derivative of the flow with respect to
-gamma; see the linearization module) when asked:
+Dormand-Prince 8(5,3) pair with its 7th-order dense output, both as
+straight-line code generated from the tableau per state length on first
+use, under scipy DOP853's control law until it aims its steps at the stop
+level), which ends the march with a genuine step onto that level,
+rewinding a crossing step that no such step can replace. It finds the
+convexity floor crossing on the dense output, raises with the last
+accepted state when the march fails or misses its stop, and assembles the
+Trajectory. Each setup only supplies its start state, its span and one
+right-hand side, which appends the linearization block (the derivative of
+the flow with respect to gamma; see the linearization module) when asked:
 
   t-route   y' = psi^{1/(n-1)}, psi' = -f(y) e^{-t}, integrated backwards in
             the log-radius variable t from a tail start down to the first
@@ -40,6 +41,7 @@ monotone to better than 1e-11 of its natural scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -328,75 +330,74 @@ _D = (
 )
 
 
-def _dp_step(rhs, t, y, k1, h, rtol, atol):
-    """One DOP853 step of length h from (t, y), k1 = rhs(t, y): the new
-    state, the thirteen stages (the last is rhs there) and the 3/5 error
-    norm over atol + rtol max(|y|, |y_new|) (II.10), inf or NaN to fail
-    the step. The stage sums are unrolled over the tableau's nonzeros, in
-    Hairer's 1-based names: a loop over the tableau costs more than the
-    right-hand side."""
-    _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _C[:11]
-    (a21,), (a31, a32), (a41, _, a43), (a51, _, a53, a54) = _A[1:5]
-    a61, _, _, a64, a65 = _A[5]
-    a71, _, _, a74, a75, a76 = _A[6]
-    a81, _, _, a84, a85, a86, a87 = _A[7]
-    a91, _, _, a94, a95, a96, a97, a98 = _A[8]
-    a101, _, _, a104, a105, a106, a107, a108, a109 = _A[9]
-    a111, _, _, a114, a115, a116, a117, a118, a119, a1110 = _A[10]
-    a121, _, _, a124, a125, a126, a127, a128, a129, a1210, a1211 = _A[11]
-    b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = _A[12]
-    # the error weights: er the 5th-order ones, eb = b - bhh the 3rd-order
-    er1, _, _, _, _, er6, er7, er8, er9, er10, er11, er12, _ = _E5
-    eb1, _, _, _, _, eb6, eb7, eb8, eb9, eb10, eb11, eb12, _ = _E3
-    k2 = rhs(t + c2 * h, [u + h * (a21 * a) for u, a in zip(y, k1)])
-    k3 = rhs(t + c3 * h, [u + h * (a31 * a + a32 * b)
-                          for u, a, b in zip(y, k1, k2)])
-    k4 = rhs(t + c4 * h, [u + h * (a41 * a + a43 * c)
-                          for u, a, c in zip(y, k1, k3)])
-    k5 = rhs(t + c5 * h, [u + h * (a51 * a + a53 * c + a54 * d)
-                          for u, a, c, d in zip(y, k1, k3, k4)])
-    k6 = rhs(t + c6 * h, [u + h * (a61 * a + a64 * d + a65 * e)
-                          for u, a, d, e in zip(y, k1, k4, k5)])
-    k7 = rhs(t + c7 * h, [u + h * (a71 * a + a74 * d + a75 * e + a76 * f)
-                          for u, a, d, e, f in zip(y, k1, k4, k5, k6)])
-    k8 = rhs(t + c8 * h, [
-        u + h * (a81 * a + a84 * d + a85 * e + a86 * f + a87 * g)
-        for u, a, d, e, f, g in zip(y, k1, k4, k5, k6, k7)])
-    k9 = rhs(t + c9 * h, [
-        u + h * (a91 * a + a94 * d + a95 * e + a96 * f + a97 * g + a98 * m)
-        for u, a, d, e, f, g, m in zip(y, k1, k4, k5, k6, k7, k8)])
-    k10 = rhs(t + c10 * h, [
-        u + h * (a101 * a + a104 * d + a105 * e + a106 * f + a107 * g
-                 + a108 * m + a109 * o)
-        for u, a, d, e, f, g, m, o in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-    k11 = rhs(t + c11 * h, [
-        u + h * (a111 * a + a114 * d + a115 * e + a116 * f + a117 * g
-                 + a118 * m + a119 * o + a1110 * p)
-        for u, a, d, e, f, g, m, o, p
-        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-    k12 = rhs(t + h, [
-        u + h * (a121 * a + a124 * d + a125 * e + a126 * f + a127 * g
-                 + a128 * m + a129 * o + a1210 * p + a1211 * r)
-        for u, a, d, e, f, g, m, o, p, r
-        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-    y_new = [u + h * (b1 * a + b6 * f + b7 * g + b8 * m + b9 * o + b10 * p
-                      + b11 * r + b12 * s)
-             for u, a, f, g, m, o, p, r, s
-             in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
-    k13 = rhs(t + h, y_new)
-    e5 = e3 = 0.0
-    for u, v, a, f, g, m, o, p, r, s, at in zip(y, y_new, k1, k6, k7, k8, k9,
-                                                k10, k11, k12, atol):
-        sc = at + max(abs(u), abs(v)) * rtol
-        x5 = (er1 * a + er6 * f + er7 * g + er8 * m + er9 * o + er10 * p
-              + er11 * r + er12 * s) / sc
-        x3 = (eb1 * a + eb6 * f + eb7 * g + eb8 * m + eb9 * o + eb10 * p
-              + eb11 * r + eb12 * s) / sc
-        e5 += x5 * x5
-        e3 += x3 * x3
-    err = abs(h) * e5 / math.sqrt(len(y) * (e5 + 0.01 * e3)) if e5 else 0.0
-    return y_new, (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12,
-                   k13), err
+def _sum(weights, j: int) -> str:
+    """Source of the sum of w_s * ks_j (component j of stage s) over the
+    nonzero weights, in stage order, each weight as its repr literal."""
+    return " + ".join(f"{w!r} * k{s}_{j}" for s, w in enumerate(weights) if w)
+
+
+def _names(prefix: str, count: int) -> str:
+    return "".join(f"{prefix}{i}, " for i in range(count))
+
+
+def _stage(s: int, m: int, lead: str = "") -> list:
+    """Source lines evaluating stage s (a row of `_A`) and unpacking it."""
+    comps = (f"y{j} + h * ({lead}{_sum(_A[s], j)})" for j in range(m))
+    return [f"    k{s} = rhs(t + {_C[s]!r} * h, [{', '.join(comps)}])",
+            f"    {_names(f'k{s}_', m)}= k{s}"]
+
+
+def _compile(filename: str, lines: list) -> Callable:
+    """The function `kernel` that the source `lines` define."""
+    namespace = {"math": math}
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace["kernel"]
+
+
+@functools.cache
+def _dp_kernel(m: int) -> Callable:
+    """One DOP853 step for states of length m as straight-line code from
+    the tableau's nonzeros, built on first use: (rhs, t, y, k0, h, rtol,
+    atol), k0 = rhs(t, y), to the new state, the thirteen stages (the last
+    is rhs there) and the 3/5 error norm over atol + rtol max(|y|, |y_new|)
+    (II.10), inf or NaN to fail the step."""
+    J = range(m)
+    new = (f"y{j} + h * ({_sum(_A[12], j)})" for j in J)
+    lines = ["def kernel(rhs, t, y, k0, h, rtol, atol):",
+             f"    {_names('y', m)}= y", f"    {_names('k0_', m)}= k0",
+             *(line for s in range(1, 12) for line in _stage(s, m)),
+             f"    y_new = [{', '.join(new)}]", "    k12 = rhs(t + h, y_new)",
+             f"    {_names('n', m)}= y_new", f"    {_names('a', m)}= atol"]
+    for j in J:
+        lines += [f"    sc = a{j} + max(abs(y{j}), abs(n{j})) * rtol",
+                  f"    x5_{j} = ({_sum(_E5, j)}) / sc",
+                  f"    x3_{j} = ({_sum(_E3, j)}) / sc"]
+    lines += [f"    e5 = {' + '.join(f'x5_{j} * x5_{j}' for j in J)}",
+              f"    e3 = {' + '.join(f'x3_{j} * x3_{j}' for j in J)}",
+              f"    err = abs(h) * e5 / math.sqrt({m} * (e5 + 0.01 * e3))"
+              " if e5 else 0.0",
+              f"    return y_new, ({_names('k', 13)}), err"]
+    return _compile(f"<dop853 step, m={m}>", lines)
+
+
+@functools.cache
+def _dense_kernel(m: int) -> Callable:
+    """The dense output of one step, built as `_dp_kernel`: (rhs, t, h, y,
+    y_end, K), K the step's stages, pays the three extra stages and gives
+    per component the eight entries that `_poly` reads (II.6). Each sum
+    starts at 0.0, as sum() does, so a zero sum keeps sum()'s sign."""
+    lines = ["def kernel(rhs, t, h, y, y_end, K):",
+             f"    {_names('y', m)}= y", f"    {_names('n', m)}= y_end",
+             f"    {_names('k', 13)}= K",
+             *(f"    {_names(f'k{s}_', m)}= k{s}" for s in range(13)),
+             *(line for s in range(13, 16) for line in _stage(s, m, "0.0 + "))]
+    for j in range(m):
+        d = (f"h * (0.0 + {_sum(row, j)})" for row in _D)
+        lines += [f"    dy, f0, f1 = n{j} - y{j}, h * k0_{j}, h * k12_{j}",
+                  f"    q{j} = (y{j}, dy, f0 - dy, 2.0 * dy - f1 - f0, "
+                  f"{', '.join(d)})"]
+    lines.append(f"    return [{_names('q', m)}]")
+    return _compile(f"<dop853 dense output, m={m}>", lines)
 
 
 def _poly(c, x):
@@ -426,18 +427,10 @@ class DenseOutput:
     def coefficients(self, i):
         """The interpolant of step i per component, as `_poly` reads it."""
         if i not in self._coefficients:
-            t, y, h = self.ts[i], self.ys[i], self.ts[i + 1] - self.ts[i]
-            K = list(self.stages[i])
-            for c, row in zip(_C[13:], _A[13:]):
-                K.append(self.rhs(t + c * h, [
-                    u + h * sum(a * k[j] for a, k in zip(row, K))
-                    for j, u in enumerate(y)]))
-            q = self._coefficients[i] = []
-            for j, (u0, u1) in enumerate(zip(y, self.ys[i + 1])):
-                dy, f0, f1 = u1 - u0, h * K[0][j], h * K[12][j]
-                q.append((u0, dy, f0 - dy, 2.0 * dy - f1 - f0)
-                         + tuple(h * sum(d * k[j] for d, k in zip(row, K))
-                                 for row in _D))
+            t, y = self.ts[i], self.ys[i]
+            self._coefficients[i] = _dense_kernel(len(y))(
+                self.rhs, t, self.ts[i + 1] - t, y, self.ys[i + 1],
+                self.stages[i])
         return self._coefficients[i]
 
     def __call__(self, x) -> np.ndarray:
@@ -476,7 +469,7 @@ class DenseOutput:
         for _ in range(8):
             t_new = t + h
             h = t_new - t
-            y_new, K, err = _dp_step(self.rhs, t, y, f, h, *tols)
+            y_new, K, err = _dp_kernel(len(y))(self.rhs, t, y, f, h, *tols)
             counts["nfev"] += 12
             counts["landing"] += 1
             miss = y_new[0] - level
@@ -517,6 +510,7 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
     passes, and `nfev` the march's own evaluations, 2 + 12 per attempted
     or landing step; the dense output's extra stages are not in it."""
     sign, span = (1.0 if t_end > t else -1.0), abs(t_end - t)
+    step = _dp_kernel(len(y))
     f = rhs(t, y)
     # initial step (Hairer, Norsett & Wanner, II.4)
     scale = [a + abs(u) * rtol for u, a in zip(y, atol)]
@@ -553,7 +547,7 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            y_new, K, err = _dp_step(rhs, t, y, f, h, rtol, atol)
+            y_new, K, err = step(rhs, t, y, f, h, rtol, atol)
             counts["nfev"] += 12
             factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125
             crossed = g is not None and _crosses(g, y_new[0] - level)
@@ -614,7 +608,9 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
         var = "y" if kind == "t" else "w"
         raise EventNotFoundError(f"no crossing of {var}={level} {where}",
                                  last_state=last)
-    diag = {"route": kind, "steps": len(ts) - 1, **counts, **diag}
+    hs = [abs(b - a) for a, b in zip(ts, ts[1:])]
+    diag = {"route": kind, "steps": len(hs), "h_min": min(hs),
+            "h_max": max(hs), **counts, **diag}
     return Trajectory(kind=kind, n=n, nl=nl, ts=np.array(ts),
                       states=np.array(ys), dense=dense, stop=stop,
                       s0=dense.crossing(track_s0, xtol) if track else None,

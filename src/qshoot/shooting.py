@@ -72,9 +72,9 @@ _GAMMA_SWITCH = 1.0
 def _route_setup(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
                  route: str | None = None) -> tuple:
     """(route, tail start and its snapshot or None, floor level to track or
-    None) from one floor evaluation and at most one tail site. The tail
-    route is preferred well above the floor; a refusal by `_tail_site` then
-    means "r", or raises when "t" was forced."""
+    None, why that route) from one floor evaluation and at most one tail
+    site. The tail is preferred well above the floor; its refusal then
+    means "r", its text the reason, or raises when "t" was forced."""
     check_dimension(n, cfg.beta_weight)
     if not math.isfinite(gamma):
         raise ConfigError(f"gamma must be finite, got {gamma}")
@@ -84,17 +84,19 @@ def _route_setup(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
         raise ConfigError(f"unknown route {route!r}")
     s0w = convexity_floor(nl)
     track = s0w if (math.isfinite(s0w) and 0.0 < s0w < gamma) else None
-    if route is None and gamma <= max(2.0 * s0w, _GAMMA_SWITCH):
-        route = "r"
+    switch = max(2.0 * s0w, _GAMMA_SWITCH)
+    reason = f"route {route} forced" if route else "tail admitted"
+    if route is None and gamma <= switch:
+        route, reason = "r", f"gamma={gamma} <= max(2 s0, 1) = {switch:.3g}"
     if route == "r":
-        return "r", None, track
+        return "r", None, track, reason
     try:
         site = _tail_site(nl, n, gamma, cfg.c_tail, cfg.beta_weight, s0w)
-    except AdmissionError:
+    except AdmissionError as exc:
         if route == "t":
             raise
-        return "r", None, track
-    return "t", site, track
+        return "r", None, track, f"tail refused: {exc}"
+    return "t", site, track, reason
 
 
 def choose_route(nl: Nonlinearity, n: int, gamma: float,
@@ -130,7 +132,7 @@ def _solve(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
     `lin` attaches the linearization channel and adds V1(T); the t-route
     seeds it from the closed-form V2 at the tail start, the r-route from
     its own series."""
-    route, site, track = _route_setup(nl, n, gamma, cfg, route)
+    route, site, track, reason = _route_setup(nl, n, gamma, cfg, route)
     if route == "r":
         traj = integrate_r(nl, n, gamma, cfg, lin=lin, track_s0=track)
     else:
@@ -143,7 +145,8 @@ def _solve(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
                         yprime_T=float(yprime_T), R=float(R), lam=float(lam),
                         Ttilde=Ttilde, route=traj.kind,
                         V1_T=float(state[2]) if lin else None,
-                        diagnostics=dict(traj.diagnostics),
+                        diagnostics={**traj.diagnostics,
+                                     "route_reason": reason},
                         traj=traj if keep_trajectory else None)
 
 

@@ -174,8 +174,9 @@ class TestSweepCommand:
         meta = json.loads(meta_text)
         assert meta["gamma_count"] == 5
         assert meta["n"] == 2
-        # the march counters stay in Trajectory.diagnostics
-        for counter in ("nfev", "rejected", "aimed", "landing"):
+        # the march counters and the route's reason stay in diagnostics
+        for counter in ("nfev", "rejected", "aimed", "landing", "h_min",
+                        "h_max", "route_reason"):
             assert counter not in text + out.read_text() + meta_text
 
     def test_sweep_rows_match_single_shots(self, capsys, tmp_path):
@@ -396,6 +397,21 @@ class TestCallCost:
         finally:
             gc.enable()
         assert freed <= 20
+
+    def test_importing_the_cli_builds_no_step_kernel(self):
+        # the DOP853 kernels are generated on a march's first step, so
+        # they add nothing to the import
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys\n"
+                f"sys.path.insert(0, {src!r})\n"
+                "import qshoot.cli\n"
+                "from qshoot.ode import _dense_kernel, _dp_kernel\n"
+                "print(_dp_kernel.cache_info().currsize,\n"
+                "      _dense_kernel.cache_info().currsize)\n")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "0 0\n"
 
     def test_importing_the_cli_loads_no_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -599,3 +599,157 @@ class TestTableau:
         for e in (ode._E3, ode._E5):
             # an error estimate vanishes on a constant slope
             assert abs(math.fsum(e)) <= 1e-15 * math.fsum(map(abs, e))
+
+
+def _dot(weights, K, j):
+    """sum of w * K[s][j] over the nonzero weights, left to right."""
+    terms = [w * k[j] for w, k in zip(weights, K) if w]
+    total = terms[0]
+    for x in terms[1:]:
+        total += x
+    return total
+
+
+def _reference_step(rhs, t, y, k1, h, rtol, atol):
+    """One DOP853 step as plain loops over the tableau (zero weights
+    skipped): the new state, the thirteen stages and the error norm."""
+    ode = qshoot.ode
+    K = [k1]
+    for s in range(1, 12):
+        K.append(rhs(t + ode._C[s] * h,
+                     [u + h * _dot(ode._A[s], K, j) for j, u in enumerate(y)]))
+    y_new = [u + h * _dot(ode._A[12], K, j) for j, u in enumerate(y)]
+    K.append(rhs(t + h, y_new))
+    e5 = e3 = 0.0
+    for j, (u, v, a) in enumerate(zip(y, y_new, atol)):
+        sc = a + max(abs(u), abs(v)) * rtol
+        x5 = _dot(ode._E5, K, j) / sc
+        x3 = _dot(ode._E3, K, j) / sc
+        e5 += x5 * x5
+        e3 += x3 * x3
+    err = abs(h) * e5 / math.sqrt(len(y) * (e5 + 0.01 * e3)) if e5 else 0.0
+    return y_new, tuple(K), err
+
+
+def _reference_dense(rhs, t, h, y, y_end, stages):
+    """The dense output's coefficients as generic sums over every stage,
+    zero weights included."""
+    ode = qshoot.ode
+    K = list(stages)
+    for c, row in zip(ode._C[13:], ode._A[13:]):
+        K.append(rhs(t + c * h, [u + h * sum(a * k[j] for a, k in zip(row, K))
+                                 for j, u in enumerate(y)]))
+    out = []
+    for j, (u0, u1) in enumerate(zip(y, y_end)):
+        dy, f0, f1 = u1 - u0, h * K[0][j], h * K[12][j]
+        out.append((u0, dy, f0 - dy, 2.0 * dy - f1 - f0)
+                   + tuple(h * sum(d * k[j] for d, k in zip(row, K))
+                           for row in ode._D))
+    return out
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _coupled_rhs(m, rng):
+    """A nonlinear coupled right-hand side on m components; for m > 1 the
+    last component's slope is -0.0 throughout, a signed-zero corner."""
+    a = rng.uniform(-2.0, 2.0, size=(m, m)).tolist()
+
+    def rhs(t, u):
+        out = [math.sin(t + sum(a[i][j] * u[j] for j in range(m)))
+               - math.tanh(u[i]) * u[i] for i in range(m)]
+        if m > 1:
+            out[-1] = -0.0
+        return tuple(out)
+    return rhs
+
+
+class TestKernel:
+    """The generated step and dense output against plain loops over the
+    tableau, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_step_is_bitwise_the_reference(self, m):
+        rng = np.random.default_rng(100 + m)
+        rhs = _coupled_rhs(m, rng)
+        step = qshoot.ode._dp_kernel(m)
+        assert step is qshoot.ode._dp_kernel(m)
+        for _ in range(20):
+            t, h = rng.uniform(-5.0, 5.0), rng.uniform(-0.5, 0.5)
+            y = [float(v) for v in rng.normal(size=m)]
+            if m > 1:
+                y[-1] = 0.0
+            atol = [float(v) for v in 10.0 ** rng.uniform(-14, -6, size=m)]
+            k1 = rhs(t, y)
+            got = step(rhs, t, y, k1, h, 1e-9, atol)
+            ref = _reference_step(rhs, t, y, k1, h, 1e-9, atol)
+            assert _bits(got[0]) == _bits(ref[0])
+            assert len(got[1]) == 13
+            assert _bits(got[1]) == _bits(ref[1])
+            assert _bits(got[2]) == _bits(ref[2])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [math.nan, 1e300])
+    def test_a_bad_stage_fails_the_step_as_the_reference(self, m, bad):
+        # the bad value comes at the call-th evaluation: the first is the
+        # start slope, the second to twelfth are stages the error norm
+        # reaches (the thirteenth, the end slope, is not one of them)
+        for call in (2, 7, 12):
+            calls = []
+
+            def rhs(t, u):
+                calls.append(t)
+                slope = [-v for v in u]
+                if len(calls) == call:
+                    slope[0] = bad
+                return slope
+
+            y, atol = [1.0] * m, [1e-10] * m
+            got = qshoot.ode._dp_kernel(m)(rhs, 0.0, y, rhs(0.0, y), 0.1,
+                                           1e-8, atol)
+            calls.clear()
+            ref = _reference_step(rhs, 0.0, y, rhs(0.0, y), 0.1, 1e-8, atol)
+            assert _bits(got[0]) == _bits(ref[0])
+            assert _bits(got[2]) == _bits(ref[2])
+            assert not got[2] < 1.0  # inf or NaN: a rejection
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_dense_output_is_bitwise_the_generic_sums(self, m):
+        rng = np.random.default_rng(200 + m)
+        rhs = _coupled_rhs(m, rng)
+        dense = qshoot.ode._dense_kernel(m)
+        assert dense is qshoot.ode._dense_kernel(m)
+        for _ in range(20):
+            t, h = rng.uniform(-5.0, 5.0), rng.uniform(-0.5, 0.5)
+            y = [float(v) for v in rng.normal(size=m)]
+            if m > 1:
+                y[-1] = -0.0
+            y_end, stages, _ = qshoot.ode._dp_kernel(m)(
+                rhs, t, y, rhs(t, y), h, 1e-9, [1e-12] * m)
+            got = dense(rhs, t, h, y, y_end, stages)
+            ref = _reference_dense(rhs, t, h, y, y_end, stages)
+            assert _bits(got) == _bits(ref)
+
+    def test_dense_output_keeps_the_sign_of_a_zero_sum(self):
+        # signed zeros that make every product of _D's first row -0.0: the
+        # generic sum starts at 0 and gives +0.0, a bare sum gives -0.0
+        ode = qshoot.ode
+
+        def zero(s):
+            return -0.0 if ode._D[0][s] >= 0.0 else 0.0
+
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return (1.0, zero(12 + len(calls)))
+
+        y, y_end = [0.0, 0.0], [0.5, 0.0]
+        stages = tuple((1.0, zero(s)) for s in range(13))
+        got = ode._dense_kernel(2)(rhs, 0.0, 0.5, y, y_end, stages)
+        calls.clear()
+        ref = _reference_dense(rhs, 0.0, 0.5, y, y_end, stages)
+        assert math.copysign(1.0, got[1][4]) == 1.0
+        assert _bits(got) == _bits(ref)

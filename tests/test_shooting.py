@@ -202,6 +202,29 @@ class TestRouteChoice:
         with pytest.raises(AdmissionError, match="unweighted"):
             solve_V1(nl_exp, 2, 4.0, wcfg, route="t")
 
+    def test_the_outcome_names_why_its_route(self, nl_square, nl_exp,
+                                             cfg2):
+        # a default-route fallback to r names the tail's refusal
+        wcfg = ProblemConfig(beta_weight=1.0)
+        out = shoot(nl_exp, 2, 8.0, wcfg)
+        assert out.route == "r"
+        assert out.diagnostics["route_reason"] == (
+            "tail refused: tail expansion needs the unweighted problem; "
+            "reduce the weighted one first")
+        assert shoot(nl_square, 2, 0.5, cfg2).diagnostics["route_reason"] \
+            == "gamma=0.5 <= max(2 s0, 1) = 1"
+        assert shoot(nl_square, 2, 5.0, cfg2).diagnostics[
+            "route_reason"] == "tail admitted"
+        for route in ("t", "r"):
+            out = solve_V1(nl_square, 2, 5.0, cfg2, route=route)
+            assert out.diagnostics["route_reason"] == f"route {route} forced"
+
+    def test_the_outcome_holds_its_step_lengths(self, nl_square, cfg2):
+        out = shoot(nl_square, 2, 5.0, cfg2, keep_trajectory=True)
+        d, hs = out.diagnostics, np.abs(np.diff(out.traj.ts))
+        assert (d["h_min"], d["h_max"]) == (hs.min(), hs.max())
+        assert 0.0 < d["h_min"] < d["h_max"]
+
     def test_one_floor_scan_and_one_tail_site_per_shoot(
             self, nl_square, cfg2, monkeypatch):
         import qshoot.linearization
