@@ -17,8 +17,9 @@ log f(gamma) rather than bare g(gamma).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -36,11 +37,13 @@ __all__ = [
 ]
 
 
+@functools.cache
 def harmonic(k: int) -> float:
     """k-th harmonic number 1 + 1/2 + ... + 1/k.
 
-    Each call re-validates, in exact rational arithmetic, the two
-    alternating-binomial identities the closed-form tail integrals depend on:
+    The first call for each k validates, in exact rational arithmetic, the
+    two alternating-binomial identities the closed-form tail integrals
+    depend on (a failure raises and is not cached):
 
         -sum_{r=1..k} (-1)^r C(k,r)/r       == H_k
         sum_{r=0..k} (-1)^r C(k,r)/(r+2)    == 1/((k+1)(k+2))
@@ -163,7 +166,7 @@ def snapshot(nl: Nonlinearity, n: int, gamma: float) -> GammaSnapshot:
                              f"gamma={gamma}: {exc}") from None
     s = GammaSnapshot(gamma=float(gamma), n=int(n), g=g, gp=gp, gpp=gpp,
                       alpha_n=harmonic(n), T1=T1, T0=T0, delta=T1 - T0)
-    bad = [k for k, v in asdict(s).items() if not math.isfinite(v)]
+    bad = [f.name for f in fields(s) if not math.isfinite(getattr(s, f.name))]
     if bad:
         raise AdmissionError(f"closed forms leave double range at "
                              f"gamma={gamma}: {', '.join(bad)} not finite")

@@ -20,8 +20,7 @@ import numpy as np
 from ._numeric import brentq
 from .asymptotics import snapshot
 from .config import ProblemConfig
-from .nonlinearity import (Nonlinearity, eval_fprime_source, eval_g,
-                           eval_source)
+from .nonlinearity import Nonlinearity, eval_g, source_terms
 from .ode import quad_dense, tail_start, v1prime_from_phi, yprime_from_psi
 from .shooting import ShootOutcome, _solve
 # unused here: bound only so perfbench/tracer.py can wrap them as spans
@@ -177,6 +176,7 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
     traj = res.traj
     a = res.Ttilde if res.Ttilde is not None else res.T
     b = res.diagnostics["t_start"]
+    src, fprime = source_terms(nl)  # the march's own source terms
 
     def parts(t, s):
         y, psi, v1, phi = (float(v) for v in s[:4])
@@ -187,12 +187,12 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
     def J(t):
         s = traj.state_at(t)
         y, psi, v1, phi, yp, gp, gpp, _, _ = parts(t, s)
-        phip = -eval_fprime_source(nl, y, t) * v1 / (n - 1.0)
+        phip = -fprime(y, t) * v1 / (n - 1.0)
         return (1.0 - yp * (gp + gpp / gp)) * phi + phip
 
     def igrand1(t, s):
         y, psi, v1, phi, yp, gp, gpp, _, v1p = parts(t, s)
-        return -(gpp / gp) * eval_source(nl, y, t) * v1p / (n - 1.0)
+        return -(gpp / gp) * src(y, t) * v1p / (n - 1.0)
 
     def igrand2(t, s):
         y, psi, v1, phi, yp, gp, gpp, gppp, v1p = parts(t, s)

@@ -2,16 +2,19 @@
 
 One marching core (`_march`) serves both coordinate setups of the same
 equation. It drives the in-repo DOP853 stepper (`_dopri`: the
-Dormand-Prince 8(5,3) pair with its 7th-order dense output, both as
-straight-line code generated from the tableau per state length on first
-use, under scipy DOP853's control law until it aims its steps at the stop
-level), which ends the march with a genuine step onto that level,
-rewinding a crossing step that no such step can replace. It finds the
-convexity floor crossing on the dense output, raises with the last
-accepted state when the march fails or misses its stop, and assembles the
-Trajectory. Each setup only supplies its start state, its span and one
-right-hand side, which appends the linearization block (the derivative of
-the flow with respect to gamma; see the linearization module) when asked:
+Dormand-Prince 8(5,3) pair with its 7th-order dense output, under scipy
+DOP853's control law until it aims its steps at the stop level), which
+ends the march with a genuine step onto that level, rewinding a crossing
+step that no such step can replace. It finds the convexity floor crossing
+on the dense output, raises with the last accepted state when the march
+fails or misses its stop, and assembles the Trajectory. Each setup only
+supplies its start state, its span and its right-hand side, stated once as
+text (`_t_rows`, `_r_rows`) with the rows of the linearization block (the
+derivative of the flow with respect to gamma; see the linearization
+module) appended when asked. `_dp_kernel` splices that text and the
+family's source text into the step and its dense output, straight-line
+code generated from the tableau on first use, so that one step is one
+Python call:
 
   t-route   y' = psi^{1/(n-1)}, psi' = -f(y) e^{-t}, integrated backwards in
             the log-radius variable t from a tail start down to the first
@@ -28,9 +31,9 @@ zero; the t-route gives up at a `floor` in t, the r-route at a radius
 either route to the log-radius variable, r = n e^{-t/n}. The dimension n is
 each call's argument, checked by config.check_dimension.
 
-Overflow policy: the closures of nonlinearity.source_terms saturate at the
-sentinel nonlinearity.SOURCE_CAP, and the slope clamps here at the same
-one, so a saturated value only rejects the trial step that met it.
+Overflow policy: the source text (nonlinearity.SOURCE_TEXT) saturates at
+the sentinel nonlinearity.SOURCE_CAP, and the routes clamp their slopes at
+the same one, so a saturated value only rejects the trial step that met it.
 
 Tolerance policy: scalar absolute tolerance on the solution value, but a
 purely relative control on the flux. The flux spans many orders of magnitude
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -54,9 +58,10 @@ from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import (AdmissionError, ConfigError, EventNotFoundError,
                      SolverError)
-from .nonlinearity import (SOURCE_CAP, Nonlinearity, convexity_floor,
+from .nonlinearity import (SOURCE_CAP, SOURCE_TEXT, Nonlinearity,
+                           compile_factory, convexity_floor,
                            eval_fprime_source, eval_g, eval_source,
-                           g_is_linear, log_f, source_terms)
+                           g_is_linear, log_f, source_constants)
 
 # pure relative control on the flux component (see module docstring)
 _PSI_ATOL = 1e-300
@@ -67,10 +72,6 @@ R_MAX = 1e5
 # largest log of a legitimate radius-route source or slope: both peak at the
 # startup or stay below f(gamma), so the sentinel then only cuts trial steps
 _LOG_CAP = math.log(SOURCE_CAP) - 10.0
-
-
-def _clamp(v: float) -> float:
-    return min(max(v, -SOURCE_CAP), SOURCE_CAP)
 
 
 @dataclass(frozen=True)
@@ -340,64 +341,104 @@ def _names(prefix: str, count: int) -> str:
     return "".join(f"{prefix}{i}, " for i in range(count))
 
 
-def _stage(s: int, m: int, lead: str = "") -> list:
-    """Source lines evaluating stage s (a row of `_A`) and unpacking it."""
-    comps = (f"y{j} + h * ({lead}{_sum(_A[s], j)})" for j in range(m))
-    return [f"    k{s} = rhs(t + {_C[s]!r} * h, [{', '.join(comps)}])",
-            f"    {_names(f'k{s}_', m)}= k{s}"]
+# Each route's right-hand side as text over t and u0..u3 that leaves the
+# slopes in {k}0..{k}3: the flux rows, then the linearization channel's,
+# with the family's source texts spliced in. The t-route's state is (y,
+# psi, V1, phi); the r-route's is (w, Phi, W, chi) over t = r, and it reads
+# the source at t = 0. _CLAMP is min(max(v, -cap), cap), a NaN passing.
+_CLAMP = "cap if cap < v else (-cap if -cap > v else v)"
 
 
-def _compile(filename: str, lines: list) -> Callable:
-    """The function `kernel` that the source `lines` define."""
-    namespace = {"math": math}
-    exec(compile("\n".join(lines), filename, "exec"), namespace)
-    return namespace["kernel"]
+def _t_rows(k: str, src: str, fprime: str) -> tuple:
+    return f"""\
+yp = u1 ** ex if u1 > 0.0 else 0.0
+{k}0 = cap if cap < yp else yp
+{src.format(u="u0", t="t", out="s")}
+{k}1 = -s""", f"""\
+v = u3 if n == 2 else u3 / ({_PSI_ATOL!r} if {_PSI_ATOL!r} > u1 else u1) ** exd
+{k}2 = v if n == 2 else {_CLAMP}
+{fprime.format(u="u0", t="t", out="fp")}
+v = -fp * u2 / (n - 1.0)
+{k}3 = {_CLAMP}"""
+
+
+def _r_rows(k: str, src: str, fprime: str) -> tuple:
+    return f"""\
+aPhi = 0.0 if 0.0 > -u1 else -u1
+wp = -((aPhi / t ** (n - 1.0)) ** ex) if aPhi > 0.0 else 0.0
+{k}0 = -cap if -cap > wp else wp
+{src.format(u="u0", t="0.0", out="s")}
+v = -s * t ** (nb - 1.0)
+{k}1 = {_CLAMP}""", f"""\
+v = u3 / t if n == 2 else \\
+    u3 / (t * ({_PSI_ATOL!r} if {_PSI_ATOL!r} > aPhi else aPhi) ** exd)
+{k}2 = {_CLAMP}
+{fprime.format(u="u0", t="0.0", out="fp")}
+v = -fp * u2 * t ** (nb - 1.0) / (n - 1.0)
+{k}3 = {_CLAMP}"""
+
+
+def _stage(s: int, m: int, body: Callable, lead: str = "") -> list:
+    """Source lines of stage s (a row of `_A`): its t, its u0.. and body."""
+    return [f"    t = t0 + {_C[s]!r} * h", *(
+        f"    u{j} = y{j} + h * ({lead}{_sum(_A[s], j)})" for j in range(m)),
+        textwrap.indent(body(f"k{s}_"), "    ")]
 
 
 @functools.cache
-def _dp_kernel(m: int) -> Callable:
-    """One DOP853 step for states of length m as straight-line code from
-    the tableau's nonzeros, built on first use: (rhs, t, y, k0, h, rtol,
-    atol), k0 = rhs(t, y), to the new state, the thirteen stages (the last
-    is rhs there) and the 3/5 error norm over atol + rtol max(|y|, |y_new|)
-    (II.10), inf or NaN to fail the step."""
+def _dp_kernel(m: int, route: str | None = None, kind: str = "",
+               names: tuple = ("f",)) -> Callable:
+    """The DOP853 step and dense output for states of length m, straight-
+    line code from the tableau's nonzeros built on first use, with `route`'s
+    rows (the channel's too for m = 4) over the family `kind`'s source, or a
+    call of f, spliced into each stage: make(**constants) -> (rhs, step,
+    dense), each of `names` a closure cell, so one entry serves a shape.
+    step(t0, y, k0, h, rtol, atol) gives the new state, the 13 stages and
+    the 3/5 error norm (II.10), inf or NaN to fail the step, the end slope
+    in it at weight 0.0 so a NaN there fails it too. dense(t0, h, y, y_end,
+    K) pays the three extra stages and gives what `_poly` reads (II.6)."""
+    def body(k):  # the right-hand side, leaving its slopes in k0..
+        if route is None:
+            return f"{_names(k, m)}= f(t, [{_names('u', m)}])"
+        rows = {"t": _t_rows, "r": _r_rows}[route](k, *SOURCE_TEXT[kind])
+        return "\n".join(rows[:m // 2])
+
     J = range(m)
-    new = (f"y{j} + h * ({_sum(_A[12], j)})" for j in J)
-    lines = ["def kernel(rhs, t, y, k0, h, rtol, atol):",
-             f"    {_names('y', m)}= y", f"    {_names('k0_', m)}= k0",
-             *(line for s in range(1, 12) for line in _stage(s, m)),
-             f"    y_new = [{', '.join(new)}]", "    k12 = rhs(t + h, y_new)",
-             f"    {_names('n', m)}= y_new", f"    {_names('a', m)}= atol"]
+    rhs = [f"    {_names('u', m)}= u", textwrap.indent(body("d"), "    "),
+           f"    return ({_names('d', m)})"]
+    step = [f"    {_names('y', m)}= y", f"    {_names('k0_', m)}= k0",
+            *(line for s in range(1, 13) for line in _stage(s, m, body)),
+            f"    {_names('a', m)}= atol"]  # u0.. now hold the new state
     for j in J:
-        lines += [f"    sc = a{j} + max(abs(y{j}), abs(n{j})) * rtol",
-                  f"    x5_{j} = ({_sum(_E5, j)}) / sc",
-                  f"    x3_{j} = ({_sum(_E3, j)}) / sc"]
-    lines += [f"    e5 = {' + '.join(f'x5_{j} * x5_{j}' for j in J)}",
-              f"    e3 = {' + '.join(f'x3_{j} * x3_{j}' for j in J)}",
-              f"    err = abs(h) * e5 / math.sqrt({m} * (e5 + 0.01 * e3))"
-              " if e5 else 0.0",
-              f"    return y_new, ({_names('k', 13)}), err"]
-    return _compile(f"<dop853 step, m={m}>", lines)
-
-
-@functools.cache
-def _dense_kernel(m: int) -> Callable:
-    """The dense output of one step, built as `_dp_kernel`: (rhs, t, h, y,
-    y_end, K), K the step's stages, pays the three extra stages and gives
-    per component the eight entries that `_poly` reads (II.6). Each sum
-    starts at 0.0, as sum() does, so a zero sum keeps sum()'s sign."""
-    lines = ["def kernel(rhs, t, h, y, y_end, K):",
-             f"    {_names('y', m)}= y", f"    {_names('n', m)}= y_end",
+        step += [f"    sc = a{j} + max(abs(y{j}), abs(u{j})) * rtol",
+                 f"    x5_{j} = ({_sum(_E5, j)}) / sc",
+                 f"    x3_{j} = ({_sum(_E3, j)}) / sc"]
+    stages = ", ".join(f"({_names(f'k{s}_', m)})" for s in range(1, 13))
+    step += [f"    e5 = {' + '.join(f'x5_{j} * x5_{j}' for j in J)}"
+             f" + 0.0 * ({' + '.join(f'k12_{j}' for j in J)})",
+             f"    e3 = {' + '.join(f'x3_{j} * x3_{j}' for j in J)}",
+             f"    err = abs(h) * e5 / math.sqrt({m} * (e5 + 0.01 * e3))"
+             " if e5 else 0.0",
+             f"    return [{_names('u', m)}], (k0, {stages}), err"]
+    dense = [f"    {_names('y', m)}= y", f"    {_names('n', m)}= y_end",
              f"    {_names('k', 13)}= K",
              *(f"    {_names(f'k{s}_', m)}= k{s}" for s in range(13)),
-             *(line for s in range(13, 16) for line in _stage(s, m, "0.0 + "))]
-    for j in range(m):
+             *(line for s in range(13, 16)
+               for line in _stage(s, m, body, "0.0 + "))]
+    for j in J:
         d = (f"h * (0.0 + {_sum(row, j)})" for row in _D)
-        lines += [f"    dy, f0, f1 = n{j} - y{j}, h * k0_{j}, h * k12_{j}",
+        dense += [f"    dy, f0, f1 = n{j} - y{j}, h * k0_{j}, h * k12_{j}",
                   f"    q{j} = (y{j}, dy, f0 - dy, 2.0 * dy - f1 - f0, "
                   f"{', '.join(d)})"]
-    lines.append(f"    return [{_names('q', m)}]")
-    return _compile(f"<dop853 dense output, m={m}>", lines)
+    dense.append(f"    return [{_names('q', m)}]")
+    # compiled apart: compiling takes memory in proportion to the source,
+    # and the largest unit sets the process's peak
+    makes = [compile_factory(f"<dop853 {f}, m={m}, {route} {kind}>", names,
+                             [f"def {f}({args}):", *lines, f"return {f}"])
+             for f, args, lines in (("rhs", "t, u", rhs),
+                                    ("step", "t0, y, k0, h, rtol, atol", step),
+                                    ("dense", "t0, h, y, y_end, K", dense))]
+    return lambda **constants: tuple(make(**constants) for make in makes)
 
 
 def _poly(c, x):
@@ -418,8 +459,9 @@ class DenseOutput:
     first evaluation inside a step pays that step's three extra stages.
     A read at a node returns the stored sample."""
 
-    def __init__(self, rhs, ts, ys, stages):
-        self.rhs, self.ts, self.ys, self.stages = rhs, ts, ys, stages
+    def __init__(self, kernels, ts, ys, stages):
+        (self.step, self.dense), self.ts, self.ys = kernels, ts, ys
+        self.stages = stages
         self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
         self._keys = [self._sign * t for t in ts]
         self._coefficients = {}
@@ -428,9 +470,8 @@ class DenseOutput:
         """The interpolant of step i per component, as `_poly` reads it."""
         if i not in self._coefficients:
             t, y = self.ts[i], self.ys[i]
-            self._coefficients[i] = _dense_kernel(len(y))(
-                self.rhs, t, self.ts[i + 1] - t, y, self.ys[i + 1],
-                self.stages[i])
+            self._coefficients[i] = self.dense(
+                t, self.ts[i + 1] - t, y, self.ys[i + 1], self.stages[i])
         return self._coefficients[i]
 
     def __call__(self, x) -> np.ndarray:
@@ -469,7 +510,7 @@ class DenseOutput:
         for _ in range(8):
             t_new = t + h
             h = t_new - t
-            y_new, K, err = _dp_kernel(len(y))(self.rhs, t, y, f, h, *tols)
+            y_new, K, err = self.step(t, y, f, h, *tols)
             counts["nfev"] += 12
             counts["landing"] += 1
             miss = y_new[0] - level
@@ -486,8 +527,11 @@ class DenseOutput:
         return stop
 
 
-def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
-    """DOP853 march of y' = rhs(t, y) from t towards t_end under scipy
+def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0,
+           kernels=None):
+    """DOP853 march of y' = rhs(t, y) by rhs's step and dense output
+    (`kernels`, `_dp_kernel`'s generic ones unless given) from t towards
+    t_end under scipy
     DOP853's control law (initial step, safety 0.9, exponent 1/8, factors
     in [0.2, 10], none above 1 after a rejection, failure below 10
     ulp(t)), aimed at `level`: the dense output, where y[0] met the level
@@ -510,7 +554,8 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
     passes, and `nfev` the march's own evaluations, 2 + 12 per attempted
     or landing step; the dense output's extra stages are not in it."""
     sign, span = (1.0 if t_end > t else -1.0), abs(t_end - t)
-    step = _dp_kernel(len(y))
+    kernels = kernels or _dp_kernel(len(y))(f=rhs)[1:]
+    step = kernels[0]
     f = rhs(t, y)
     # initial step (Hairer, Norsett & Wanner, II.4)
     scale = [a + abs(u) * rtol for u, a in zip(y, atol)]
@@ -533,7 +578,7 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
         while True:
             if not h_abs >= min_step:  # a NaN step fails too
                 counts["status"] = -1
-                return DenseOutput(rhs, ts, ys, stages), None, counts
+                return DenseOutput(kernels, ts, ys, stages), None, counts
             # d: the tangent's distance to the level, when heading there
             d = g is not None and g * sign * f[0] < 0.0 and g / -(sign * f[0])
             aim = d and max(1.0001 * d if 3.0 * d <= h_abs else d / 1.5,
@@ -547,14 +592,14 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            y_new, K, err = step(rhs, t, y, f, h, rtol, atol)
+            y_new, K, err = step(t, y, f, h, rtol, atol)
             counts["nfev"] += 12
             factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125
             crossed = g is not None and _crosses(g, y_new[0] - level)
             if crossed and y_new[0] != level and (
                     err < 1.0 or aimed and not offered):
                 passed, offered = err < 1.0, offered or err >= 1.0
-                dense = DenseOutput(rhs, ts + [t_new], ys + [y_new],
+                dense = DenseOutput(kernels, ts + [t_new], ys + [y_new],
                                     stages + [K])
                 chord = None if passed else t + h * g / (g + level - y_new[0])
                 stop = dense.land(level, xtol, (rtol, atol), counts, chord)
@@ -580,23 +625,26 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0):
             g = y[0] - level
             if crossed:  # the step ended on the level exactly
                 counts["status"], counts["landed"] = 1, True
-                return DenseOutput(rhs, ts, ys, stages), t, counts
-    return DenseOutput(rhs, ts, ys, stages), None, counts
+                return DenseOutput(kernels, ts, ys, stages), t, counts
+    return DenseOutput(kernels, ts, ys, stages), None, counts
 
 
 def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
            span: tuple, y0: list, level: float, track_s0: float | None,
-           where: str, xtol: float = 0.5 * EVENT_TOL, **diag) -> Trajectory:
-    """The marching core of both routes: integrate `rhs` over `span` until
-    the first component lands on `level`, and find the crossing of
-    track_s0 on the dense output, both to within `xtol`. A 4-component
-    `y0` carries the linearization channel; `where` ends the miss message."""
+           where: str, xtol: float = 0.5 * EVENT_TOL, *, kernels,
+           **diag) -> Trajectory:
+    """The marching core of both routes: integrate `rhs` by its `kernels`
+    over `span` until the first component lands on `level`, and find the
+    crossing of track_s0 on the dense output, both to within `xtol`. A
+    4-component `y0` carries the linearization channel; `where` ends the
+    miss message."""
     level = float(level)
     track = track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0)
     atol = [cfg.atol, _PSI_ATOL] + [cfg.atol] * (len(y0) - 2)
     try:
         dense, stop, counts = _dopri(rhs, span[0], [float(v) for v in y0],
-                                     span[1], cfg.rtol, atol, level, xtol)
+                                     span[1], cfg.rtol, atol, level, xtol,
+                                     kernels)
     except OverflowError as exc:
         raise SolverError(f"source overflow during integration: {exc}") from exc
     ts, ys = dense.ts, dense.ys
@@ -617,6 +665,18 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
                       lin=len(y0) == 4, diagnostics=diag)
 
 
+def _system(route: str, nl: Nonlinearity, n: int, lin: bool,
+            **constants) -> tuple:
+    """(rhs, (step, dense)) of `route` for nl in dimension n, the channel's
+    rows too with `lin`; the route's and the source's constants are cells."""
+    kind, source = source_constants(nl)
+    constants.update(source, n=n, ex=1.0 / (n - 1.0),
+                     exd=(n - 2.0) / (n - 1.0))
+    rhs, *kernels = _dp_kernel(4 if lin else 2, route, kind,
+                               tuple(constants))(**constants)
+    return rhs, kernels
+
+
 def integrate_t(nl: Nonlinearity, n: int, start: StateT,
                 cfg: ProblemConfig = ProblemConfig(), *, level: float = 0.0,
                 floor: float | None = None,
@@ -626,28 +686,16 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT,
     `level`, giving up at `floor` (far below the start unless given). A
     seed (V1, phi) in `lin_init` attaches the linearization channel."""
     check_dimension(n, cfg.beta_weight)
-    ex = 1.0 / (n - 1.0)
-    exd = (n - 2.0) / (n - 1.0)
     lin = lin_init is not None
-    src, fprime = source_terms(nl)
-
-    def rhs(t, u):
-        y, psi = u[0], u[1]
-        yp = psi ** ex if psi > 0.0 else 0.0
-        du = (min(yp, SOURCE_CAP), -src(y, t))
-        if not lin:
-            return du
-        v1, phi = u[2], u[3]
-        dv1 = phi if n == 2 else _clamp(phi / max(psi, _PSI_ATOL) ** exd)
-        return du + (dv1, _clamp(-fprime(y, t) * v1 / (n - 1.0)))
-
+    rhs, kernels = _system("t", nl, n, lin)
     if floor is None:
         floor = start.t - max(1000.0, 4.0 * abs(start.t) + 400.0 * (n - 1.0))
     if floor >= start.t:
         raise ConfigError(f"stop floor {floor} not below start {start.t}")
     y0 = [start.y, start.psi] + (list(lin_init) if lin else [])
     return _march("t", nl, n, cfg, rhs, (start.t, floor), y0, level,
-                  track_s0, f"above the floor t={floor}", t_start=start.t)
+                  track_s0, f"above the floor t={floor}", kernels=kernels,
+                  t_start=start.t)
 
 
 def series_startup_radius(fg: float, n: int, gamma: float,
@@ -709,23 +757,7 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
             * r0 ** (nb / (n - 1.0))
         y0 += [W0, chi0]
 
-    ex = 1.0 / (n - 1.0)
-    exd = (n - 2.0) / (n - 1.0)
-    src, fprime = source_terms(nl)
-
-    def rhs(r, u):
-        w, Phi = u[0], u[1]
-        aPhi = max(-Phi, 0.0)
-        wp = -((aPhi / r ** (n - 1.0)) ** ex) if aPhi > 0.0 else 0.0
-        du = (max(wp, -SOURCE_CAP), _clamp(-src(w, 0.0) * r ** (nb - 1.0)))
-        if not lin:
-            return du
-        W, chi = u[2], u[3]
-        dW = _clamp(chi / r if n == 2
-                    else chi / (r * max(aPhi, _PSI_ATOL) ** exd))
-        return du + (dW, _clamp(-fprime(w, 0.0) * W * r ** (nb - 1.0)
-                                / (n - 1.0)))
-
+    rhs, kernels = _system("r", nl, n, lin, nb=nb)
     try:
         start_rate = max(map(abs, rhs(r0, y0)))
     except ZeroDivisionError:
@@ -738,7 +770,7 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
     if r_end <= r0:
         raise ConfigError(f"stop radius {r_end} not beyond startup {r0}")
     return _march("r", nl, n, cfg, rhs, (r0, r_end), y0, level, track_s0,
-                  f"inside r <= {r_end}", xtol, r0=r0)
+                  f"inside r <= {r_end}", xtol, kernels=kernels, r0=r0)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Integration engine: tail startup, event location, dense output, the
 radius-variable route, and the energy monitor."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -12,7 +13,8 @@ import qshoot.ode
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError, EventNotFoundError
 from qshoot.linearization import solve_V1
-from qshoot.nonlinearity import find_s0, make_nonlinearity
+from qshoot.nonlinearity import (SOURCE_CAP, find_s0, make_nonlinearity,
+                                 source_terms)
 from qshoot.ode import (
     EVENT_TOL,
     StateR,
@@ -648,6 +650,16 @@ def _reference_dense(rhs, t, h, y, y_end, stages):
     return out
 
 
+def _generic_step(m, rhs):
+    """`_dp_kernel`'s step for the generic body, a call of rhs."""
+    return qshoot.ode._dp_kernel(m)(f=rhs)[1]
+
+
+def _generic_dense(m, rhs):
+    """`_dp_kernel`'s dense output for the generic body."""
+    return qshoot.ode._dp_kernel(m)(f=rhs)[2]
+
+
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -674,8 +686,8 @@ class TestKernel:
     def test_step_is_bitwise_the_reference(self, m):
         rng = np.random.default_rng(100 + m)
         rhs = _coupled_rhs(m, rng)
-        step = qshoot.ode._dp_kernel(m)
-        assert step is qshoot.ode._dp_kernel(m)
+        assert qshoot.ode._dp_kernel(m) is qshoot.ode._dp_kernel(m)
+        step = _generic_step(m, rhs)
         for _ in range(20):
             t, h = rng.uniform(-5.0, 5.0), rng.uniform(-0.5, 0.5)
             y = [float(v) for v in rng.normal(size=m)]
@@ -683,7 +695,7 @@ class TestKernel:
                 y[-1] = 0.0
             atol = [float(v) for v in 10.0 ** rng.uniform(-14, -6, size=m)]
             k1 = rhs(t, y)
-            got = step(rhs, t, y, k1, h, 1e-9, atol)
+            got = step(t, y, k1, h, 1e-9, atol)
             ref = _reference_step(rhs, t, y, k1, h, 1e-9, atol)
             assert _bits(got[0]) == _bits(ref[0])
             assert len(got[1]) == 13
@@ -707,8 +719,8 @@ class TestKernel:
                 return slope
 
             y, atol = [1.0] * m, [1e-10] * m
-            got = qshoot.ode._dp_kernel(m)(rhs, 0.0, y, rhs(0.0, y), 0.1,
-                                           1e-8, atol)
+            got = _generic_step(m, rhs)(0.0, y, rhs(0.0, y), 0.1, 1e-8,
+                                        atol)
             calls.clear()
             ref = _reference_step(rhs, 0.0, y, rhs(0.0, y), 0.1, 1e-8, atol)
             assert _bits(got[0]) == _bits(ref[0])
@@ -719,16 +731,15 @@ class TestKernel:
     def test_dense_output_is_bitwise_the_generic_sums(self, m):
         rng = np.random.default_rng(200 + m)
         rhs = _coupled_rhs(m, rng)
-        dense = qshoot.ode._dense_kernel(m)
-        assert dense is qshoot.ode._dense_kernel(m)
+        dense = _generic_dense(m, rhs)
         for _ in range(20):
             t, h = rng.uniform(-5.0, 5.0), rng.uniform(-0.5, 0.5)
             y = [float(v) for v in rng.normal(size=m)]
             if m > 1:
                 y[-1] = -0.0
-            y_end, stages, _ = qshoot.ode._dp_kernel(m)(
-                rhs, t, y, rhs(t, y), h, 1e-9, [1e-12] * m)
-            got = dense(rhs, t, h, y, y_end, stages)
+            y_end, stages, _ = _generic_step(m, rhs)(
+                t, y, rhs(t, y), h, 1e-9, [1e-12] * m)
+            got = dense(t, h, y, y_end, stages)
             ref = _reference_dense(rhs, t, h, y, y_end, stages)
             assert _bits(got) == _bits(ref)
 
@@ -748,8 +759,128 @@ class TestKernel:
 
         y, y_end = [0.0, 0.0], [0.5, 0.0]
         stages = tuple((1.0, zero(s)) for s in range(13))
-        got = ode._dense_kernel(2)(rhs, 0.0, 0.5, y, y_end, stages)
+        got = _generic_dense(2, rhs)(0.0, 0.5, y, y_end, stages)
         calls.clear()
         ref = _reference_dense(rhs, 0.0, 0.5, y, y_end, stages)
         assert math.copysign(1.0, got[1][4]) == 1.0
         assert _bits(got) == _bits(ref)
+
+    def test_a_nan_end_slope_is_a_rejection(self):
+        # the 14th evaluation is the first step's end slope, which has zero
+        # weight in both error estimates: the step is still rejected and
+        # retried at 0.2 of its length, and the march goes on to t_end
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return (math.nan if len(calls) == 14 else -u[0],)
+
+        dense, _, counts = _dopri(rhs, 0.0, [1.0], 2.0, 1e-8, [1e-10])
+        ref = _dopri(lambda t, u: (-u[0],), 0.0, [1.0], 2.0, 1e-8,
+                     [1e-10])[0]
+        assert (counts["status"], counts["rejected"]) == (0, 1)
+        assert counts["nfev"] == 2 + 12 * len(dense.ts)
+        assert dense.ts[1] == pytest.approx(0.2 * ref.ts[1], rel=1e-12)
+        assert dense.ts[-1] == 2.0
+        assert dense.ys[-1][0] == pytest.approx(math.exp(-2.0), rel=1e-7)
+
+
+def _reference_rhs(route, nl, n, nb, lin):
+    """A route's right-hand side as plain Python over the `source_terms`
+    closures, the clamps as min and max."""
+    src, fprime = source_terms(nl)
+    ex, exd, cap = 1.0 / (n - 1.0), (n - 2.0) / (n - 1.0), SOURCE_CAP
+
+    def clamp(v):
+        return min(max(v, -cap), cap)
+
+    def rhs(t, u):
+        if route == "t":
+            y, psi = u[0], u[1]
+            yp = psi ** ex if psi > 0.0 else 0.0
+            du = (min(yp, cap), -src(y, t))
+            if lin:
+                dv = u[3] if n == 2 else \
+                    clamp(u[3] / max(psi, 1e-300) ** exd)
+                du += (dv, clamp(-fprime(y, t) * u[2] / (n - 1.0)))
+            return du
+        w, aPhi = u[0], max(-u[1], 0.0)
+        wp = -((aPhi / t ** (n - 1.0)) ** ex) if aPhi > 0.0 else 0.0
+        du = (max(wp, -cap), clamp(-src(w, 0.0) * t ** (nb - 1.0)))
+        if lin:
+            dw = u[3] / t if n == 2 else \
+                u[3] / (t * max(aPhi, 1e-300) ** exd)
+            du += (clamp(dw), clamp(-fprime(w, 0.0) * u[2]
+                                    * t ** (nb - 1.0) / (n - 1.0)))
+        return du
+    return rhs
+
+
+# linear; exp-form with f(0) > 0 (g'(0+) < 0 for the second); exp-form
+# with p and rho-beta nonzero, so f(0) = 0
+_SPLICED_FAMILIES = [("linear", {}), ("exp", {}),
+                     ("pow_exp", dict(q=2.0, rho_beta=-0.5)),
+                     ("pow_exp", dict(q=1.5, p=1.0, rho_beta=1.0))]
+
+
+def _nan_bits(x) -> bytes:
+    """`_bits` with every NaN as one: the interpreter's float paths do not
+    keep a NaN's sign from one code object to another."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), math.nan, x).tobytes()
+
+
+class TestSplicedStep:
+    """Each route's right-hand side and the family's source text, spliced
+    into the step, against the generic step driven by plain Python over the
+    `source_terms` closures, bit for bit."""
+
+    @pytest.mark.parametrize("route", ["t", "r"])
+    @pytest.mark.parametrize("lin", [False, True])
+    @pytest.mark.parametrize("family,kw", _SPLICED_FAMILIES)
+    @pytest.mark.parametrize("n,beta", [(2, 0.0), (3, 0.0), (3, 1.0)])
+    def test_step_is_bitwise_the_generic_one(self, route, lin, family, kw,
+                                             n, beta):
+        nl = make_nonlinearity(family, **kw)
+        m = 4 if lin else 2
+        rhs, (step, dense) = qshoot.ode._system(route, nl, n, lin,
+                                                nb=n - beta)
+        ref = _reference_rhs(route, nl, n, n - beta, lin)
+        generic = qshoot.ode._dp_kernel(m)(f=ref)[1:]
+        rng = np.random.default_rng(7)
+        # saturating, NaN, zero and negative values among ordinary ones
+        special = [math.nan, 0.0, -0.0, -0.3, 1e3, 1e150, -1e150, 1e-320]
+        atol = [1e-12, 1e-300] + [1e-12] * (m - 2)
+        for i in range(60):
+            y = [float(v) for v in rng.normal(0.5, 2.0, size=m)]
+            if i % 2:
+                j = int(rng.integers(m))
+                y[j] = special[int(rng.integers(len(special)))]
+            t = float(rng.uniform(-5.0, 5.0) if route == "t"
+                      else rng.uniform(1e-3, 5.0))
+            h = float(rng.uniform(-0.3, 0.3) if route == "t"
+                      else rng.uniform(0.0, 0.3))
+            k0 = rhs(t, y)
+            assert _nan_bits(k0) == _nan_bits(ref(t, y))
+            got = step(t, y, k0, h, 1e-10, atol)
+            want = generic[0](t, y, k0, h, 1e-10, atol)
+            for a, b in zip(got, want):
+                assert _nan_bits(a) == _nan_bits(b), (y, t, h)
+            if got[2] < 1.0:
+                assert _nan_bits(dense(t, h, y, *got[:2])) == \
+                    _nan_bits(generic[1](t, h, y, *want[:2]))
+
+    def test_the_cache_holds_one_kernel_per_shape(self, monkeypatch):
+        # two nonlinearities of each kind share every kernel; their
+        # constants are closure cells, not literals
+        monkeypatch.setattr(qshoot.ode, "_dp_kernel",
+                            functools.cache(qshoot.ode._dp_kernel.__wrapped__))
+        cfg = ProblemConfig()
+        for family, kw in _SPLICED_FAMILIES[1:] + _SPLICED_FAMILIES[:1]:
+            nl = make_nonlinearity(family, **kw)
+            integrate_r(nl, 2, 0.5, cfg)
+            integrate_r(nl, 2, 0.5, cfg, lin=True)
+            if not nl.linear:
+                integrate_t(nl, 2, tail_start(nl, 2, 6.0, cfg), cfg)
+        # r exp, r exp channel, t exp; r linear, r linear channel
+        assert qshoot.ode._dp_kernel.cache_info().currsize == 5
