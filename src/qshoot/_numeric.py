@@ -81,8 +81,11 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
             else:  # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # a denominator underflowed to 0 (|f| below about 1e-103)
+                # bisects, as the infinite trial step does in scipy's C code
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den \
+                    else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

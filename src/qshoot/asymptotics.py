@@ -71,8 +71,8 @@ class GammaSnapshot:
     forms need there.
 
     g is the full source exponent log f(gamma) (multiplier included); gp
-    and gpp are plain derivatives of g(u) at gamma. delta = T1 - T0. The
-    methods take scalar or array t and return floats or arrays to match.
+    and gpp are plain derivatives of g(u) at gamma. The methods take
+    scalar or array t and return floats or arrays to match.
     """
 
     gamma: float
@@ -83,7 +83,6 @@ class GammaSnapshot:
     alpha_n: float
     T1: float
     T0: float
-    delta: float
 
     @property
     def c(self) -> float:
@@ -165,7 +164,7 @@ def snapshot(nl: Nonlinearity, n: int, gamma: float) -> GammaSnapshot:
         raise AdmissionError(f"closed forms leave double range at "
                              f"gamma={gamma}: {exc}") from None
     s = GammaSnapshot(gamma=float(gamma), n=int(n), g=g, gp=gp, gpp=gpp,
-                      alpha_n=harmonic(n), T1=T1, T0=T0, delta=T1 - T0)
+                      alpha_n=harmonic(n), T1=T1, T0=T0)
     bad = [f.name for f in fields(s) if not math.isfinite(getattr(s, f.name))]
     if bad:
         raise AdmissionError(f"closed forms leave double range at "
@@ -321,7 +320,6 @@ class AsymptoticPrediction:
     yprime_T_pred: float
     Tprime_pred: float
     S_pred: float | None
-    declared_error_order: dict
 
     def as_dict(self) -> dict:
         return {
@@ -329,14 +327,6 @@ class AsymptoticPrediction:
             "yprime_T_pred": self.yprime_T_pred, "Tprime_pred": self.Tprime_pred,
             "S_pred": self.S_pred,
         }
-
-
-_ERROR_ORDERS = {
-    "T": "(log g')^2 / g'",
-    "yprime_T": "(log g')^2 g'' / (g')^4 + exp(-gamma g'/n) / g'",
-    "Tprime": "g'' (log g')^4 / g'",
-    "S": "o(1) relative to S_pred - T1",
-}
 
 
 def predict_all(gamma: float, n: int, nl: Nonlinearity) -> AsymptoticPrediction:
@@ -365,8 +355,7 @@ def predict_all(gamma: float, n: int, nl: Nonlinearity) -> AsymptoticPrediction:
     tprime = (s.gp - (n - 1.0) * gamma * s.gpp) / n
     return AsymptoticPrediction(
         gamma=float(gamma), n=int(n), T_pred=t_lead,
-        yprime_T_pred=yprime, Tprime_pred=tprime, S_pred=s.S_pred,
-        declared_error_order=dict(_ERROR_ORDERS))
+        yprime_T_pred=yprime, Tprime_pred=tprime, S_pred=s.S_pred)
 
 
 @dataclass

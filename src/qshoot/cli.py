@@ -119,7 +119,7 @@ def load_run_config(path: str | None, flag_values: dict) -> RunConfig:
         try:
             with open(path) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL
             raise ConfigError(f"cannot read config file {path}: {exc}")
         merged.update(parse_config_text(text))
     for field_name, v in flag_values.items():

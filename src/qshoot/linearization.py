@@ -11,7 +11,6 @@ V1(T) is the gamma-derivative of the profile there and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,11 +20,11 @@ from ._numeric import brentq
 from .asymptotics import snapshot
 from .config import ProblemConfig
 from .nonlinearity import Nonlinearity, eval_g, source_terms
-from .ode import quad_dense, tail_start, v1prime_from_phi, yprime_from_psi
+from .ode import quad_dense, v1prime_from_phi, yprime_from_psi
 from .shooting import ShootOutcome, _solve
 # unused here: bound only so perfbench/tracer.py can wrap them as spans
 from .nonlinearity import convexity_floor  # noqa: F401
-from .ode import integrate_r, integrate_t  # noqa: F401
+from .ode import integrate_r, integrate_t, tail_start  # noqa: F401
 from .shooting import choose_route  # noqa: F401
 
 
@@ -89,14 +88,12 @@ def _largest_zero(ts_desc, f: Callable, lo_cut: float) -> Optional[float]:
 class TurningReport:
     gamma: float
     n: int
-    T: Optional[float]
+    T: float
     T1: float
     S1: Optional[float]
     S: Optional[float]
     S_predicted: Optional[float]
     V2prime_at_S: Optional[float]
-    comparator: Optional[float]
-    S6: Optional[float]
 
     def as_dict(self) -> dict:
         return {"S": self.S, "S1": self.S1, "S_predicted": self.S_predicted,
@@ -104,57 +101,29 @@ class TurningReport:
 
 
 def detect_turning(nl: Nonlinearity, n: int, gamma: float,
-                   cfg: ProblemConfig = ProblemConfig(), *,
-                   use_V2: bool = False) -> TurningReport:
+                   cfg: ProblemConfig = ProblemConfig()) -> TurningReport:
     """Locate the sign structure of the linearized flow along the tail.
 
     S1 is the largest zero of V1 below the tail start, S the largest zero
     of phi = (y')^{n-2} V1'. Both come back None when no crossing is
-    bracketed by the accepted steps; nothing is extrapolated. With use_V2
-    the detector runs on the closed-form V2 instead of a computed V1, which
-    pins S1 at the known S0 and exercises the machinery alone.
+    bracketed by the accepted steps; nothing is extrapolated.
     """
     s = snapshot(nl, n, gamma)
-    comparator = None
-    if s.gpp > 0.0:
-        comparator = n / (n - 1.0) * s.gpp / s.gp_squared()
-    s6 = None
-    if nl.q > 1.0:
-        s6 = s.T1 - (4.0 * nl.q / (nl.q - 1.0) + 1.0) * (n - 1.0) \
-            * math.log(s.gp)
+    S_pred = s.S_pred  # refuses an overflowing (g')^2 before the march
+    res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True, route="t")
+    traj = res.traj
 
-    if use_V2:
-        start = tail_start(nl, n, gamma, cfg)
-        ts = np.linspace(start.t, s.T1 - 8.0 * (n - 1.0), 400)
+    def v1f(t):
+        return float(traj.state_at(t)[2])
 
-        def v1f(t):
-            return s.v2(t)[0]
+    def phif(t):
+        return float(traj.state_at(t)[3])
 
-        def phif(t):
-            v2p = s.v2(t)[1]
-            return v2p if n == 2 else s.z(t)[1] ** (n - 2.0) * v2p
-
-        lo_cut = float(ts[-1])
-        S1 = _largest_zero(ts, v1f, lo_cut)
-        S = _largest_zero(ts, phif, lo_cut)
-        T = None
-    else:
-        res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True, route="t")
-        traj = res.traj
-
-        def v1f(t):
-            return float(traj.state_at(t)[2])
-
-        def phif(t):
-            return float(traj.state_at(t)[3])
-
-        S1 = _largest_zero(traj.ts, v1f, res.T)
-        S = _largest_zero(traj.ts, phif, res.T)
-        T = res.T
+    S1 = _largest_zero(traj.ts, v1f, res.T)
+    S = _largest_zero(traj.ts, phif, res.T)
     v2p_at = s.v2(S)[1] if S is not None else None
-    return TurningReport(gamma=float(gamma), n=n, T=T, T1=s.T1, S1=S1, S=S,
-                         S_predicted=s.S_pred, V2prime_at_S=v2p_at,
-                         comparator=comparator, S6=s6)
+    return TurningReport(gamma=float(gamma), n=n, T=res.T, T1=s.T1, S1=S1,
+                         S=S, S_predicted=S_pred, V2prime_at_S=v2p_at)
 
 
 def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,

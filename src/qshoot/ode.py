@@ -25,11 +25,11 @@ Python call:
             marched outward from a series startup at r0. beta > 0 covers the
             singular-weight problem directly. Channel: (W, chi).
 
-Both march until y (or w) lands on a plain stop level, 0 for the first
-zero; the t-route gives up at a `floor` in t, the r-route at a radius
-`r_end` (R_MAX unless given). Trajectory.stop_readout maps the stop of
-either route to the log-radius variable, r = n e^{-t/n}. The dimension n is
-each call's argument, checked by config.check_dimension.
+Both march until y (or w) lands on 0, the first zero; the t-route gives
+up at a floor far below its start in t, the r-route at the radius R_MAX.
+Trajectory.stop_readout maps the stop of either route to the log-radius
+variable, r = n e^{-t/n}. The dimension n is each call's argument, checked
+by config.check_dimension.
 
 Overflow policy: the source text (nonlinearity.SOURCE_TEXT) saturates at
 the sentinel nonlinearity.SOURCE_CAP, and the routes clamp their slopes at
@@ -53,15 +53,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numeric import brentq, quad
+from ._numeric import brentq
 from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import (AdmissionError, ConfigError, EventNotFoundError,
                      SolverError)
 from .nonlinearity import (SOURCE_CAP, SOURCE_TEXT, Nonlinearity,
                            compile_factory, convexity_floor,
-                           eval_fprime_source, eval_g, eval_source,
-                           g_is_linear, log_f, source_constants)
+                           eval_fprime_source, eval_g, g_is_linear, log_f,
+                           source_constants)
+# unused here: bound only so perfbench/tracer.py can wrap it as a span
+from .nonlinearity import eval_source  # noqa: F401
 
 # pure relative control on the flux component (see module docstring)
 _PSI_ATOL = 1e-300
@@ -205,7 +207,7 @@ def _v2_seed(start: StateT, s, n: int) -> tuple:
 
 
 def tail_start(nl: Nonlinearity, n: int, gamma: float,
-               cfg: ProblemConfig = ProblemConfig()) -> StateT:
+               cfg: ProblemConfig) -> StateT:
     """Initial state for the backward t-route march, read off the comparison
     solution at t_start = T1 + c_tail (n-1) log g'."""
     return _tail_site(nl, n, gamma, cfg.c_tail, cfg.beta_weight)[0]
@@ -219,32 +221,6 @@ def tail_admissible(nl: Nonlinearity, n: int, gamma: float,
         return True
     except AdmissionError:
         return False
-
-
-def tail_refinement_delta(nl: Nonlinearity, n: int, gamma: float,
-                          cfg: ProblemConfig = ProblemConfig()) -> dict:
-    """One Picard pass of the integral equation over the tail window,
-    reported as a diagnostic of the start-state error.
-
-    psi_1(t) = int_t^inf f(z) e^{-s} ds,  y_1 = gamma - int psi_1^{1/(n-1)}.
-    The window is [t_start, t_start + 40(n-1)]; the remainder beyond it is
-    taken from the closed forms.
-    """
-    st, s = _tail_site(nl, n, gamma, cfg.c_tail, cfg.beta_weight)
-    t0, hi = st.t, st.t + 40.0 * (n - 1.0)
-
-    def source(us):
-        return [eval_source(nl, z, u) for z, u in zip(s.z(us)[0], us)]
-
-    def psi1(t):
-        val, _ = quad(source, t, hi, limit=200)
-        return val + math.exp(s.g - hi)  # source ~ f(gamma) e^{-s} past the window
-
-    y_int, _ = quad(lambda us: [psi1(u) ** (1.0 / (n - 1.0)) for u in us],
-                    t0, hi, limit=100)
-    y1 = s.z(hi)[0] - y_int  # z itself past the window
-    return {"delta_y": abs(y1 - st.y), "delta_psi": abs(psi1(t0) - st.psi),
-            "t_start": t0, "window": 40.0 * (n - 1.0)}
 
 
 def solve_ivp(*args, **kwargs):
@@ -678,23 +654,19 @@ def _system(route: str, nl: Nonlinearity, n: int, lin: bool,
 
 
 def integrate_t(nl: Nonlinearity, n: int, start: StateT,
-                cfg: ProblemConfig = ProblemConfig(), *, level: float = 0.0,
-                floor: float | None = None,
+                cfg: ProblemConfig = ProblemConfig(), *,
                 lin_init: tuple | None = None,
                 track_s0: float | None = None) -> Trajectory:
-    """March the flux system backwards in t from `start` until y lands on
-    `level`, giving up at `floor` (far below the start unless given). A
-    seed (V1, phi) in `lin_init` attaches the linearization channel."""
+    """March the flux system backwards in t from `start` until y lands on 0,
+    giving up at a floor far below the start. A seed (V1, phi) in
+    `lin_init` attaches the linearization channel."""
     check_dimension(n, cfg.beta_weight)
     lin = lin_init is not None
     rhs, kernels = _system("t", nl, n, lin)
-    if floor is None:
-        floor = start.t - max(1000.0, 4.0 * abs(start.t) + 400.0 * (n - 1.0))
-    if floor >= start.t:
-        raise ConfigError(f"stop floor {floor} not below start {start.t}")
+    floor = start.t - max(1000.0, 4.0 * abs(start.t) + 400.0 * (n - 1.0))
     y0 = [start.y, start.psi] + (list(lin_init) if lin else [])
-    return _march("t", nl, n, cfg, rhs, (start.t, floor), y0, level,
-                  track_s0, f"above the floor t={floor}", kernels=kernels,
+    return _march("t", nl, n, cfg, rhs, (start.t, floor), y0, 0.0, track_s0,
+                  f"above the floor t={floor}", kernels=kernels,
                   t_start=start.t)
 
 
@@ -713,11 +685,10 @@ def series_startup_radius(fg: float, n: int, gamma: float,
 
 
 def integrate_r(nl: Nonlinearity, n: int, gamma: float,
-                cfg: ProblemConfig = ProblemConfig(), *, level: float = 0.0,
-                r_end: float = R_MAX, lin: bool = False,
+                cfg: ProblemConfig = ProblemConfig(), *, lin: bool = False,
                 track_s0: float | None = None) -> Trajectory:
     """March the weighted flux system outward in r from a series startup
-    until w lands on `level`, giving up at the radius `r_end`.
+    until w lands on 0, giving up at the radius R_MAX.
 
     It starts at series_startup_radius on the origin's series:
     w = gamma - ((n-1)/(n-b)) (f(gamma)/(n-b))^{1/(n-1)} r^{(n-b)/(n-1)},
@@ -767,10 +738,8 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
     if start_rate > math.exp(_LOG_CAP):
         raise AdmissionError("radius-route startup slope or source beyond "
                              "the overflow sentinel's budget")
-    if r_end <= r0:
-        raise ConfigError(f"stop radius {r_end} not beyond startup {r0}")
-    return _march("r", nl, n, cfg, rhs, (r0, r_end), y0, level, track_s0,
-                  f"inside r <= {r_end}", xtol, kernels=kernels, r0=r0)
+    return _march("r", nl, n, cfg, rhs, (r0, R_MAX), y0, 0.0, track_s0,
+                  f"inside r <= {R_MAX}", xtol, kernels=kernels, r0=r0)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ Parameters need callers too: each defaulted parameter of a public function
 that has callers is passed by some call in those same sources, as a
 keyword, a positional argument or a `**mapping`, or kept in ALLOWED_PARAMS
 with the reason.
+
+Fields need readers: each field and property of a public dataclass is read
+as an attribute, or named as a string, in those same sources, or kept in
+ALLOWED_FIELDS with the reason. A value that nothing reads is not computed.
 """
 
 import ast
@@ -24,20 +28,15 @@ SRC = ROOT / "src" / "qshoot"
 ALLOWED = {
     "nondegeneracy": "the non-degeneracy margin a gamma0 fold search will "
                      "report",
-    "tail_refinement_delta": "the Picard reference that a test checks the "
-                             "tail start state against",
 }
 
-ALLOWED_PARAMS = {
-    ("integrate_t", "level"): "lets a test march to a nonzero stop level",
-    ("integrate_t", "floor"): "lets a test reach the missing-event path "
-                              "above a near floor, and refuse one above "
-                              "the start",
-    ("integrate_r", "level"): "lets a test march to a nonzero stop level",
-    ("integrate_r", "r_end"): "lets a test reach the missing-event path "
-                              "inside a near radius",
-    ("detect_turning", "use_V2"): "lets a test read the turning point off "
-                                  "the closed-form V2",
+ALLOWED_PARAMS = {}
+
+ALLOWED_FIELDS = {
+    ("GammaSnapshot", "S0"): "the closed-form V2 zero that the turning "
+                             "tests check against; the README documents it",
+    ("StateR", "Phi"): "a component of the last state that a SolverError "
+                       "carries",
 }
 
 
@@ -164,3 +163,54 @@ def test_the_parameter_allowlist_holds_only_unpassed_parameters():
     defaulted = {(fn, param) for fn, param, _ in _defaulted()}
     assert set(ALLOWED_PARAMS) <= defaulted
     assert set(ALLOWED_PARAMS) <= _unpassed()
+
+
+def _decorated(node, name: str) -> bool:
+    """Whether `@name` or `@name(...)` decorates node."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id",
+                       None) == name for d in node.decorator_list)
+
+
+def _fields() -> list:
+    """(class, name) for each field and property of a public dataclass."""
+    out = []
+    for _, node in _public_nodes():
+        if not (isinstance(node, ast.ClassDef)
+                and _decorated(node, "dataclass")):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                out.append((node.name, item.target.id))
+            elif (isinstance(item, ast.FunctionDef)
+                  and _decorated(item, "property")):
+                out.append((node.name, item.name))
+    return out
+
+
+def _read() -> set:
+    """Names read as an attribute or named as a string constant."""
+    names = set()
+    for tree, _ in _sources():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                names.add(node.value)
+    return names
+
+
+def _unread() -> set:
+    read = _read()
+    return {(cls, name) for cls, name in _fields() if name not in read}
+
+
+def test_every_dataclass_field_has_a_reader():
+    assert sorted(_unread() - set(ALLOWED_FIELDS)) == []
+
+
+def test_the_field_allowlist_holds_only_unread_fields():
+    assert set(ALLOWED_FIELDS) <= set(_fields())
+    assert set(ALLOWED_FIELDS) <= _unread()

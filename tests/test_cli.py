@@ -53,6 +53,21 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in err and "wibble" in err
 
+    @pytest.mark.parametrize("content", [b"family=exp\n\xff\xfe\n", None],
+                             ids=["not-utf8", "nul-in-path"])
+    def test_unreadable_config_file_is_a_config_error(self, capsys, tmp_path,
+                                                      content):
+        cfile = tmp_path / "bad.cfg"
+        if content is None:
+            path = str(cfile) + "\0x"
+        else:
+            cfile.write_bytes(content)
+            path = str(cfile)
+        code, out, err = run_cli(capsys, "shoot", "--config", path,
+                                 "--gamma", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("qshoot: error: cannot read config file")
+
     def test_unreachable_zero_is_a_solver_error(self, capsys):
         # multiplier so small the profile stays positive inside the outward
         # march's reach, ode.R_MAX

@@ -10,6 +10,7 @@ from qshoot.asymptotics import comparison_z, snapshot
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError
 from qshoot.linearization import (
+    _largest_zero,
     detect_turning,
     flux_identity_residual,
     nondegeneracy,
@@ -19,6 +20,7 @@ from qshoot.linearization import (
     v2_eval,
 )
 from qshoot.nonlinearity import make_nonlinearity
+from qshoot.ode import tail_start
 from qshoot.shooting import shoot
 
 
@@ -128,12 +130,18 @@ class TestTurningDetection:
         assert rep.S == pytest.approx(28.720429, rel=1e-4)
         assert rep.S1 == pytest.approx(33.691574, rel=1e-4)
         assert rep.S_predicted == pytest.approx(28.945187, rel=1e-4)
-        assert rep.V2prime_at_S == pytest.approx(rep.comparator, rel=0.5)
+        # V2' at the turning point against n/(n-1) g''/(g')^2
+        s = snapshot(nl_family_ii, 2, 8.0)
+        assert rep.V2prime_at_S == pytest.approx(2.0 * s.gpp / s.gp ** 2,
+                                                 rel=0.5)
 
     def test_closed_form_mode_recovers_the_marker(self, nl_family_ii, cfg2):
-        rep = detect_turning(nl_family_ii, 2, 8.0, cfg2, use_V2=True)
-        assert rep.S1 == pytest.approx(snapshot(nl_family_ii, 2, 8.0).S0,
-                                       abs=1e-10)
+        # the zero finder on the closed-form V2 pins the known S0
+        s = snapshot(nl_family_ii, 2, 8.0)
+        ts = np.linspace(tail_start(nl_family_ii, 2, 8.0, cfg2).t,
+                         s.T1 - 8.0, 400)
+        S1 = _largest_zero(ts, lambda t: s.v2(t)[0], float(ts[-1]))
+        assert S1 == pytest.approx(s.S0, abs=1e-10)
 
     def test_computed_marker_approaches_the_closed_form(self, nl_family_ii,
                                                         cfg2):
@@ -153,7 +161,6 @@ class TestTurningDetection:
     def test_no_prediction_without_drift_curvature(self, nl_exp, cfg2):
         rep = detect_turning(nl_exp, 2, 3.0, cfg2)
         assert rep.S_predicted is None
-        assert rep.S6 is None  # needs a genuine power above 1
 
     def test_report_export_schema(self, nl_family_ii, cfg2):
         rep = detect_turning(nl_family_ii, 2, 8.0, cfg2)

@@ -133,6 +133,11 @@ _ARG_CAP = math.log(SOURCE_CAP)
 # g' < 0 far below -1e100: f' is clamped from below, here and at u <= 0
 @example("pow_exp", 1.0, 2.0, 0.0, -1e150, 1.0, 1e-200, -200.0)
 @example("pow_exp", 1.0, 2.0, 0.0, -1e150, 1.0, -0.5, -10.0)
+# pins f''s grouping aq u^{q-1} + (p/u + b): without the brackets its last
+# bit changes here
+@example("pow_exp", 1.4588768758486657, 1.0811238764943933, 2.2355550797433605,
+         0.8279499223475363, 4.380705450270217, 6.895770351319319,
+         24.20890569443837)
 @settings(max_examples=500, deadline=None)
 def test_compiled_terms_are_bitwise_the_reference(family, a, q, p, rb, lam,
                                                   u, t):

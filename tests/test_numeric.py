@@ -38,6 +38,16 @@ class TestBrent:
     def test_an_end_on_the_root_is_returned(self):
         assert brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
 
+    def test_an_underflowing_interpolation_bisects(self):
+        # at |f| below about 1e-103 the inverse quadratic step's denominator
+        # underflows to 0; scipy's C code bisects there too
+        def f(x):
+            return 1e-120 * (0.3 - x) * (1.0 + x)
+
+        root = brentq(f, 0.0, 1.0)
+        assert abs(root - 0.3) <= 2e-12
+        assert root == scipy_brentq(f, 0.0, 1.0)
+
     @pytest.mark.parametrize("f,match", [
         (lambda x: x * x + 1.0, "not bracketed"),
         (lambda x: math.nan, "not bracketed"),

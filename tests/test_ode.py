@@ -10,11 +10,12 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 import qshoot.ode
+from qshoot.asymptotics import snapshot
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError, EventNotFoundError
 from qshoot.linearization import solve_V1
-from qshoot.nonlinearity import (SOURCE_CAP, find_s0, make_nonlinearity,
-                                 source_terms)
+from qshoot.nonlinearity import (SOURCE_CAP, eval_source, find_s0,
+                                 make_nonlinearity, source_terms)
 from qshoot.ode import (
     EVENT_TOL,
     StateR,
@@ -27,12 +28,51 @@ from qshoot.ode import (
     quad_dense,
     series_startup_radius,
     tail_admissible,
-    tail_refinement_delta,
     tail_start,
     wprime_from_Phi,
     yprime_from_psi,
 )
 from qshoot.shooting import shoot
+
+
+def _march_t(nl, n, start, cfg, level, floor):
+    """integrate_t's march from `start` to `level`, giving up at the
+    abscissa `floor`, through the shared core."""
+    rhs, kernels = qshoot.ode._system("t", nl, n, False)
+    return qshoot.ode._march("t", nl, n, cfg, rhs, (start.t, floor),
+                             [start.y, start.psi], level, None,
+                             f"above the floor t={floor}", kernels=kernels)
+
+
+def _march_r(nl, n, gamma, cfg, level, r_end):
+    """integrate_r's march from its own startup to `level`, giving up at
+    the radius `r_end`, through the shared core."""
+    first = integrate_r(nl, n, gamma, cfg)
+    rhs, kernels = qshoot.ode._system("r", nl, n, False, nb=float(n))
+    return qshoot.ode._march("r", nl, n, cfg, rhs, (first.ts[0], r_end),
+                             list(first.states[0]), level, None,
+                             f"inside r <= {r_end}", kernels=kernels)
+
+
+def _picard_delta(nl, n, gamma):
+    """One Picard pass of the integral equation over the tail window
+    [t0, t0 + 40(n-1)] from the tail start at t0, the remainder beyond the
+    window taken from the closed forms:
+    psi_1(t) = int_t^inf f(z) e^{-s} ds,  y_1 = gamma - int psi_1^{1/(n-1)}.
+    Returns the start state's distance to it, in y and in psi."""
+    st = tail_start(nl, n, gamma, ProblemConfig())
+    s = snapshot(nl, n, gamma)
+    hi = st.t + 40.0 * (n - 1.0)
+
+    def psi1(t):
+        val, _ = quad(lambda u: eval_source(nl, s.z(u)[0], u), t, hi,
+                      limit=200)
+        return val + math.exp(s.g - hi)  # source ~ f(gamma) e^{-s} past hi
+
+    y_int, _ = quad(lambda u: psi1(u) ** (1.0 / (n - 1.0)), st.t, hi,
+                    limit=100)
+    y1 = s.z(hi)[0] - y_int  # z itself past the window
+    return abs(y1 - st.y), abs(psi1(st.t) - st.psi)
 
 
 class TestStateHelpers:
@@ -55,12 +95,12 @@ class TestStateHelpers:
 class TestTailStart:
     def test_linear_family_is_refused(self, nl_linear):
         with pytest.raises(AdmissionError):
-            tail_start(nl_linear, 2, 1.0)
+            tail_start(nl_linear, 2, 1.0, ProblemConfig())
 
     def test_shallow_exponent_is_refused(self, nl_square):
         # g'(0.4) = 0.8 <= 1
         with pytest.raises(AdmissionError):
-            tail_start(nl_square, 2, 0.4)
+            tail_start(nl_square, 2, 0.4, ProblemConfig())
 
     def test_short_tail_window_is_refused(self, nl_square):
         with pytest.raises(AdmissionError):
@@ -69,7 +109,7 @@ class TestTailStart:
     def test_amplitude_below_convexity_floor_is_refused(self, nl_family_ii):
         floor = find_s0(nl_family_ii)
         with pytest.raises(AdmissionError):
-            tail_start(nl_family_ii, 2, 0.5 * floor)
+            tail_start(nl_family_ii, 2, 0.5 * floor, ProblemConfig())
 
     def test_start_state_sits_near_the_amplitude(self, nl_square, cfg2):
         gamma = 5.0
@@ -95,10 +135,9 @@ class TestTailStart:
             assert not isinstance(exc.value, AdmissionError)
 
     def test_picard_pass_confirms_the_start_state(self, nl_square):
-        rep = tail_refinement_delta(nl_square, 2, 5.0)
-        assert rep["delta_y"] <= 1e-10
-        assert rep["delta_psi"] <= 1e-10
-        assert rep["window"] == 40.0
+        delta_y, delta_psi = _picard_delta(nl_square, 2, 5.0)
+        assert delta_y <= 1e-10
+        assert delta_psi <= 1e-10
 
 
 class TestBackwardMarch:
@@ -147,11 +186,6 @@ class TestBackwardMarch:
         y_at = float(traj.dense(traj.s0)[0])
         assert y_at == pytest.approx(s0, abs=1e-9)
 
-    def test_floor_must_lie_below_the_start(self, nl_square, cfg2):
-        st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-        with pytest.raises(ConfigError):
-            integrate_t(nl_square, 2, st, cfg2, floor=st.t + 1.0)
-
 
 class TestMarchingCore:
     """Behaviour the two routes share through the one marching core."""
@@ -162,9 +196,9 @@ class TestMarchingCore:
         with pytest.raises(EventNotFoundError) as exc:
             if route == "t":
                 st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-                integrate_t(nl_square, 2, st, cfg2, floor=st.t - 1.0)
+                _march_t(nl_square, 2, st, cfg2, 0.0, st.t - 1.0)
             else:
-                integrate_r(nl_square, 2, 3.0, cfg2, r_end=0.05)
+                _march_r(nl_square, 2, 3.0, cfg2, 0.0, 0.05)
         last = exc.value.last_state
         if route == "t":
             assert isinstance(last, StateT)
@@ -178,9 +212,9 @@ class TestMarchingCore:
     def test_level_crossing_stop(self, route, nl_square, cfg2):
         if route == "t":
             st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
-            traj = integrate_t(nl_square, 2, st, cfg2, level=2.5)
+            traj = _march_t(nl_square, 2, st, cfg2, 2.5, st.t - 1000.0)
         else:
-            traj = integrate_r(nl_square, 2, 3.0, cfg2, level=2.5)
+            traj = _march_r(nl_square, 2, 3.0, cfg2, 2.5, qshoot.ode.R_MAX)
         x = traj.stop
         assert float(traj.dense(x)[0]) == pytest.approx(2.5, abs=1e-10)
 
@@ -518,7 +552,7 @@ class TestStepper:
         # a stop just above zero keeps the last sample in the energy
         # monitor: an interpolated sample there breaks monotonicity at 5e-9
         st = tail_start(nl_exp, 2, 10.0, cfg=cfg2)
-        traj = integrate_t(nl_exp, 2, st, cfg2, level=2e-9)
+        traj = _march_t(nl_exp, 2, st, cfg2, 2e-9, st.t - 1000.0)
         assert traj.diagnostics["landed"]
         assert traj.ts[-1] == traj.stop
         assert abs(traj.states[-1, 0] - 2e-9) <= EVENT_TOL

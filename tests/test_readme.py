@@ -1,19 +1,36 @@
-"""The README's Library example runs as written, so the documented API
-cannot drift from the package unnoticed."""
+"""The README's examples run as written, so the documented API and command
+line cannot drift from the package unnoticed."""
 
 import math
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from qshoot.cli import _COMMANDS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(title: str) -> str:
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _library_block() -> str:
-    text = README.read_text()
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    blocks = re.findall(r"```python\n(.*?)```", _section("Library"), flags=re.S)
     assert len(blocks) == 1, "the Library section holds one Python block"
     return blocks[0]
+
+
+def _command_lines() -> list:
+    """The argument lists of the `qshoot` lines of the Command line block,
+    with `\\` continuations joined and `# ...` comments dropped."""
+    block = re.findall(r"```\n(.*?)```", _section("Command line"),
+                       flags=re.S)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in lines
+            if line.startswith("qshoot ")]
 
 
 def test_library_example_runs():
@@ -24,3 +41,21 @@ def test_library_example_runs():
     assert rec.V1_T is not None and names["tp"] == rec.tprime()
     assert math.isfinite(names["out3"].T)
     assert len(curve.outcomes) == 3 and curve.errors == ()
+
+
+COMMAND_LINES = _command_lines()
+
+
+def test_the_command_line_block_shows_every_command():
+    assert {argv[0] for argv in COMMAND_LINES} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=[
+    f"{i}-{argv[0]}" for i, argv in enumerate(COMMAND_LINES)])
+def test_command_line_example_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    capsys.readouterr()
+    for i, arg in enumerate(argv[:-1]):
+        if arg == "--out":
+            assert (tmp_path / argv[i + 1]).exists()

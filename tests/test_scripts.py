@@ -14,20 +14,6 @@ def _main(name):
     return runpy.run_path(str(SCRIPTS / name), run_name="script")["main"]
 
 
-def test_bifurcation_diagram(tmp_path, capsys):
-    prefix = str(tmp_path / "diagram")
-    code = _main("bifurcation_diagram.py")(
-        ["--q", "1.5", "--p", "1", "--rho-beta", "1", "--gamma-min", "2",
-         "--gamma-max", "6", "--steps", "3", "--with-derivative",
-         "--out-prefix", prefix])
-    assert code == 0
-    assert "3/3 points solved" in capsys.readouterr().out
-    assert len((tmp_path / "diagram.csv").read_text().splitlines()) == 4
-    meta = json.loads((tmp_path / "diagram.meta.json").read_text())
-    assert meta["gamma_count"] == 3
-    assert (tmp_path / "diagram.svg").read_text().startswith("<svg")
-
-
 def test_decay_table(tmp_path, capsys):
     out = tmp_path / "decay.csv"
     code = _main("decay_table.py")(

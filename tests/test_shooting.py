@@ -136,6 +136,23 @@ class TestReferenceProblems:
         assert shoot(nl_exp, n, gamma, cfg2).R == pytest.approx(
             _liouville_R(n, gamma), rel=1e-6)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("family", ["exp", "linear", "pow_exp"])
+    def test_tiny_amplitudes_give_a_zero_or_a_typed_error(self, family, n):
+        # below gamma ~ 1e-105 the stop's root search once divided by an
+        # underflowed 0 and let a bare ZeroDivisionError escape
+        nl = make_nonlinearity(family)
+        for e in range(100, 321, 20):
+            gamma = 10.0 ** -e
+            if (family, n) == ("exp", 2) and e <= 300:
+                assert shoot(nl, n, gamma).R == pytest.approx(
+                    _liouville_R(n, gamma), rel=1e-8)
+                continue
+            try:
+                assert math.isfinite(shoot(nl, n, gamma).R)
+            except QShootError:
+                pass
+
     def test_matches_the_planar_exponential_profile(self, nl_exp, cfg2):
         # u(xi) = gamma - 2 log(1 + expm1(gamma/2) xi^2) at lambda = 1, read
         # off the radius route's dense output at r = xi R
