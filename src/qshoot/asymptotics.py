@@ -321,13 +321,6 @@ class AsymptoticPrediction:
     Tprime_pred: float
     S_pred: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma, "n": self.n, "T_pred": self.T_pred,
-            "yprime_T_pred": self.yprime_T_pred, "Tprime_pred": self.Tprime_pred,
-            "S_pred": self.S_pred,
-        }
-
 
 def predict_all(gamma: float, n: int, nl: Nonlinearity) -> AsymptoticPrediction:
     """Leading-order predictions for T, y'(T), T' and the turning point.

@@ -330,11 +330,10 @@ def cmd_regimes(args) -> int:
     rc = load_run_config(args.config, _flag_values(args))
     nl = rc.nonlinearity()
     cfg = rc.problem()
+    grid = {}  # the default amplitude ladder unless a grid is given
     if rc.gamma_min is not None or rc.gamma_max is not None:
-        grid = tuple(_gammas(rc))
-    else:
-        grid = (1e-1, 1e-2, 1e-3, 1e-4)
-    rep = classify_small_gamma(nl, rc.n, gammas=grid, cfg=cfg)
+        grid["gammas"] = _gammas(rc)
+    rep = classify_small_gamma(nl, rc.n, cfg=cfg, **grid)
     lines = [f"verdict={rep.verdict}",
              f"p_estimate={fmt_value(rep.p_estimate)}",
              f"spread={fmt_value(rep.spread)}"]

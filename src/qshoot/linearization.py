@@ -19,8 +19,8 @@ import numpy as np
 from ._numeric import brentq
 from .asymptotics import snapshot
 from .config import ProblemConfig
-from .nonlinearity import Nonlinearity, eval_g, source_terms
-from .ode import quad_dense, v1prime_from_phi, yprime_from_psi
+from .nonlinearity import Nonlinearity, eval_g
+from .ode import quad_dense
 from .shooting import ShootOutcome, _solve
 # unused here: bound only so perfbench/tracer.py can wrap them as spans
 from .nonlinearity import convexity_floor  # noqa: F401
@@ -86,10 +86,6 @@ def _largest_zero(ts_desc, f: Callable, lo_cut: float) -> Optional[float]:
 
 @dataclass(frozen=True)
 class TurningReport:
-    gamma: float
-    n: int
-    T: float
-    T1: float
     S1: Optional[float]
     S: Optional[float]
     S_predicted: Optional[float]
@@ -122,16 +118,16 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
     S1 = _largest_zero(traj.ts, v1f, res.T)
     S = _largest_zero(traj.ts, phif, res.T)
     v2p_at = s.v2(S)[1] if S is not None else None
-    return TurningReport(gamma=float(gamma), n=n, T=res.T, T1=s.T1, S1=S1,
-                         S=S, S_predicted=S_pred, V2prime_at_S=v2p_at)
+    return TurningReport(S1=S1, S=S, S_predicted=S_pred, V2prime_at_S=v2p_at)
 
 
 def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
                            cfg: ProblemConfig = ProblemConfig()) -> dict:
     """Normalized residual of the integrated flux identity for phi.
 
-    With J = (1 - y' (g'(y) + g''(y)/g'(y))) phi + phi' and phi' taken from
-    the channel's own right-hand side, the identity reads
+    With J = (1 - y' (g'(y) + g''(y)/g'(y))) phi + phi', and y', V1', phi'
+    and psi' = -f(y) e^{-t} read off the march's own right-hand side
+    (`Trajectory.rhs`), the identity reads
 
         J(a) = J(b) + int_a^b -(g''/g') f(y) e^{-t} V1' / (n-1) dt
                     + int_a^b (g'' + g'''/g' - (g''/g')^2) psi^{n/(n-1)} V1' dt
@@ -145,26 +141,23 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
     traj = res.traj
     a = res.Ttilde if res.Ttilde is not None else res.T
     b = res.diagnostics["t_start"]
-    src, fprime = source_terms(nl)  # the march's own source terms
 
     def parts(t, s):
-        y, psi, v1, phi = (float(v) for v in s[:4])
-        gp, gpp, gppp = (eval_g(nl, y, k) for k in (1, 2, 3))
-        return (y, psi, v1, phi, yprime_from_psi(psi, n), gp, gpp, gppp,
-                v1prime_from_phi(phi, psi, n))
+        # psi, phi, g' g'' g''' at y, then the slopes y', psi', V1', phi'
+        s = s.tolist()
+        return (s[1], s[3], *(eval_g(nl, s[0], k) for k in (1, 2, 3)),
+                *traj.rhs(t, s))
 
     def J(t):
-        s = traj.state_at(t)
-        y, psi, v1, phi, yp, gp, gpp, _, _ = parts(t, s)
-        phip = -fprime(y, t) * v1 / (n - 1.0)
+        _, phi, gp, gpp, _, yp, _, _, phip = parts(t, traj.state_at(t))
         return (1.0 - yp * (gp + gpp / gp)) * phi + phip
 
     def igrand1(t, s):
-        y, psi, v1, phi, yp, gp, gpp, _, v1p = parts(t, s)
-        return -(gpp / gp) * src(y, t) * v1p / (n - 1.0)
+        _, _, gp, gpp, _, _, psip, v1p, _ = parts(t, s)
+        return (gpp / gp) * psip * v1p / (n - 1.0)
 
     def igrand2(t, s):
-        y, psi, v1, phi, yp, gp, gpp, gppp, v1p = parts(t, s)
+        psi, _, gp, gpp, gppp, _, _, v1p, _ = parts(t, s)
         return (gpp + gppp / gp - (gpp / gp) ** 2) \
             * psi ** (n / (n - 1.0)) * v1p
 

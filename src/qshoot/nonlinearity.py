@@ -11,11 +11,8 @@ an oracle (the radial problem then has a closed-form first zero for n = 2).
 
 from __future__ import annotations
 
-import functools
 import math
-import textwrap
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -219,17 +216,21 @@ def eval_fprime_source(nl: Nonlinearity, u: float, t: float) -> float:
     return gp * math.exp(arg)
 
 
-# The march's overflow sentinel: source_terms saturates at it, ode clamps
+# The march's overflow sentinel: SOURCE_TEXT saturates at it, ode clamps
 # its slopes there and reads its radius-route budget off it. A saturated
 # value blows up the trial step's error norm, so the step is retried shorter.
 SOURCE_CAP = 1e100
 
 # f(u) e^{-t} and f'(u) e^{-t} of each family kind as text over {u} and {t}
 # leaving the value, saturated at cap, in {out}, its other free names those
-# of source_constants: source_terms compiles it, ode splices it into its
-# step. g keeps eval_g's grouping a u^q + (p log u + b u), each rho term
-# present when _rho adds it; p/u + b is _rho's rho' also with p or b zero
-# (0/u is +0.0). The cap is compared after exp: exp(log(cap)) > cap.
+# of source_constants. ode splices the pair into its right-hand sides, the
+# only place it is compiled, f' after f in one scope: the exp-form f' reads
+# the exponent `arg` that f leaves. Bitwise, f is min(eval_source, cap) and
+# f' eval_fprime_source clamped to +-cap; either is cap where the reference
+# raises OverflowError (u**q included), and a NaN passes. g keeps eval_g's
+# grouping a u^q + (p log u + b u), each rho term present when _rho adds
+# it; p/u + b is _rho's rho' also with p or b zero (0/u is +0.0). The cap
+# is compared after exp: exp(log(cap)) > cap.
 _LINEAR_SOURCE = ("v = cap if -{t} > big else lam * {u} * exp(-{t})\n"
                   "{out} = cap if v > cap else v")
 SOURCE_TEXT = {
@@ -247,13 +248,10 @@ else:
 v = cap if arg > big else exp(arg)
 {out} = cap if v > cap else v""", """\
 if {u} <= 0.0:
-    arg = -inf if lf0 is None else lf0 - {t}
     v = 0.0 if lf0 is None else cap if arg > big else gp0 * exp(arg)
 else:
     try:
         gp = aq * {u} ** qm1 + (p / {u} + b)
-        arg = llam + (a * {u} ** q + ((p * log({u}) if hp else 0.0)
-                                      + (b * {u} if hb else 0.0))) - {t}
         if gp > 0.0:
             arg += log(gp)
         v = cap if arg > big else exp(arg) if gp > 0.0 else gp * exp(arg)
@@ -274,35 +272,6 @@ def source_constants(nl: Nonlinearity) -> tuple:
                        hp=p != 0.0, hb=b != 0.0, aq=a * q, qm1=q - 1,
                        lf0=math.log(nl.f0) if nl.f0 != 0.0 else None,
                        gp0=b if q > 1.0 else (a + b if q == 1.0 else 0.0))
-
-
-def compile_factory(filename: str, names: tuple, lines: list) -> Callable:
-    """The function make(*names) whose body is the source `lines`, with
-    exp, log, inf and math as globals: the names become closure cells."""
-    text = "\n".join([f"def make({', '.join(names)}):",
-                      *(textwrap.indent(line, "    ") for line in lines)])
-    namespace = dict(math=math, exp=math.exp, log=math.log, inf=math.inf)
-    exec(compile(text, filename, "exec"), namespace)
-    return namespace["make"]
-
-
-def source_terms(nl: Nonlinearity) -> tuple:
-    """(src, fprime): eval_source and eval_fprime_source as closures
-    compiled from SOURCE_TEXT, once per family kind. Bitwise, src is
-    min(eval_source, SOURCE_CAP) and fprime eval_fprime_source clamped to
-    +-SOURCE_CAP; either is SOURCE_CAP where the reference raises
-    OverflowError (u**q included), and a NaN passes."""
-    kind, constants = source_constants(nl)
-    return _source_factory(kind, tuple(constants))(**constants)
-
-
-@functools.cache
-def _source_factory(kind: str, names: tuple) -> Callable:
-    src, fprime = (textwrap.indent(text.format(u="u", t="t", out="v"), "    ")
-                   for text in SOURCE_TEXT[kind])
-    return compile_factory(f"<{kind} source terms>", names, [
-        f"def src(u, t):\n{src}\n    return v",
-        f"def fprime(u, t):\n{fprime}\n    return v", "return src, fprime"])
 
 
 def find_s0(nl: Nonlinearity) -> float:

@@ -27,9 +27,11 @@ Python call:
 
 Both march until y (or w) lands on 0, the first zero; the t-route gives
 up at a floor far below its start in t, the r-route at the radius R_MAX.
-Trajectory.stop_readout maps the stop of either route to the log-radius
-variable, r = n e^{-t/n}. The dimension n is each call's argument, checked
-by config.check_dimension.
+The Trajectory keeps the march's right-hand side, and every slope read off
+a march goes through it: Trajectory.stop_readout maps the stop of either
+route to the log-radius variable, r = n e^{-t/n}, and the linearization
+readouts take V1' and phi' from the same call. The dimension n is each
+call's argument, checked by config.check_dimension.
 
 Overflow policy: the source text (nonlinearity.SOURCE_TEXT) saturates at
 the sentinel nonlinearity.SOURCE_CAP, and the routes clamp their slopes at
@@ -59,9 +61,8 @@ from .config import ProblemConfig, check_dimension
 from .errors import (AdmissionError, ConfigError, EventNotFoundError,
                      SolverError)
 from .nonlinearity import (SOURCE_CAP, SOURCE_TEXT, Nonlinearity,
-                           compile_factory, convexity_floor,
-                           eval_fprime_source, eval_g, g_is_linear, log_f,
-                           source_constants)
+                           convexity_floor, eval_fprime_source, eval_g,
+                           g_is_linear, log_f, source_constants)
 # unused here: bound only so perfbench/tracer.py can wrap it as a span
 from .nonlinearity import eval_source  # noqa: F401
 
@@ -83,15 +84,9 @@ class StateT:
     psi: float
 
 
-# y' depends on n, so it cannot live on the state itself
+# y' of a tail start, read before any right-hand side exists
 def yprime_from_psi(psi: float, n: int) -> float:
     return psi ** (1.0 / (n - 1.0)) if psi > 0.0 else 0.0
-
-
-def v1prime_from_phi(phi: float, psi: float, n: int) -> float:
-    """V1' from the channel flux phi = (y')^{n-2} V1' and psi = (y')^{n-1}."""
-    return phi if n == 2 else \
-        phi / max(psi, _PSI_ATOL) ** ((n - 2.0) / (n - 1.0))
 
 
 @dataclass(frozen=True)
@@ -105,13 +100,6 @@ def _t_of_r(r: float, n: int) -> float:
     return -n * math.log(r / n)
 
 
-def wprime_from_Phi(Phi: float, r: float, n: int) -> float:
-    if r <= 0.0 or Phi == 0.0:
-        return 0.0
-    mag = (abs(Phi) / r ** (n - 1.0)) ** (1.0 / (n - 1.0))
-    return math.copysign(mag, Phi)
-
-
 @dataclass
 class Trajectory:
     """Accepted samples of one integration plus its dense interpolant.
@@ -122,7 +110,8 @@ class Trajectory:
     decreasing for the t-route, increasing for the r-route. `stop` is where
     the march landed on its level and `s0` where it crossed the tracked
     convexity floor (None without a crossing), both in the marching
-    variable.
+    variable. `rhs(x, state)` is the march's own right-hand side, the
+    slopes of the state columns, which every slope readout reads.
     """
 
     kind: str
@@ -131,6 +120,7 @@ class Trajectory:
     ts: np.ndarray
     states: np.ndarray
     dense: Callable
+    rhs: Callable
     stop: float
     s0: Optional[float] = None
     lin: bool = False
@@ -144,11 +134,9 @@ class Trajectory:
         lo, hi = self.span()
         return np.asarray(self.dense(min(max(x, lo), hi)), dtype=float)
 
-    def yprime_at(self, t: float) -> float:
-        s = self.state_at(t)
-        if self.kind == "t":
-            return yprime_from_psi(float(s[1]), self.n)
-        return wprime_from_Phi(float(s[1]), t, self.n)
+    def yprime_at(self, x: float) -> float:
+        """dy/dt (dw/dr on the r-route) at x, from the march's own rhs."""
+        return self.rhs(x, self.state_at(x).tolist())[0]
 
     def stop_readout(self) -> tuple:
         """(T, y'(T), Ttilde, state at the stop) in the log-radius variable,
@@ -361,6 +349,16 @@ def _stage(s: int, m: int, body: Callable, lead: str = "") -> list:
         textwrap.indent(body(f"k{s}_"), "    ")]
 
 
+def _compile_factory(filename: str, names: tuple, lines: list) -> Callable:
+    """The function make(*names) whose body is the source `lines`, with
+    exp, log, inf and math as globals: the names become closure cells."""
+    text = "\n".join([f"def make({', '.join(names)}):",
+                      *(textwrap.indent(line, "    ") for line in lines)])
+    namespace = dict(math=math, exp=math.exp, log=math.log, inf=math.inf)
+    exec(compile(text, filename, "exec"), namespace)
+    return namespace["make"]
+
+
 @functools.cache
 def _dp_kernel(m: int, route: str | None = None, kind: str = "",
                names: tuple = ("f",)) -> Callable:
@@ -409,8 +407,8 @@ def _dp_kernel(m: int, route: str | None = None, kind: str = "",
     dense.append(f"    return [{_names('q', m)}]")
     # compiled apart: compiling takes memory in proportion to the source,
     # and the largest unit sets the process's peak
-    makes = [compile_factory(f"<dop853 {f}, m={m}, {route} {kind}>", names,
-                             [f"def {f}({args}):", *lines, f"return {f}"])
+    makes = [_compile_factory(f"<dop853 {f}, m={m}, {route} {kind}>", names,
+                              [f"def {f}({args}):", *lines, f"return {f}"])
              for f, args, lines in (("rhs", "t, u", rhs),
                                     ("step", "t0, y, k0, h, rtol, atol", step),
                                     ("dense", "t0, h, y, y_end, K", dense))]
@@ -636,7 +634,7 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
     diag = {"route": kind, "steps": len(hs), "h_min": min(hs),
             "h_max": max(hs), **counts, **diag}
     return Trajectory(kind=kind, n=n, nl=nl, ts=np.array(ts),
-                      states=np.array(ys), dense=dense, stop=stop,
+                      states=np.array(ys), dense=dense, rhs=rhs, stop=stop,
                       s0=dense.crossing(track_s0, xtol) if track else None,
                       lin=len(y0) == 4, diagnostics=diag)
 

@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError
-from .ode import EVENT_TOL, Trajectory, v1prime_from_phi, yprime_from_psi
+from .ode import EVENT_TOL, Trajectory
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -75,28 +75,22 @@ def linearization_rows(traj: Trajectory):
     if not traj.lin or traj.kind != "t":
         raise ConfigError("linearization rows need a t-route trajectory "
                           "with the channel attached")
-    n = traj.n
     header = ("t", "y", "yprime", "V1", "V1prime")
     rows = []
-    for t, s in zip(traj.ts, traj.states):
-        psi = float(s[1])
-        rows.append((float(t), float(s[0]), yprime_from_psi(psi, n),
-                     float(s[2]), v1prime_from_phi(float(s[3]), psi, n)))
+    for t, s in zip(traj.ts.tolist(), traj.states.tolist()):
+        yp, _, v1p, _ = traj.rhs(t, s)
+        rows.append((t, s[0], yp, s[2], v1p))
     return header, rows
 
 
 def curve_rows(curve):
-    header = ["gamma", "T", "R", "lambda", "yprime_T"]
-    if curve.tprime_v1 is not None:
-        header += ["Tprime_v1", "Tprime_fd"]
-    rows = []
-    for row in curve.rows():
-        vals = [row["gamma"], row["T"], row["R"], row["lambda"],
-                row["yprime_T"]]
-        if curve.tprime_v1 is not None:
-            vals += [row["Tprime_v1"], row["Tprime_fd"]]
-        rows.append(tuple(vals))
-    return tuple(header), rows
+    header = ("gamma", "T", "R", "lambda", "yprime_T")
+    rows = [(o.gamma, o.T, o.R, o.lam, o.yprime_T) for o in curve.outcomes]
+    if curve.tprime_v1 is None:
+        return header, rows
+    return header + ("Tprime_v1", "Tprime_fd"), [
+        (*row, v1, fd)
+        for row, v1, fd in zip(rows, curve.tprime_v1, curve.tprime_fd)]
 
 
 def curve_meta(curve, version: str) -> dict:

@@ -177,14 +177,6 @@ class BifurcationCurve:
     tprime_fd: Optional[tuple] = None
     errors: tuple = ()
 
-    def rows(self):
-        for i, out in enumerate(self.outcomes):
-            row = out.as_dict()
-            if self.tprime_v1 is not None:
-                row["Tprime_v1"] = self.tprime_v1[i]
-                row["Tprime_fd"] = self.tprime_fd[i]
-            yield row
-
 
 def sweep(nl: Nonlinearity, n: int, gammas,
           cfg: ProblemConfig = ProblemConfig(), *,

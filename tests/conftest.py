@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qshoot.config import ProblemConfig
-from qshoot.nonlinearity import make_nonlinearity
+from qshoot.nonlinearity import (SOURCE_CAP, eval_fprime_source, eval_source,
+                                 make_nonlinearity)
 
 # Hypothesis imports its patch writer, and libcst with it, only when a
 # property fails. libcst then warns a DeprecationWarning, which the pytest
@@ -52,6 +53,24 @@ def nl_three_halves():
 def nl_family_ii():
     """f = lambda u e^{u^{3/2} + u}; log term plus linear drift."""
     return make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0, n=2)
+
+
+def _saturated(ref, lower):
+    """The march's overflow policy over a reference term: SOURCE_CAP where
+    it raises OverflowError, else min(value, SOURCE_CAP), clamped from
+    below at -SOURCE_CAP too when `lower`; min and max let a NaN through."""
+    def term(*args):
+        try:
+            v = ref(*args)
+        except OverflowError:
+            return SOURCE_CAP
+        return min(max(v, -SOURCE_CAP) if lower else v, SOURCE_CAP)
+    return term
+
+
+# what the source text spliced into the march gives, bit for bit
+saturated_source = _saturated(eval_source, lower=False)
+saturated_fprime = _saturated(eval_fprime_source, lower=True)
 
 
 def bessel_j0(x, terms=60):

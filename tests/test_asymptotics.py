@@ -263,9 +263,7 @@ class TestPredictions:
             predict_all(5.0, 2, nl_exp)  # g' = 1 identically
 
     def test_repeat_calls_are_identical(self, nl_square):
-        one = predict_all(7.0, 3, nl_square).as_dict()
-        two = predict_all(7.0, 3, nl_square).as_dict()
-        assert one == two
+        assert predict_all(7.0, 3, nl_square) == predict_all(7.0, 3, nl_square)
 
 
 def _fake_curve(nl, gammas, Ts, cfg):

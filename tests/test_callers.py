@@ -16,6 +16,9 @@ with the reason.
 Fields need readers: each field and property of a public dataclass is read
 as an attribute, or named as a string, in those same sources, or kept in
 ALLOWED_FIELDS with the reason. A value that nothing reads is not computed.
+The rule matches attribute names, not classes: a read of `.T` on any object
+counts for every field named T, so a field that shares a common name needs
+its reader found by hand.
 """
 
 import ast

@@ -414,21 +414,19 @@ class TestCallCost:
         assert freed <= 20
 
     def test_importing_the_cli_builds_no_step_kernel(self):
-        # the DOP853 step and dense output, with the right-hand sides
-        # spliced in, and the source closures are generated on first use,
-        # so they add nothing to the import
+        # the DOP853 step and dense output, with the right-hand sides and
+        # the source text spliced in, are generated on first use, so they
+        # add nothing to the import
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = ("import sys\n"
                 f"sys.path.insert(0, {src!r})\n"
                 "import qshoot.cli\n"
                 "from qshoot.ode import _dp_kernel\n"
-                "from qshoot.nonlinearity import _source_factory\n"
-                "print(_dp_kernel.cache_info().currsize,\n"
-                "      _source_factory.cache_info().currsize)\n")
+                "print(_dp_kernel.cache_info().currsize)\n")
         res = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout == "0 0\n"
+        assert res.stdout == "0\n"
 
     def test_importing_the_cli_loads_no_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

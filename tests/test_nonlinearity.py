@@ -9,7 +9,9 @@ from qshoot.errors import AdmissionError, ConfigError
 from qshoot.nonlinearity import (DEFAULT_S0_SCAN, SOURCE_CAP, convexity_floor,
                                  eval_fprime_source, eval_g, eval_source,
                                  find_s0, g_is_linear, log_f,
-                                 make_nonlinearity, source_terms, with_lambda)
+                                 make_nonlinearity, with_lambda)
+from qshoot.ode import _system
+from conftest import saturated_fprime, saturated_source
 
 
 def fd_derivative(nl, u, k, h):
@@ -82,21 +84,6 @@ def test_fprime_source_matches_product():
         assert eval_fprime_source(nl, u, 3.0) == pytest.approx(want, rel=1e-12)
 
 
-def _saturated(ref, lower):
-    """The march's overflow policy over a reference term: SOURCE_CAP where
-    it raises OverflowError, else min(value, SOURCE_CAP), clamped from
-    below at -SOURCE_CAP too when `lower`; min and max let a NaN through."""
-    def term(*args):
-        try:
-            v = ref(*args)
-        except OverflowError:
-            return SOURCE_CAP
-        return min(max(v, -SOURCE_CAP) if lower else v, SOURCE_CAP)
-    return term
-
-
-_saturated_source = _saturated(eval_source, lower=False)
-_saturated_fprime = _saturated(eval_fprime_source, lower=True)
 _maybe_zero = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))
 # the largest argument whose exponential stays at or below the sentinel
 _ARG_CAP = math.log(SOURCE_CAP)
@@ -141,10 +128,13 @@ _ARG_CAP = math.log(SOURCE_CAP)
 @settings(max_examples=500, deadline=None)
 def test_compiled_terms_are_bitwise_the_reference(family, a, q, p, rb, lam,
                                                   u, t):
+    # the source text as the march runs it: the t-route channel at n = 2 on
+    # the state (u, 1, -1, 0) has -d1 = f(u) e^{-t} and d3 = f'(u) e^{-t},
+    # both exact, f' evaluated after f in one scope
     nl = make_nonlinearity(family, a=a, q=q, p=p, rho_beta=rb, lam=lam)
-    src, fprime = source_terms(nl)
-    assert src(u, t).hex() == _saturated_source(nl, u, t).hex()
-    assert fprime(u, t).hex() == _saturated_fprime(nl, u, t).hex()
+    _, d1, _, d3 = _system("t", nl, 2, True)[0](t, [u, 1.0, -1.0, 0.0])
+    assert (-d1).hex() == saturated_source(nl, u, t).hex()
+    assert d3.hex() == saturated_fprime(nl, u, t).hex()
 
 
 def test_with_lambda_rescales():

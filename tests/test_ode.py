@@ -15,7 +15,7 @@ from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError, EventNotFoundError
 from qshoot.linearization import solve_V1
 from qshoot.nonlinearity import (SOURCE_CAP, eval_source, find_s0,
-                                 make_nonlinearity, source_terms)
+                                 make_nonlinearity)
 from qshoot.ode import (
     EVENT_TOL,
     StateR,
@@ -29,10 +29,10 @@ from qshoot.ode import (
     series_startup_radius,
     tail_admissible,
     tail_start,
-    wprime_from_Phi,
     yprime_from_psi,
 )
 from qshoot.shooting import shoot
+from conftest import saturated_fprime, saturated_source
 
 
 def _march_t(nl, n, start, cfg, level, floor):
@@ -81,10 +81,15 @@ class TestStateHelpers:
         assert yprime_from_psi(0.25, 3) == 0.5
         assert yprime_from_psi(0.0, 3) == 0.0
 
-    def test_radial_slope_keeps_the_flux_sign(self):
-        assert wprime_from_Phi(-4.0, 2.0, 2) == -2.0
-        assert wprime_from_Phi(4.0, 2.0, 2) == 2.0
-        assert wprime_from_Phi(-8.0, 2.0, 3) == -math.sqrt(2.0)
+    def test_radial_slope_keeps_the_flux_sign(self, nl_square):
+        # the r-route readout at a node is w' = -(|Phi| / r^{n-1})^{1/(n-1)},
+        # read off the march's own right-hand side, bit for bit
+        for n in (2, 3):
+            traj = integrate_r(nl_square, n, 1.0, ProblemConfig())
+            for r, (_, Phi) in zip(traj.ts.tolist(), traj.states.tolist()):
+                assert Phi < 0.0
+                assert traj.yprime_at(r) == \
+                    -((abs(Phi) / r ** (n - 1.0)) ** (1.0 / (n - 1.0)))
 
     def test_states_are_frozen(self):
         st = StateT(t=1.0, y=2.0, psi=3.0)
@@ -820,9 +825,10 @@ class TestKernel:
 
 
 def _reference_rhs(route, nl, n, nb, lin):
-    """A route's right-hand side as plain Python over the `source_terms`
-    closures, the clamps as min and max."""
-    src, fprime = source_terms(nl)
+    """A route's right-hand side as plain Python over the saturated
+    reference source terms, the clamps as min and max."""
+    src = functools.partial(saturated_source, nl)
+    fprime = functools.partial(saturated_fprime, nl)
     ex, exd, cap = 1.0 / (n - 1.0), (n - 2.0) / (n - 1.0), SOURCE_CAP
 
     def clamp(v):
@@ -867,7 +873,7 @@ def _nan_bits(x) -> bytes:
 class TestSplicedStep:
     """Each route's right-hand side and the family's source text, spliced
     into the step, against the generic step driven by plain Python over the
-    `source_terms` closures, bit for bit."""
+    saturated reference source terms, bit for bit."""
 
     @pytest.mark.parametrize("route", ["t", "r"])
     @pytest.mark.parametrize("lin", [False, True])

@@ -1,6 +1,7 @@
 """The README's examples run as written, so the documented API and command
 line cannot drift from the package unnoticed."""
 
+import importlib
 import math
 import re
 import shlex
@@ -10,7 +11,8 @@ import pytest
 
 from qshoot.cli import _COMMANDS, main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _section(title: str) -> str:
@@ -41,6 +43,32 @@ def test_library_example_runs():
     assert rec.V1_T is not None and names["tp"] == rec.tprime()
     assert math.isfinite(names["out3"].T)
     assert len(curve.outcomes) == 3 and curve.errors == ()
+
+
+def _dotted_names() -> set:
+    """The backticked names `module.attr` (or `qshoot.module.attr`) of the
+    README whose first part names a module of the package."""
+    modules = {path.stem for path in (ROOT / "src" / "qshoot").glob("*.py")}
+    found = re.findall(r"`((?:qshoot\.)?[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`",
+                       README.read_text())
+    return {name.removeprefix("qshoot.") for name in found
+            if name.removeprefix("qshoot.").split(".")[0] in modules}
+
+
+def _resolves(name: str) -> bool:
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"qshoot.{module}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_dotted_names_resolve():
+    names = _dotted_names()
+    assert names
+    assert sorted(name for name in names if not _resolves(name)) == []
 
 
 COMMAND_LINES = _command_lines()

@@ -14,6 +14,7 @@ from qshoot.errors import AdmissionError, ConfigError, QShootError, SolverError
 from qshoot.linearization import solve_V1, t_prime
 from qshoot.nonlinearity import make_nonlinearity, with_lambda
 from qshoot.ode import integrate_r, integrate_t, tail_start
+from qshoot.output import curve_rows
 from qshoot.shooting import (
     choose_route,
     classify_small_gamma,
@@ -275,8 +276,8 @@ class TestRouteChoice:
 
     def test_the_march_stays_off_the_generic_path(self, nl_family_ii, cfg2,
                                                   monkeypatch):
-        # the right-hand sides evaluate the source through the closures of
-        # source_terms; eval_g is left to route setup
+        # the right-hand sides evaluate the source through the text spliced
+        # into the step; eval_g is left to route setup
         import importlib
         import pkgutil
 
@@ -348,10 +349,11 @@ class TestRouteChoice:
 class TestSweep:
     def test_rows_carry_the_export_schema(self, nl_square, cfg2):
         curve = sweep(nl_square, 2, [3.0, 4.0], cfg2)
-        rows = list(curve.rows())
-        assert [r["gamma"] for r in rows] == [3.0, 4.0]
-        for r in rows:
-            assert {"gamma", "T", "R", "lambda", "yprime_T"} <= set(r)
+        header, rows = curve_rows(curve)
+        assert header == ("gamma", "T", "R", "lambda", "yprime_T")
+        assert rows == [(o.gamma, o.T, o.R, o.lam, o.yprime_T)
+                        for o in curve.outcomes]
+        assert [r[0] for r in rows] == [3.0, 4.0]
 
     def test_failures_become_placeholder_rows(self, nl_square, cfg2):
         curve = sweep(nl_square, 2, [3.0, -1.0, 4.0], cfg2)
