@@ -13,14 +13,15 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
+from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import ConfigError, QShootError
-from .linearization import detect_turning, solve_V1, t_prime_fd
+from .linearization import _turning, detect_turning, solve_V1, t_prime_fd
 from .nonlinearity import Nonlinearity, make_nonlinearity
 from .output import (atomic_write, csv_text, curve_meta, curve_rows,
                      fmt_value, json_text, linearization_rows, sweep_svg)
@@ -29,27 +30,39 @@ from .shooting import (classify_small_gamma, shoot, shoot_singular,
 from .verify import SUITES, run_suites
 
 
+def _option(default, key=None, read=None, **flag):
+    """A RunConfig field that states its option once: `key` is its long
+    flag and config key (the field name with - for _ unless given), `read`
+    turns a value's text into the field (the default's type unless given),
+    and `flag` holds argparse's help and choices."""
+    return field(default=default, metadata={
+        "key": key, "read": read or type(default), "flag": flag})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run options; the file form is one key=value per line using the
-    keys of KEY_MAP (same spelling as the long flags)."""
+    """Flat run options, in flag order; the file form is one key=value per
+    line using the keys of KEY_MAP (same spelling as the long flags)."""
 
-    family: str = "pow_exp"
-    p: float = 0.0
-    q: float = 2.0
-    a: float = 1.0
-    lam: float = 1.0
-    rho_beta: float = 0.0
-    beta_weight: float = 0.0
-    n: int = 2
-    gamma: float | None = None
-    gamma_min: float | None = None
-    gamma_max: float | None = None
-    gamma_steps: int = 0
-    tol: float = 1e-10
-    tail_c: float = 6.0
-    out: str | None = None
-    fmt: str = "csv"
+    family: str = _option("pow_exp", choices=("pow_exp", "exp", "linear"))
+    p: float = _option(0.0, help="logarithmic drift weight")
+    q: float = _option(2.0, help="leading growth exponent")
+    a: float = _option(1.0, help="leading growth coefficient")
+    lam: float = _option(1.0, key="lambda", help="source multiplier")
+    rho_beta: float = _option(0.0, help="linear drift weight")
+    beta_weight: float = _option(0.0, help="singular weight exponent")
+    n: int = _option(2, help="space dimension / operator degree")
+    gamma: float | None = _option(None, read=float,
+                                  help="shooting amplitude")
+    gamma_min: float | None = _option(None, read=float)
+    gamma_max: float | None = _option(None, read=float)
+    gamma_steps: int = _option(0)
+    tol: float = _option(1e-10, help="relative step tolerance")
+    tail_c: float = _option(6.0, help="tail start depth multiplier")
+    out: str | None = _option(None, read=str, help="output file path")
+    # output formats: the curve as CSV plus its meta sidecar, or an SVG
+    # sketch
+    fmt: str = _option("csv", key="format", choices=("csv", "svg"))
 
     def nonlinearity(self) -> Nonlinearity:
         return make_nonlinearity(self.family, a=self.a, q=self.q, p=self.p,
@@ -64,19 +77,11 @@ class RunConfig:
                              atol=self.tol * 1e-2, c_tail=self.tail_c)
 
 
-# config-file / flag key -> dataclass field
-KEY_MAP = {
-    "family": "family", "p": "p", "q": "q", "a": "a", "lambda": "lam",
-    "rho-beta": "rho_beta", "beta-weight": "beta_weight", "n": "n",
-    "gamma": "gamma", "gamma-min": "gamma_min", "gamma-max": "gamma_max",
-    "gamma-steps": "gamma_steps", "tol": "tol", "tail-c": "tail_c",
-    "out": "out", "format": "fmt",
-}
-
-_INT_KEYS = {"n", "gamma-steps"}
-_STR_KEYS = {"family", "out", "format"}
-# output formats: the curve as CSV plus its meta sidecar, or an SVG sketch
-_FORMATS = ("csv", "svg")
+# config-file key and long flag -> RunConfig field
+KEY_MAP = {f.metadata["key"] or f.name.replace("_", "-"): f
+           for f in fields(RunConfig)}
+_FORMATS = KEY_MAP["format"].metadata["flag"]["choices"]
+_NEEDS = {int: "an integer", float: "a number"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -92,24 +97,16 @@ def parse_config_text(text: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in KEY_MAP:
+        opt = KEY_MAP.get(key)
+        if opt is None:
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
-        if key in _STR_KEYS:
-            out[KEY_MAP[key]] = val
-        elif key in _INT_KEYS:
-            try:
-                out[KEY_MAP[key]] = int(val)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config line {ln}: key {key!r} needs an integer, "
-                    f"got {val!r}") from exc
-        else:
-            try:
-                out[KEY_MAP[key]] = float(val)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config line {ln}: key {key!r} needs a number, "
-                    f"got {val!r}") from exc
+        read = opt.metadata["read"]
+        try:
+            out[opt.name] = read(val)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config line {ln}: key {key!r} needs {_NEEDS[read]}, "
+                f"got {val!r}") from exc
     return out
 
 
@@ -138,26 +135,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value options file")
-    p.add_argument("--family", choices=("pow_exp", "exp", "linear"))
-    p.add_argument("--p", type=float, help="logarithmic drift weight")
-    p.add_argument("--q", type=float, help="leading growth exponent")
-    p.add_argument("--a", type=float, help="leading growth coefficient")
-    p.add_argument("--lambda", type=float, dest="lam",
-                   help="source multiplier")
-    p.add_argument("--rho-beta", type=float, dest="rho_beta",
-                   help="linear drift weight")
-    p.add_argument("--beta-weight", type=float, dest="beta_weight",
-                   help="singular weight exponent")
-    p.add_argument("--n", type=int, help="space dimension / operator degree")
-    p.add_argument("--gamma", type=float, help="shooting amplitude")
-    p.add_argument("--gamma-min", type=float, dest="gamma_min")
-    p.add_argument("--gamma-max", type=float, dest="gamma_max")
-    p.add_argument("--gamma-steps", type=int, dest="gamma_steps")
-    p.add_argument("--tol", type=float, help="relative step tolerance")
-    p.add_argument("--tail-c", type=float, dest="tail_c",
-                   help="tail start depth multiplier")
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--format", dest="fmt", choices=_FORMATS)
+    for key, f in KEY_MAP.items():
+        p.add_argument(f"--{key}", dest=f.name, type=f.metadata["read"],
+                       **f.metadata["flag"])
 
 
 @functools.cache
@@ -186,11 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flag_values(args) -> dict:
-    vals = {}
-    for field_name in KEY_MAP.values():
-        if hasattr(args, field_name):
-            vals[field_name] = getattr(args, field_name)
-    return vals
+    return {f.name: getattr(args, f.name) for f in KEY_MAP.values()}
 
 
 def _gammas(rc: RunConfig) -> np.ndarray:
@@ -223,8 +199,7 @@ def _write_curve(path: str, curve) -> None:
                  json_text(curve_meta(curve, __version__)))
 
 
-def cmd_shoot(args) -> int:
-    rc = load_run_config(args.config, _flag_values(args))
+def cmd_shoot(rc: RunConfig, args) -> int:
     if rc.gamma is None:
         raise ConfigError("shoot needs --gamma")
     out = shoot(rc.nonlinearity(), rc.n, rc.gamma, rc.problem())
@@ -235,8 +210,7 @@ def cmd_shoot(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    rc = load_run_config(args.config, _flag_values(args))
+def cmd_sweep(rc: RunConfig, args) -> int:
     grid = _gammas(rc)
     curve = sweep(rc.nonlinearity(), rc.n, grid, rc.problem())
     solved = [o for o in curve.outcomes if o.T is not None]
@@ -256,8 +230,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_linearize(args) -> int:
-    rc = load_run_config(args.config, _flag_values(args))
+def cmd_linearize(rc: RunConfig, args) -> int:
     nl = rc.nonlinearity()
     cfg = rc.problem()
     if rc.gamma_min is not None or rc.gamma_max is not None:
@@ -291,7 +264,10 @@ def cmd_linearize(args) -> int:
              f"Tprime_v1={fmt_value(tp)}", f"Tprime_fd={fmt_value(tf)}",
              f"route={res.route}"]
     try:
-        rep = detect_turning(nl, rc.n, rc.gamma, cfg)
+        # a t-route march already carries the channel the report reads
+        rep = (_turning(snapshot(nl, rc.n, rc.gamma), res)
+               if res.route == "t" else
+               detect_turning(nl, rc.n, rc.gamma, cfg))
         for k, v in rep.as_dict().items():
             lines.append(f"{k}={fmt_value(v) if v is not None else 'absent'}")
     except QShootError as exc:
@@ -306,8 +282,7 @@ def cmd_linearize(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    rc = load_run_config(args.config, _flag_values(args))
+def cmd_verify(rc: RunConfig, args) -> int:
     names = tuple(args.suite) if args.suite else SUITES
     reports = run_suites(names)
     lines = []
@@ -326,8 +301,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
-def cmd_regimes(args) -> int:
-    rc = load_run_config(args.config, _flag_values(args))
+def cmd_regimes(rc: RunConfig, args) -> int:
     nl = rc.nonlinearity()
     cfg = rc.problem()
     grid = {}  # the default amplitude ladder unless a grid is given
@@ -348,8 +322,7 @@ def cmd_regimes(args) -> int:
     return 0
 
 
-def cmd_singular(args) -> int:
-    rc = load_run_config(args.config, _flag_values(args))
+def cmd_singular(rc: RunConfig, args) -> int:
     if rc.gamma is None:
         raise ConfigError("singular needs --gamma")
     nl = rc.nonlinearity()
@@ -389,7 +362,8 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        rc = load_run_config(args.config, _flag_values(args))
+        return _COMMANDS[args.command](rc, args)
     except ConfigError as exc:
         print(f"qshoot: error: {exc}", file=sys.stderr)
         return 1

@@ -105,8 +105,15 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
     bracketed by the accepted steps; nothing is extrapolated.
     """
     s = snapshot(nl, n, gamma)
-    S_pred = s.S_pred  # refuses an overflowing (g')^2 before the march
-    res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True, route="t")
+    s.S_pred  # refuses an overflowing (g')^2 before the march
+    return _turning(s, solve_V1(nl, n, gamma, cfg, keep_trajectory=True,
+                                route="t"))
+
+
+def _turning(s, res: ShootOutcome) -> TurningReport:
+    """The turning report of `detect_turning`, read off a t-route channel
+    march `res` that kept its trajectory, with s the snapshot of its
+    amplitude."""
     traj = res.traj
 
     def v1f(t):
@@ -118,7 +125,8 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
     S1 = _largest_zero(traj.ts, v1f, res.T)
     S = _largest_zero(traj.ts, phif, res.T)
     v2p_at = s.v2(S)[1] if S is not None else None
-    return TurningReport(S1=S1, S=S, S_predicted=S_pred, V2prime_at_S=v2p_at)
+    return TurningReport(S1=S1, S=S, S_predicted=s.S_pred,
+                         V2prime_at_S=v2p_at)
 
 
 def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,

@@ -19,16 +19,22 @@ from .ode import EVENT_TOL, Trajectory
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write through a temp file in the target directory; a target that
+    cannot be written is a ConfigError, and no temp file is left."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".qshoot-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".qshoot-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
+            from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def fmt_value(v) -> str:

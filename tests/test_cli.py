@@ -5,18 +5,23 @@ import gc
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from qshoot import ode
 from qshoot.cli import (
     RunConfig,
+    _flag_values,
     build_parser,
     load_run_config,
     main,
     parse_config_text,
 )
 from qshoot.errors import ConfigError
+from qshoot.linearization import detect_turning
+from qshoot.nonlinearity import make_nonlinearity
 
 
 def run_cli(capsys, *argv):
@@ -145,11 +150,29 @@ class TestExitCodes:
 
 
 class TestRunConfig:
+    # every option, each away from its default
+    ALL_OPTIONS = ("family=exp\np=0.5\nq=1.5\na=2.0\nlambda=0.75\n"
+                   "rho-beta=1.0\nbeta-weight=0.5\nn=3\ngamma=2.5\n"
+                   "gamma-min=1.0\ngamma-max=4.0\ngamma-steps=7\n"
+                   "tol=1e-09\ntail-c=5.0\nout=x.csv\nformat=svg\n")
+
     def test_text_round_trip(self):
-        rc = RunConfig(family="exp", gamma=2.5, n=3, tol=1e-9,
-                       out="x.csv", fmt="svg")
-        text = "family=exp\nformat=svg\ngamma=2.5\nn=3\nout=x.csv\ntol=1e-09\n"
-        assert load_run_config(None, parse_config_text(text)) == rc
+        rc = RunConfig(family="exp", p=0.5, q=1.5, a=2.0, lam=0.75,
+                       rho_beta=1.0, beta_weight=0.5, n=3, gamma=2.5,
+                       gamma_min=1.0, gamma_max=4.0, gamma_steps=7,
+                       tol=1e-9, tail_c=5.0, out="x.csv", fmt="svg")
+        assert all(getattr(rc, f.name) != f.default
+                   for f in fields(RunConfig))
+        argv = ["sweep"]
+        for line in self.ALL_OPTIONS.splitlines():
+            key, _, val = line.partition("=")
+            argv += [f"--{key}", val]
+        from_flags = _flag_values(build_parser().parse_args(argv))
+        for values in (parse_config_text(self.ALL_OPTIONS), from_flags):
+            loaded = load_run_config(None, values)
+            assert loaded == rc
+            assert [type(getattr(loaded, f.name)) for f in fields(rc)] == \
+                [type(getattr(rc, f.name)) for f in fields(rc)]
 
     def test_flags_override_the_file(self, tmp_path, capsys):
         cfile = tmp_path / "run.cfg"
@@ -301,6 +324,27 @@ class TestLinearizeCommand:
         assert code == 1
         assert "route" in err or "gamma" in err
 
+    def test_a_tail_route_amplitude_marches_three_times(self, capsys,
+                                                        monkeypatch):
+        # the channel march, which the turning report reads too, and the
+        # two shoots of the finite difference
+        kinds = []
+        march = ode._march
+
+        def counted(kind, *args, **kwargs):
+            kinds.append(kind)
+            return march(kind, *args, **kwargs)
+
+        monkeypatch.setattr(ode, "_march", counted)
+        code, out, _ = run_cli(capsys, "linearize", "--family", "pow_exp",
+                               "--gamma", "4")
+        assert code == 0 and "route=t" in out
+        assert kinds == ["t", "t", "t"]
+        vals = dict(l.split("=", 1) for l in out.strip().splitlines())
+        rep = detect_turning(make_nonlinearity("pow_exp"), 2, 4.0)
+        assert {k: vals[k] for k in rep.as_dict()} == \
+            {k: repr(v) for k, v in rep.as_dict().items()}
+
     def test_trajectory_export_schema(self, capsys, tmp_path):
         out = tmp_path / "traj.csv"
         code, _, _ = run_cli(capsys, "linearize", "--family", "pow_exp",
@@ -350,6 +394,30 @@ class TestOtherCommands:
                                "--beta-weight", "2", "--gamma", "1")
         assert code == 1
         assert "beta" in err
+
+
+class TestUnwritableOutput:
+    """An --out that cannot be written is a configuration error naming
+    the path, and no temp file or sidecar is left behind."""
+
+    @pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+    @pytest.mark.parametrize("argv", [
+        ("shoot", "--family", "exp", "--gamma", "2"),
+        ("sweep", "--family", "exp", "--gamma-min", "1", "--gamma-max", "2",
+         "--gamma-steps", "2"),
+        ("verify", "--suite", "identities")], ids=lambda argv: argv[0])
+    def test_is_a_config_error(self, capsys, tmp_path, argv, target):
+        if target == "missing-directory":
+            out = tmp_path / "nowhere" / "x.out"
+        else:
+            out = tmp_path / "x.out"
+            out.mkdir()
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert err.startswith(f"qshoot: error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        left = sorted(p.name for p in tmp_path.rglob("*"))
+        assert left == ([] if target == "missing-directory" else ["x.out"])
 
 
 class TestParserReuse:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from qshoot.cli import _COMMANDS, main
+from qshoot.cli import (_COMMANDS, _flag_values, build_parser,
+                        load_run_config, main, parse_config_text)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -87,3 +88,19 @@ def test_command_line_example_runs(argv, tmp_path, monkeypatch, capsys):
     for i, arg in enumerate(argv[:-1]):
         if arg == "--out":
             assert (tmp_path / argv[i + 1]).exists()
+
+
+def _config_example() -> str:
+    return re.findall(r"Config file example:\n\n```\n(.*?)```",
+                      _section("Command line"), flags=re.S)[0]
+
+
+def test_config_file_example_reads_as_the_sweep_flags():
+    text = _config_example()
+    from_file = load_run_config(None, parse_config_text(text))
+    argv = ["sweep"]
+    for line in text.splitlines():
+        key, _, val = line.partition("=")
+        argv += [f"--{key}", val]
+    from_flags = _flag_values(build_parser().parse_args(argv))
+    assert load_run_config(None, from_flags) == from_file
