@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 
 import numpy as np
 
 from .errors import SolverError
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 # QK21 abscissae in (0, 1] (largest first) with their Kronrod weights; the
@@ -50,11 +51,10 @@ _W[1, 1:10:2] = _WG
 _W[1, 11:20:2] = tuple(reversed(_WG))
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12,
-           rtol: float = 4.0 * _EPS) -> float:
+def brentq(f, a: float, b: float, xtol: float = 2e-12) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign, to within
-    xtol + rtol |x|. SolverError when the ends do not bracket a root, f
-    returns NaN, or 100 iterations do not converge."""
+    xtol + 4 eps |x|, as scipy's default. SolverError when the ends do not
+    bracket a root, f returns NaN, or 100 iterations do not converge."""
     xpre, xcur = a, b
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0.0:
@@ -71,7 +71,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + 4.0 * _EPS * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

@@ -356,7 +356,6 @@ class DecayReport:
     rows: list
     verdicts: dict
     span_ok: bool
-    bound_factor: float
 
     @property
     def bounded(self) -> bool:
@@ -436,7 +435,5 @@ def error_decay_report(curve, predictions, *,
             "bounded": ok,
             "max_over_min": (max(vals) / min(vals)
                              if vals and min(vals) > 0 else math.inf),
-            "raw_upper": [r["raw_err"] for r in upper],
         }
-    return DecayReport(rows=rows, verdicts=verdicts, span_ok=span_ok,
-                       bound_factor=bound_factor)
+    return DecayReport(rows=rows, verdicts=verdicts, span_ok=span_ok)

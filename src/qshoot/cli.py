@@ -25,8 +25,8 @@ from .linearization import _turning, detect_turning, solve_V1, t_prime_fd
 from .nonlinearity import Nonlinearity, make_nonlinearity
 from .output import (atomic_write, csv_text, curve_meta, curve_rows,
                      fmt_value, json_text, linearization_rows, sweep_svg)
-from .shooting import (classify_small_gamma, shoot, shoot_singular,
-                       shoot_weighted_direct, sweep)
+from .shooting import (choose_route, classify_small_gamma, shoot,
+                       shoot_singular, shoot_weighted_direct, sweep)
 from .verify import SUITES, run_suites
 
 
@@ -256,6 +256,9 @@ def cmd_linearize(rc: RunConfig, args) -> int:
 
     if rc.gamma is None:
         raise ConfigError("linearize needs --gamma or a gamma grid")
+    if rc.out and choose_route(nl, rc.n, rc.gamma, cfg) != "t":
+        raise ConfigError("trajectory export for the linearized flow "
+                          "needs the tail route; raise --gamma")
     res = solve_V1(nl, rc.n, rc.gamma, cfg, keep_trajectory=True)
     tp = res.tprime()
     tf = t_prime_fd(nl, rc.n, rc.gamma, cfg)
@@ -274,9 +277,6 @@ def cmd_linearize(rc: RunConfig, args) -> int:
         lines.append(f"turning=unavailable ({exc})")
     _emit(lines)
     if rc.out:
-        if res.route != "t":
-            raise ConfigError("trajectory export for the linearized flow "
-                              "needs the tail route; raise --gamma")
         header, rows = linearization_rows(res.traj)
         atomic_write(rc.out, csv_text(header, rows))
     return 0

@@ -12,11 +12,8 @@ V1(T) is the gamma-derivative of the profile there and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-import numpy as np
-
-from ._numeric import brentq
 from .asymptotics import snapshot
 from .config import ProblemConfig
 from .nonlinearity import Nonlinearity, eval_g
@@ -64,26 +61,6 @@ def t_prime_fd(nl: Nonlinearity, n: int, gamma: float,
     return (Tp - Tm) / (2.0 * h)
 
 
-def _largest_zero(ts_desc, f: Callable, lo_cut: float) -> Optional[float]:
-    """Largest abscissa in (lo_cut, ts_desc[0]) where f changes sign,
-    refined by bisection on the callable. None when never bracketed."""
-    prev_t = None
-    prev_v = None
-    for t in ts_desc:
-        t = float(t)
-        if t < lo_cut:
-            t = lo_cut
-        v = f(t)
-        if prev_t is not None and v == 0.0:
-            return t
-        if prev_t is not None and prev_v * v < 0.0:
-            return float(brentq(f, t, prev_t, xtol=1e-13, rtol=1e-15))
-        prev_t, prev_v = t, v
-        if t == lo_cut:
-            break
-    return None
-
-
 @dataclass(frozen=True)
 class TurningReport:
     S1: Optional[float]
@@ -100,9 +77,10 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
                    cfg: ProblemConfig = ProblemConfig()) -> TurningReport:
     """Locate the sign structure of the linearized flow along the tail.
 
-    S1 is the largest zero of V1 below the tail start, S the largest zero
-    of phi = (y')^{n-2} V1'. Both come back None when no crossing is
-    bracketed by the accepted steps; nothing is extrapolated.
+    S1 is the largest zero of V1 in (T, t_start], S the largest zero of
+    phi = (y')^{n-2} V1'. Both are the march's first crossings of 0, found
+    by the same scan as its stop, to 1e-13. They come back None when no
+    accepted step brackets one before the stop; nothing is extrapolated.
     """
     s = snapshot(nl, n, gamma)
     s.S_pred  # refuses an overflowing (g')^2 before the march
@@ -114,16 +92,11 @@ def _turning(s, res: ShootOutcome) -> TurningReport:
     """The turning report of `detect_turning`, read off a t-route channel
     march `res` that kept its trajectory, with s the snapshot of its
     amplitude."""
-    traj = res.traj
+    def zero(j):  # the first crossing of component j, unless past the stop
+        x = res.traj.dense.crossing(0.0, 1e-13, j)
+        return x if x is not None and x >= res.T else None
 
-    def v1f(t):
-        return float(traj.state_at(t)[2])
-
-    def phif(t):
-        return float(traj.state_at(t)[3])
-
-    S1 = _largest_zero(traj.ts, v1f, res.T)
-    S = _largest_zero(traj.ts, phif, res.T)
+    S1, S = zero(2), zero(3)
     v2p_at = s.v2(S)[1] if S is not None else None
     return TurningReport(S1=S1, S=S, S_predicted=s.S_pred,
                          V2prime_at_S=v2p_at)
@@ -152,7 +125,6 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
 
     def parts(t, s):
         # psi, phi, g' g'' g''' at y, then the slopes y', psi', V1', phi'
-        s = s.tolist()
         return (s[1], s[3], *(eval_g(nl, s[0], k) for k in (1, 2, 3)),
                 *traj.rhs(t, s))
 
@@ -185,7 +157,7 @@ def nondegeneracy(nl: Nonlinearity, n: int, gamma: float,
     (never below 1e-8); the margin is |V1(T)| over that floor.
     """
     res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True)
-    vmax = float(np.max(np.abs(res.traj.states[:, 2])))
+    vmax = max(abs(s[2]) for s in res.traj.states)
     floor = 1e-8 * max(1.0, vmax)
     return {"V1_T": res.V1_T, "floor": floor,
             "margin": abs(res.V1_T) / floor,

@@ -106,8 +106,10 @@ class Trajectory:
 
     For kind "t" the state columns are (y, psi) and, with the linearization
     channel, (y, psi, V1, phi). For kind "r" they are (w, Phi) or
-    (w, Phi, W, chi). `ts` holds the abscissae in integration order:
-    decreasing for the t-route, increasing for the r-route. `stop` is where
+    (w, Phi, W, chi). `ts` and `states` are the stepper's own lists of
+    floats, the very lists `dense` reads: the abscissae in integration order
+    (decreasing for the t-route, increasing for the r-route) and one state
+    list per abscissa. `state_at` returns a list too. `stop` is where
     the march landed on its level and `s0` where it crossed the tracked
     convexity floor (None without a crossing), both in the marching
     variable. `rhs(x, state)` is the march's own right-hand side, the
@@ -117,9 +119,9 @@ class Trajectory:
     kind: str
     n: int
     nl: Nonlinearity
-    ts: np.ndarray
-    states: np.ndarray
-    dense: Callable
+    ts: list
+    states: list
+    dense: DenseOutput
     rhs: Callable
     stop: float
     s0: Optional[float] = None
@@ -127,16 +129,16 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
     def span(self) -> tuple:
-        a, b = float(self.ts[0]), float(self.ts[-1])  # ts is monotone
+        a, b = self.ts[0], self.ts[-1]  # ts is monotone
         return (a, b) if a <= b else (b, a)
 
-    def state_at(self, x: float) -> np.ndarray:
+    def state_at(self, x: float) -> list:
         lo, hi = self.span()
-        return np.asarray(self.dense(min(max(x, lo), hi)), dtype=float)
+        return self.dense(min(max(x, lo), hi))
 
     def yprime_at(self, x: float) -> float:
         """dy/dt (dw/dr on the r-route) at x, from the march's own rhs."""
-        return self.rhs(x, self.state_at(x).tolist())[0]
+        return self.rhs(x, self.state_at(x))[0]
 
     def stop_readout(self) -> tuple:
         """(T, y'(T), Ttilde, state at the stop) in the log-radius variable,
@@ -448,28 +450,29 @@ class DenseOutput:
                 t, self.ts[i + 1] - t, y, self.ys[i + 1], self.stages[i])
         return self._coefficients[i]
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x) -> list:
         x, ts = float(x), self.ts
         i = min(max(bisect_left(self._keys, self._sign * x) - 1, 0),
                 len(self.stages) - 1)
         for node in (i + 1, i):
             if x == ts[node]:
-                return np.array(self.ys[node])
+                return list(self.ys[node])
         frac = (x - ts[i]) / (ts[i + 1] - ts[i])
-        return np.array([_poly(c, frac) for c in self.coefficients(i)])
+        return [_poly(c, frac) for c in self.coefficients(i)]
 
-    def crossing(self, level, xtol):
-        """First abscissa where y[0] meets `level`, or None. An end of the
-        crossing step that rounding leaves on the start's side is the root."""
+    def crossing(self, level, xtol, j=0):
+        """First abscissa where component j meets `level`, or None: the
+        one sign-change scan on a march, for the stop fallback, the floor
+        crossing and the turning points. An end of the crossing step that
+        rounding leaves on the start's side is the root."""
         ts, ys = self.ts, self.ys
         for i in range(len(self.stages)):
-            if _crosses(ys[i][0] - level, ys[i + 1][0] - level):
-                c, h = self.coefficients(i)[0], ts[i + 1] - ts[i]
+            if _crosses(ys[i][j] - level, ys[i + 1][j] - level):
+                c, h = self.coefficients(i)[j], ts[i + 1] - ts[i]
                 if not _crosses(c[0] - level, _poly(c, 1.0) - level):
                     return ts[i + 1]
-                return ts[i] + h * float(brentq(
-                    lambda x: _poly(c, x) - level, 0.0, 1.0,
-                    xtol=xtol / abs(h)))
+                return ts[i] + h * brentq(lambda x: _poly(c, x) - level,
+                                          0.0, 1.0, xtol=xtol / abs(h))
         return None
 
     def land(self, level, xtol, tols, counts, stop=None):
@@ -633,8 +636,8 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
     hs = [abs(b - a) for a, b in zip(ts, ts[1:])]
     diag = {"route": kind, "steps": len(hs), "h_min": min(hs),
             "h_max": max(hs), **counts, **diag}
-    return Trajectory(kind=kind, n=n, nl=nl, ts=np.array(ts),
-                      states=np.array(ys), dense=dense, rhs=rhs, stop=stop,
+    return Trajectory(kind=kind, n=n, nl=nl, ts=ts, states=ys, dense=dense,
+                      rhs=rhs, stop=stop,
                       s0=dense.crossing(track_s0, xtol) if track else None,
                       lin=len(y0) == 4, diagnostics=diag)
 
@@ -675,11 +678,11 @@ def series_startup_radius(fg: float, n: int, gamma: float,
     origin's series variable (see integrate_r). x0 is rtol (n-b) / fg, for
     a next series term below the step tolerance, or where the series has
     taken half of gamma, if smaller: an amplitude of a few rtol then starts
-    above zero."""
+    above zero. An x0 of 1 or more saturates r0 at the cap."""
     nb = n - cfg.beta_weight
     x_tol = cfg.rtol * nb / fg
     x_half = 0.5 * gamma * nb / (n - 1.0) * (nb / fg) ** (1.0 / (n - 1.0))
-    return min(1e-3, min(x_tol, x_half) ** ((n - 1.0) / nb))
+    return min(1e-3, min(x_tol, x_half, 1.0) ** ((n - 1.0) / nb))
 
 
 def integrate_r(nl: Nonlinearity, n: int, gamma: float,
@@ -709,6 +712,9 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
             f"log f(gamma) = {lf:.3g} exceeds the exponent budget "
             f"{_LOG_CAP:.3g}; the radius route cannot start")
     fg = math.exp(lf)
+    if fg == 0.0:
+        raise AdmissionError(f"f(gamma) = exp({lf:.3g}) underflows to 0; the "
+                             "radius route cannot start")
     r0 = series_startup_radius(fg, n, gamma, cfg)
     # the amplitude bound cuts r0 below r0_tol (gamma of a few rtol); the
     # first zero shrinks with it, and so does the stop's tolerance
@@ -758,15 +764,14 @@ def energy_series(traj: Trajectory) -> list:
     if nl.linear:
         raise ConfigError("energy monitor needs the exponential form")
     s0w = convexity_floor(nl)
-    glam = math.log(nl.lam)
     out = []
     for t, row in zip(traj.ts, traj.states):
-        y, psi = float(row[0]), float(row[1])
+        y, psi = row[0], row[1]
         if y <= 0.0 or y < s0w:
             continue
-        ee = math.exp(glam + eval_g(nl, y, 0) - t)
+        ee = -traj.rhs(t, row)[1]  # psi' = -f(y) e^{-t}
         E = psi - (n - 1.0) / n * psi ** (n / (n - 1.0)) * eval_g(nl, y, 1) - ee
-        out.append(EnergyRecord(t=float(t), E=E, scale=abs(E) + ee))
+        out.append(EnergyRecord(t=t, E=E, scale=abs(E) + ee))
     return out
 
 
@@ -783,7 +788,8 @@ def energy_violations(records, tol: float = 1e-9):
 
 
 # 12-point Gauss-Legendre nodes and weights on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_NODES, _GL_WEIGHTS = (
+    v.tolist() for v in np.polynomial.legendre.leggauss(12))
 
 
 def quad_dense(traj: Trajectory, func, a: float, b: float) -> float:
@@ -796,9 +802,7 @@ def quad_dense(traj: Trajectory, func, a: float, b: float) -> float:
     lo, hi = a, b
     if lo > hi:
         lo, hi, sign = b, a, -1.0
-    ts = np.sort(np.asarray(traj.ts, dtype=float))
-    inner = ts[(ts > lo) & (ts < hi)]
-    cuts = np.concatenate(([lo], inner, [hi]))
+    cuts = [lo, *(t for t in sorted(traj.ts) if lo < t < hi), hi]
     total = 0.0
     for left, right in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (left + right)

@@ -83,7 +83,7 @@ def linearization_rows(traj: Trajectory):
                           "with the channel attached")
     header = ("t", "y", "yprime", "V1", "V1prime")
     rows = []
-    for t, s in zip(traj.ts.tolist(), traj.states.tolist()):
+    for t, s in zip(traj.ts, traj.states):
         yp, _, v1p, _ = traj.rhs(t, s)
         rows.append((t, s[0], yp, s[2], v1p))
     return header, rows

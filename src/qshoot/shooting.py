@@ -141,10 +141,9 @@ def _solve(nl: Nonlinearity, n: int, gamma: float, cfg: ProblemConfig,
                            track_s0=track)
     T, yprime_T, Ttilde, state = traj.stop_readout()
     R, lam = _radius_and_lambda(T, n, cfg.beta_weight)
-    return ShootOutcome(gamma=float(gamma), T=float(T),
-                        yprime_T=float(yprime_T), R=float(R), lam=float(lam),
-                        Ttilde=Ttilde, route=traj.kind,
-                        V1_T=float(state[2]) if lin else None,
+    return ShootOutcome(gamma=float(gamma), T=T, yprime_T=yprime_T, R=R,
+                        lam=lam, Ttilde=Ttilde, route=traj.kind,
+                        V1_T=state[2] if lin else None,
                         diagnostics={**traj.diagnostics,
                                      "route_reason": reason},
                         traj=traj if keep_trajectory else None)

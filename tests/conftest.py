@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qshoot._numeric import brentq
 from qshoot.config import ProblemConfig
 from qshoot.nonlinearity import (SOURCE_CAP, eval_fprime_source, eval_source,
                                  make_nonlinearity)
@@ -98,3 +99,15 @@ def bessel_first_zero(lo=2.0, hi=3.0):
         if hi - lo < 1e-15:
             break
     return 0.5 * (lo + hi)
+
+
+def v2_largest_zero(s, t_hi, t_lo, count=400):
+    """Largest zero of the closed-form V2 of snapshot `s` in [t_lo, t_hi]:
+    the first sign change over `count` even samples down from t_hi, refined
+    by brentq to 1e-13. None when no pair of samples brackets one."""
+    ts = np.linspace(t_hi, t_lo, count).tolist()
+    v2 = [s.v2(t)[0] for t in ts]
+    for i in range(count - 1):
+        if v2[i] * v2[i + 1] < 0.0:
+            return brentq(lambda t: s.v2(t)[0], ts[i + 1], ts[i], xtol=1e-13)
+    return None

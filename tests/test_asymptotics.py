@@ -27,11 +27,13 @@ from qshoot.asymptotics import (
 )
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError, QShootError
-from qshoot.linearization import _largest_zero, v2_eval
+from qshoot.linearization import v2_eval
 from qshoot.nonlinearity import eval_g, make_nonlinearity
 from qshoot.ode import tail_start
 from qshoot.shooting import BifurcationCurve, ShootOutcome, sweep
 from qshoot.verify import run_suites
+
+from conftest import v2_largest_zero
 
 GRID = [(n, g) for n in (2, 3, 4) for g in (3.0, 5.0, 10.0)]
 
@@ -387,9 +389,9 @@ class TestSnapshot:
             return pr.T_pred, pr.yprime_T_pred, pr.Tprime_pred, pr.S_pred
 
         def turning():  # the markers on the closed-form V2
-            ts = np.linspace(tail_start(nl, n, gamma, ProblemConfig()).t,
-                             s.T1 - 8.0 * (n - 1.0), 400)
-            S1 = _largest_zero(ts, lambda t: s.v2(t)[0], float(ts[-1]))
+            S1 = v2_largest_zero(s, tail_start(nl, n, gamma,
+                                               ProblemConfig()).t,
+                                 s.T1 - 8.0 * (n - 1.0))
             return s.T1, S1, s.S_pred
 
         for fn in (prediction, turning,

@@ -5,6 +5,7 @@ import gc
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -129,6 +130,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code in (1, 2) and out == ""
         assert err.startswith("qshoot: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        # f(gamma) underflows to 0 at the radius start
+        "shoot --family pow_exp --p 40 --gamma 1e-12",
+        "shoot --family pow_exp --a -1 --rho-beta 1 --gamma 700",
+        # the startup radius saturates at its cap
+        "shoot --family linear --beta-weight 1.9 --gamma 1e-300",
+        # a crossing polynomial whose interpolation overflows in brentq
+        "linearize --family pow_exp --tol 0.5 --gamma 1e5",
+        "shoot --lambda 1e-300 --gamma 3", "shoot --lambda 1e300 --gamma 3",
+        "shoot --q 0.5 --gamma 3", "shoot --rho-beta -0.5 --gamma 3",
+        "shoot --gamma 1e-300"])
+    def test_no_bare_exception_or_warning_escapes(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run_cli(capsys, *argv.split())
+        assert code in (0, 1, 2)
 
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)
@@ -317,12 +335,21 @@ class TestLinearizeCommand:
         assert (row["T"], row["Tprime_v1"]) == \
             (single["T"], single["Tprime_v1"])
 
-    def test_trajectory_export_needs_the_tail_route(self, capsys, tmp_path):
+    def test_trajectory_export_needs_the_tail_route(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # refused from the route choice, before any march or report
+        def march(*args, **kwargs):
+            raise AssertionError("marched")
+
+        monkeypatch.setattr(ode, "_march", march)
         out = tmp_path / "traj.csv"
-        code, _, err = run_cli(capsys, "linearize", "--family", "pow_exp",
-                               "--gamma", "0.5", "--out", str(out))
-        assert code == 1
-        assert "route" in err or "gamma" in err
+        code, stdout, err = run_cli(capsys, "linearize", "--family",
+                                    "pow_exp", "--gamma", "0.5",
+                                    "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "qshoot: error: trajectory export for the linearized " \
+            "flow needs the tail route; raise --gamma\n"
+        assert not out.exists()
 
     def test_a_tail_route_amplitude_marches_three_times(self, capsys,
                                                         monkeypatch):

@@ -2,6 +2,7 @@
 closed-form comparison linearization, turning detection, flux identity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from qshoot.asymptotics import comparison_z, snapshot
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError
 from qshoot.linearization import (
-    _largest_zero,
+    _turning,
     detect_turning,
     flux_identity_residual,
     nondegeneracy,
@@ -22,6 +23,8 @@ from qshoot.linearization import (
 from qshoot.nonlinearity import make_nonlinearity
 from qshoot.ode import tail_start
 from qshoot.shooting import shoot
+
+from conftest import v2_largest_zero
 
 
 class TestComparisonLinearization:
@@ -136,12 +139,28 @@ class TestTurningDetection:
         assert rep.V2prime_at_S == pytest.approx(2.0 * s.gpp / s.gp ** 2,
                                                  rel=0.5)
 
+    def test_turning_points_are_the_marchs_own_crossings(self, nl_family_ii,
+                                                         cfg2):
+        # S1 and S are the first crossings of V1 and phi on the dense output,
+        # the scan that finds the stop; one past the stop is not reported
+        s = snapshot(nl_family_ii, 2, 8.0)
+        res = solve_V1(nl_family_ii, 2, 8.0, cfg2, keep_trajectory=True,
+                       route="t")
+        rep = _turning(s, res)
+        assert rep == detect_turning(nl_family_ii, 2, 8.0, cfg2)
+        dense = res.traj.dense
+        assert (rep.S1, rep.S) == (dense.crossing(0.0, 1e-13, 2),
+                                   dense.crossing(0.0, 1e-13, 3))
+        assert abs(res.traj.state_at(rep.S1)[2]) <= 1e-10
+        assert abs(res.traj.state_at(rep.S)[3]) <= 1e-10
+        short = _turning(s, replace(res, T=0.5 * (rep.S + rep.S1)))
+        assert (short.S1, short.S) == (rep.S1, None)
+
     def test_closed_form_mode_recovers_the_marker(self, nl_family_ii, cfg2):
         # the zero finder on the closed-form V2 pins the known S0
         s = snapshot(nl_family_ii, 2, 8.0)
-        ts = np.linspace(tail_start(nl_family_ii, 2, 8.0, cfg2).t,
-                         s.T1 - 8.0, 400)
-        S1 = _largest_zero(ts, lambda t: s.v2(t)[0], float(ts[-1]))
+        S1 = v2_largest_zero(s, tail_start(nl_family_ii, 2, 8.0, cfg2).t,
+                             s.T1 - 8.0)
         assert S1 == pytest.approx(s.S0, abs=1e-10)
 
     def test_computed_marker_approaches_the_closed_form(self, nl_family_ii,

@@ -3,7 +3,9 @@ radius-variable route, and the energy monitor."""
 
 import functools
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,7 +88,7 @@ class TestStateHelpers:
         # read off the march's own right-hand side, bit for bit
         for n in (2, 3):
             traj = integrate_r(nl_square, n, 1.0, ProblemConfig())
-            for r, (_, Phi) in zip(traj.ts.tolist(), traj.states.tolist()):
+            for r, (_, Phi) in zip(traj.ts, traj.states):
                 assert Phi < 0.0
                 assert traj.yprime_at(r) == \
                     -((abs(Phi) / r ** (n - 1.0)) ** (1.0 / (n - 1.0)))
@@ -154,7 +156,7 @@ class TestBackwardMarch:
     def test_dense_output_is_exact_at_nodes(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
         traj = integrate_t(nl_square, 2, st, cfg2)
-        dev = max(abs(float(traj.dense(t)[0]) - traj.states[i, 0])
+        dev = max(abs(float(traj.dense(t)[0]) - traj.states[i][0])
                   for i, t in enumerate(traj.ts))
         assert dev <= 1e-13
 
@@ -164,7 +166,7 @@ class TestBackwardMarch:
         tight = ProblemConfig(rtol=1e-12, atol=1e-14)
         tr2 = integrate_t(nl_square, 2,
                           tail_start(nl_square, 2, 5.0, cfg=tight), tight)
-        mids = 0.5 * (tr1.ts[:-1] + tr1.ts[1:])
+        mids = [0.5 * (a + b) for a, b in zip(tr1.ts, tr1.ts[1:])]
         dev = max(abs(float(tr1.dense(m)[0]) - float(tr2.dense(m)[0]))
                   for m in mids if m > tr2.ts[-1])
         assert dev <= 1e-7
@@ -301,6 +303,18 @@ class TestOutwardMarch:
         with pytest.raises(AdmissionError, match="startup"):
             integrate_r(nl_exp, 2, 150.0, ProblemConfig(beta_weight=1.9))
 
+    def test_an_underflowing_source_is_refused(self):
+        # f(1e-12) = 1e-480 underflows to 0 before the startup divides by it
+        nl = make_nonlinearity("pow_exp", p=40.0)
+        with pytest.raises(AdmissionError, match="underflows to 0"):
+            integrate_r(nl, 2, 1e-12, ProblemConfig())
+
+    def test_the_startup_radius_saturates_at_its_cap(self):
+        # x0 = rtol (n-b) / f(gamma) is about 1e289: its power 1/(n-b) = 10
+        # would overflow, and the cap holds it
+        weighted = ProblemConfig(beta_weight=1.9)
+        assert series_startup_radius(1e-300, 2, math.inf, weighted) == 1e-3
+
     def test_weighted_linearization_is_refused(self, nl_square):
         cfg = ProblemConfig(beta_weight=1.0)
         with pytest.raises(ConfigError):
@@ -312,7 +326,7 @@ class TestOutwardMarch:
 
     def test_profile_decreases_from_the_amplitude(self, nl_square, cfg2):
         traj = integrate_r(nl_square, 2, 3.0, cfg2)
-        w = traj.states[:, 0]
+        w = [s[0] for s in traj.states]
         assert w[0] < 3.0
         assert all(b < a for a, b in zip(w, w[1:]))
 
@@ -371,6 +385,37 @@ class TestDenseQuadrature:
 
 
 class TestTrajectoryViews:
+    @pytest.mark.parametrize("route", ["t", "r"])
+    def test_the_record_is_the_steppers_own_samples(self, route, nl_square,
+                                                    cfg2):
+        traj = solve_V1(nl_square, 2, 3.0, cfg2, keep_trajectory=True,
+                        route=route).traj
+        assert traj.ts is traj.dense.ts and traj.states is traj.dense.ys
+        assert all(type(t) is float for t in traj.ts)
+        assert all(type(v) is float for row in traj.states for v in row)
+        x = 0.5 * (traj.ts[1] + traj.ts[2])
+        assert type(traj.state_at(x)) is list
+        assert traj.state_at(traj.ts[1]) == traj.states[1]
+
+    def test_a_crossing_is_found_on_any_component(self):
+        # (sin t, cos t): each component's first crossing of a level
+        dense, _, _ = _dopri(lambda t, u: (u[1], -u[0]), 0.0, [0.0, 1.0],
+                             3.0, 1e-12, [1e-14, 1e-14])
+        assert dense.crossing(0.5, 1e-13) == pytest.approx(math.pi / 6.0,
+                                                            abs=1e-10)
+        assert dense.crossing(0.0, 1e-13, 1) == pytest.approx(math.pi / 2.0,
+                                                               abs=1e-10)
+        assert dense.crossing(-0.5, 1e-13, 1) == pytest.approx(
+            2.0 * math.pi / 3.0, abs=1e-10)
+        assert dense.crossing(2.0, 1e-13, 1) is None
+
+    def test_the_library_reads_no_numpy_on_a_march(self):
+        # numpy stays only for the Gauss-Legendre table, computed at import
+        src = Path(qshoot.ode.__file__).parent
+        assert "numpy" not in (src / "linearization.py").read_text()
+        assert re.findall(r"\bnp\.\w+", (src / "ode.py").read_text()) \
+            == ["np.polynomial"]
+
     def test_span_and_bounds(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
         traj = integrate_t(nl_square, 2, st, cfg2)
@@ -560,7 +605,7 @@ class TestStepper:
         traj = _march_t(nl_exp, 2, st, cfg2, 2e-9, st.t - 1000.0)
         assert traj.diagnostics["landed"]
         assert traj.ts[-1] == traj.stop
-        assert abs(traj.states[-1, 0] - 2e-9) <= EVENT_TOL
+        assert abs(traj.states[-1][0] - 2e-9) <= EVENT_TOL
         recs = energy_series(traj)
         assert recs[-1].t == traj.ts[-1]
         assert energy_violations(recs, tol=1e-9) == []
