@@ -6,8 +6,7 @@ amplitude ladder and judge whether the normalized errors stay bounded.
 
 import argparse
 
-import numpy as np
-
+from qshoot._numeric import geomspace
 from qshoot.asymptotics import error_decay_report, predict_all
 from qshoot.nonlinearity import make_nonlinearity
 from qshoot.output import atomic_write, csv_text, decay_rows
@@ -29,9 +28,9 @@ def main(argv=None):
 
     nl = make_nonlinearity("pow_exp", q=args.q, p=args.p,
                            rho_beta=args.rho_beta, n=args.n)
-    grid = np.geomspace(args.gamma_min, args.gamma_max, args.steps)
+    grid = geomspace(args.gamma_min, args.gamma_max, args.steps)
     curve = sweep(nl, args.n, grid, with_derivative=True)
-    preds = [predict_all(float(g), args.n, nl) for g in grid]
+    preds = [predict_all(g, args.n, nl) for g in grid]
     report = error_decay_report(curve, preds, bound_factor=args.bound_factor)
 
     header, rows = decay_rows(report)

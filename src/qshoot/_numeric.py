@@ -1,4 +1,5 @@
-"""Scalar root finding and adaptive quadrature, in plain Python and numpy.
+"""Scalar root finding, adaptive quadrature and sample grids, in plain
+Python floats.
 
 brentq is Brent's method (R. P. Brent, *Algorithms for Minimization
 without Derivatives*, 1973, ch. 4): inverse quadratic interpolation or the
@@ -8,8 +9,10 @@ It keeps only floats, so a call leaves no garbage for the cycle collector.
 quad is globally adaptive Gauss-Kronrod quadrature with the 10-point Gauss
 and 21-point Kronrod pair and QUADPACK's error estimate (Piessens, de
 Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*, 1983, routines QAG and
-QK21). The integrand is called on a whole array of nodes: the 21 of the
-first interval, then the 42 of each bisected pair.
+QK21). The integrand is called on one float node at a time.
+
+linspace and geomspace build the sample grids the package scans, by the
+usual formulas: evenly spaced, and evenly spaced in log10.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-
-import numpy as np
 
 from .errors import SolverError
 
@@ -41,14 +42,6 @@ _WK0 = 0.149445554002916905664936468389821
 _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
-
-# the 21 nodes on [-1, 1] in ascending order, and the rows (Kronrod, Gauss)
-# of weights over them
-_NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
-_W = np.zeros((2, 21))
-_W[0] = list(_WK) + [_WK0] + list(reversed(_WK))
-_W[1, 1:10:2] = _WG
-_W[1, 11:20:2] = tuple(reversed(_WG))
 
 
 def brentq(f, a: float, b: float, xtol: float = 2e-12) -> float:
@@ -101,41 +94,60 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12) -> float:
                       f"iterations (last x={xcur})")
 
 
-def _qk21(f, lo: np.ndarray, hi: np.ndarray):
-    """QK21 on each interval [lo[i], hi[i]] from one call of f on all their
-    nodes: the Kronrod values and QUADPACK's error estimates."""
-    centr, hlgth = (lo + hi) / 2.0, (hi - lo) / 2.0
-    fv = np.asarray(f((centr[:, None] + hlgth[:, None] * _NODES).ravel()),
-                    dtype=float).reshape(len(lo), 21)
-    resk, resg = (fv @ _W.T).T
-    absh = np.abs(hlgth)
-    resabs = np.abs(fv) @ _W[0] * absh
-    resasc = np.abs(fv - resk[:, None] / 2.0) @ _W[0] * absh
-    err = np.abs((resk - resg) * hlgth)
-    scaled = resasc * np.minimum(1.0, 200.0 * err / np.where(
-        resasc > 0.0, resasc, 1.0)) ** 1.5
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    err = np.where(resabs > np.finfo(float).tiny / (50.0 * _EPS),
-                   np.maximum(50.0 * _EPS * resabs, err), err)
+def linspace(start: float, stop: float, num: int) -> list:
+    """num evenly spaced floats from start to stop: start + i (stop -
+    start)/(num - 1), the last of two or more stop itself."""
+    if num < 2:
+        return [start] * num
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
+def geomspace(start: float, stop: float, num: int) -> list:
+    """num floats from start > 0 to stop, evenly spaced in log10, the ends
+    exact. The inner points are C pow's 10 ** e, so another power routine
+    may round some of them an ulp apart."""
+    ends = linspace(math.log10(start), math.log10(stop), num)
+    return [start, *(10.0 ** e for e in ends[1:-1]), stop][:num]
+
+
+def _qk21(f, a: float, b: float) -> tuple:
+    """QK21 on [a, b]: the Kronrod value and QUADPACK's error estimate."""
+    centr, hlgth = (a + b) / 2.0, (b - a) / 2.0
+    fc = f(centr)
+    fv = [(w, f(centr - hlgth * x), f(centr + hlgth * x))
+          for x, w in zip(_XK, _WK)]
+    resk = _WK0 * fc + sum(w * (f1 + f2) for w, f1, f2 in fv)
+    resg = sum(w * (f1 + f2) for w, (_, f1, f2) in zip(_WG, fv[1::2]))
+    reskh, absh = resk / 2.0, abs(hlgth)
+    resabs = absh * (_WK0 * abs(fc) + sum(
+        w * (abs(f1) + abs(f2)) for w, f1, f2 in fv))
+    resasc = absh * (_WK0 * abs(fc - reskh) + sum(
+        w * (abs(f1 - reskh) + abs(f2 - reskh)) for w, f1, f2 in fv))
+    err = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
+    if resabs > sys.float_info.min / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
     return resk * hlgth, err
 
 
 def quad(f, a: float, b: float, epsabs: float = 1.49e-8,
          epsrel: float = 1.49e-8, limit: int = 50) -> tuple:
-    """Integral of the vectorized f over [a, b] and its error estimate:
-    bisect the interval of largest error until the summed estimate meets
+    """Integral of f over [a, b] and its error estimate: bisect the
+    interval of largest error until the summed estimate meets
     max(epsabs, epsrel |integral|) or `limit` intervals exist."""
     a, b = float(a), float(b)
-    val, err = _qk21(f, np.array([a]), np.array([b]))
+    val, err = _qk21(f, a, b)
     # heap of (-error, lo, hi, value): the worst interval is popped first
-    parts = [(-float(err[0]), a, b, float(val[0]))]
-    total, err_sum = float(val[0]), float(err[0])
+    parts = [(-err, a, b, val)]
+    total, err_sum = val, err
     while err_sum > max(epsabs, epsrel * abs(total)) and len(parts) < limit:
         e, lo, hi, v = heapq.heappop(parts)
         mid = (lo + hi) / 2.0
-        vals, errs = _qk21(f, np.array([lo, mid]), np.array([mid, hi]))
-        heapq.heappush(parts, (-float(errs[0]), lo, mid, float(vals[0])))
-        heapq.heappush(parts, (-float(errs[1]), mid, hi, float(vals[1])))
-        total += float(vals[0] + vals[1]) - v
-        err_sum += float(errs[0] + errs[1]) + e
+        (v1, e1), (v2, e2) = _qk21(f, lo, mid), _qk21(f, mid, hi)
+        heapq.heappush(parts, (-e1, lo, mid, v1))
+        heapq.heappush(parts, (-e2, mid, hi, v2))
+        total += (v1 + v2) - v
+        err_sum += (e1 + e2) + e
     return math.fsum(p[3] for p in parts), math.fsum(-p[0] for p in parts)

@@ -3,33 +3,25 @@
 Everything that involves e^{(T1-t)/(n-1)} runs through these: T1 grows like
 g(gamma), so the exponent can reach thousands and the naive exponential is
 useless. All identities are therefore written in terms of the exponent x
-itself, softplus(x) = log(1+e^x) and sigma(x) = e^x/(1+e^x). Both give
-the same bits on an array as on each of its elements, so the closed forms
-may be evaluated on a whole grid at once.
+itself, softplus(x) = log(1+e^x) and sigma(x) = e^x/(1+e^x). Both take a
+float and exponentiate only -|x|, so math.exp never overflows in them.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-# np.exp overflows past ~709.78; anything above this is an error upstream.
+# math.exp raises OverflowError past ~709.78; more is an error upstream.
 EXP_ARG_MAX = 709.0
 
 
-def softplus(x):
+def softplus(x: float) -> float:
     """log(1 + e^x), valid for any magnitude of x."""
-    return np.logaddexp(0.0, x)
+    return (x if x > 0.0 else 0.0) + math.log1p(math.exp(-abs(x)))
 
 
-def sigma(x):
+def sigma(x: float) -> float:
     """Logistic function e^x / (1 + e^x), from e^{-|x|} so that no
     exponential overflows."""
-    if isinstance(x, float):
-        # the same numpy exp, without the array machinery's cost per call
-        e = np.exp(-abs(x))
-        return 1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e)
-    e = np.exp(-np.abs(x))
-    # [()] turns the 0-d result of a scalar x into a numpy float
-    return np.where(np.greater_equal(x, 0.0), 1.0 / (1.0 + e),
-                    e / (1.0 + e))[()]
-
+    e = math.exp(-abs(x))
+    return 1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e)

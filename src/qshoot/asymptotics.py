@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-import numpy as np
-
 from ._stable import sigma, softplus
 from .config import check_dimension
 from .errors import AdmissionError, ConfigError
@@ -61,18 +59,14 @@ def harmonic(k: int) -> float:
     return float(h)
 
 
-def _scalar_or_array(t, *vals):
-    return tuple(float(v) for v in vals) if np.ndim(t) == 0 else vals
-
-
 @dataclass(frozen=True)
 class GammaSnapshot:
     """The comparison solution at a single gamma, and everything the closed
     forms need there.
 
     g is the full source exponent log f(gamma) (multiplier included); gp
-    and gpp are plain derivatives of g(u) at gamma. The methods take
-    scalar or array t and return floats or arrays to match.
+    and gpp are plain derivatives of g(u) at gamma. The methods take a float
+    t and return floats.
     """
 
     gamma: float
@@ -110,11 +104,11 @@ class GammaSnapshot:
             raise AdmissionError(f"(g')^2 underflows at gamma={self.gamma}")
         return sq
 
-    def x(self, t):
+    def x(self, t: float) -> float:
         """Tail variable x = (T1 - t)/(n-1)."""
-        return (self.T1 - np.asarray(t, dtype=float)) / (self.n - 1.0)
+        return (self.T1 - t) / (self.n - 1.0)
 
-    def z(self, t):
+    def z(self, t: float) -> tuple:
         """Comparison solution z, z', z''. It solves the equation with the
         exponent linearized at gamma, so it is exact when g is linear:
             z   = gamma - (n/g') softplus(x)
@@ -125,9 +119,9 @@ class GammaSnapshot:
         sp = sigma(x)
         z = self.gamma - (self.n / self.gp) * softplus(x)
         zpp = -self.c / (self.n - 1.0) * sp * sigma(-x)
-        return _scalar_or_array(t, z, self.c * sp, zpp)
+        return z, self.c * sp, zpp
 
-    def v2(self, t):
+    def v2(self, t: float) -> tuple:
         """Gamma-derivative V2 of the comparison solution, V2', V2'':
             V2   = -1/(n-1) + (n/(n-1)) sigma(-x)
             V2'  = (n/(n-1)^2) sigma(x) sigma(-x)
@@ -139,7 +133,7 @@ class GammaSnapshot:
         v2 = -1.0 / (n - 1.0) + n / (n - 1.0) * sm
         v2p = n / (n - 1.0) ** 2 * sp * sm
         v2pp = n / (n - 1.0) ** 3 * sp * sm * (1.0 - 2.0 * sm)
-        return _scalar_or_array(t, v2, v2p, v2pp)
+        return v2, v2p, v2pp
 
 
 def snapshot(nl: Nonlinearity, n: int, gamma: float) -> GammaSnapshot:
@@ -181,25 +175,27 @@ def checked_pow(x: float, k: float, gamma: float) -> float:
                              f"gamma={gamma}: {exc}") from None
 
 
-def comparison_z(gamma: float, n: int, nl: Nonlinearity, t):
+def comparison_z(gamma: float, n: int, nl: Nonlinearity, t: float) -> tuple:
     """The tail comparison solution z(t) and its derivative."""
     return snapshot(nl, n, gamma).z(t)[:2]
 
 
-def z_ode_log_residual(gamma: float, n: int, nl: Nonlinearity, t):
-    """Relative mismatch between -((z')^{n-1})' and the linearized source.
+def z_ode_log_residual(gamma: float, n: int, nl: Nonlinearity, ts) -> list:
+    """Relative mismatch between -((z')^{n-1})' and the linearized source
+    at each t of ts, from one snapshot.
 
     Both sides are positive, so the comparison runs in log space:
     |exp(logLHS - logRHS) - 1| is the relative residual without overflow.
     """
     s = snapshot(nl, n, gamma)
-    x = s.x(t)
-    log_lhs = (n - 1.0) * math.log(s.c) \
-        - (n - 1.0) * softplus(-x) - softplus(x)
-    log_rhs = s.g + s.gp * (s.z(t)[0] - gamma) - np.asarray(t, dtype=float)
-    # math.expm1, not np.expm1: the two differ in the last bit at some points
-    res = np.abs(np.vectorize(math.expm1, otypes=[float])(log_lhs - log_rhs))
-    return _scalar_or_array(t, res)[0]
+    out = []
+    for t in ts:
+        x = s.x(t)
+        log_lhs = (n - 1.0) * math.log(s.c) \
+            - (n - 1.0) * softplus(-x) - softplus(x)
+        log_rhs = s.g + s.gp * (s.z(t)[0] - gamma) - t
+        out.append(abs(math.expm1(log_lhs - log_rhs)))
+    return out
 
 
 def psi_eval(gamma: float, n: int, nl: Nonlinearity, theta: float) -> float:
@@ -233,8 +229,8 @@ def tail_power_integral(k: int, gamma: float, n: int, nl: Nonlinearity,
     k = int(k)
     s = snapshot(nl, n, gamma)
     x = s.x(t)
-    sm = float(sigma(-x))  # 1/(1+X)
-    bracket = -harmonic(k) + float(softplus(x))
+    sm = sigma(-x)  # 1/(1+X)
+    bracket = -harmonic(k) + softplus(x)
     for r in range(1, k + 1):
         bracket -= (-1) ** r * math.comb(k, r) / r * sm ** r
     return checked_pow(s.c, k + 1, gamma) * (n - 1.0) * bracket
@@ -251,8 +247,7 @@ def turning_integrals(gamma: float, n: int, nl: Nonlinearity, t: float):
     """
     s = snapshot(nl, n, gamma)
     x = s.x(t)
-    sp = float(sigma(x))
-    sm = float(sigma(-x))
+    sp, sm = sigma(x), sigma(-x)
     br = -1.0 / (n * (n + 1.0))
     for r in range(n):
         br += (-1) ** r * math.comb(n - 1, r) / (r + 2.0) * sm ** (r + 2)

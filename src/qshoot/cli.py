@@ -15,9 +15,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from . import __version__
+from ._numeric import linspace
 from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import ConfigError, QShootError
@@ -169,7 +168,7 @@ def _flag_values(args) -> dict:
     return {f.name: getattr(args, f.name) for f in KEY_MAP.values()}
 
 
-def _gammas(rc: RunConfig) -> np.ndarray:
+def _gammas(rc: RunConfig) -> list:
     if rc.gamma_min is not None or rc.gamma_max is not None:
         if rc.gamma_min is None or rc.gamma_max is None or rc.gamma_steps < 1:
             raise ConfigError("a grid needs --gamma-min, --gamma-max and "
@@ -178,11 +177,9 @@ def _gammas(rc: RunConfig) -> np.ndarray:
             raise ConfigError("--gamma-min and --gamma-max must be finite")
         if not rc.gamma_min < rc.gamma_max:
             raise ConfigError("--gamma-min must sit below --gamma-max")
-        if rc.gamma_steps == 1:
-            return np.array([rc.gamma_min])
-        return np.linspace(rc.gamma_min, rc.gamma_max, rc.gamma_steps)
+        return linspace(rc.gamma_min, rc.gamma_max, rc.gamma_steps)
     if rc.gamma is not None:
-        return np.array([rc.gamma])
+        return [rc.gamma]
     raise ConfigError("no amplitudes given: use --gamma or the "
                       "--gamma-min/--gamma-max/--gamma-steps grid")
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._numeric import geomspace
 from ._stable import EXP_ARG_MAX
 from .config import check_dimension
 from .errors import AdmissionError, ConfigError
@@ -282,19 +281,19 @@ def find_s0(nl: Nonlinearity) -> float:
     zero); a sample where g' or g'' overflows fails the test."""
     if nl.linear:
         raise ConfigError("linear family has no convexity threshold")
-    us = np.geomspace(*DEFAULT_S0_SCAN)
-    ok = np.empty(len(us), dtype=bool)
-    for i, u in enumerate(us):
+    s0 = 0.0
+    for u in geomspace(*DEFAULT_S0_SCAN):
         try:
-            gp = eval_g(nl, float(u), 1)
-            gpp = eval_g(nl, float(u), 2)
+            gp = eval_g(nl, u, 1)
+            gpp = eval_g(nl, u, 2)
         except OverflowError:
             gp = gpp = math.nan
-        ok[i] = gp > 0.0 and gpp >= 0.0
-    if not ok[-1]:
+        ok = gp > 0.0 and gpp >= 0.0
+        if not ok:
+            s0 = u
+    if not ok:
         raise AdmissionError("no convexity threshold found within the scan range")
-    bad = np.flatnonzero(~ok)
-    return float(us[bad[-1]]) if len(bad) else 0.0
+    return s0
 
 
 def convexity_floor(nl: Nonlinearity) -> float:

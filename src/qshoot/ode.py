@@ -53,8 +53,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from ._numeric import brentq
 from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
@@ -66,7 +64,8 @@ from .nonlinearity import (SOURCE_CAP, SOURCE_TEXT, Nonlinearity,
 # unused here: bound only so perfbench/tracer.py can wrap it as a span
 from .nonlinearity import eval_source  # noqa: F401
 
-# pure relative control on the flux component (see module docstring)
+# the flux's absolute tolerance, capped at rtol |start flux| to keep its
+# control relative (see module docstring); a smaller start flux is refused
 _PSI_ATOL = 1e-300
 # abscissa tolerance of the located stop and floor crossings
 EVENT_TOL = 1e-12
@@ -617,7 +616,9 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
     miss message."""
     level = float(level)
     track = track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0)
-    atol = [cfg.atol, _PSI_ATOL] + [cfg.atol] * (len(y0) - 2)
+    # the flux's atol: at most rtol |start flux|, unless that underflows to 0
+    atol = [cfg.atol, min(_PSI_ATOL, cfg.rtol * abs(y0[1])) or _PSI_ATOL] \
+        + [cfg.atol] * (len(y0) - 2)
     try:
         dense, stop, counts = _dopri(rhs, span[0], [float(v) for v in y0],
                                      span[1], cfg.rtol, atol, level, xtol,
@@ -672,17 +673,17 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT,
 
 
 def series_startup_radius(fg: float, n: int, gamma: float,
-                          cfg: ProblemConfig) -> float:
+                          cfg: ProblemConfig, share: float = 0.5) -> float:
     """Startup radius r0 = min(1e-3, x0^{(n-1)/(n-b)}) of the outward march,
     with fg = f(gamma), b the weight exponent and x = r^{(n-b)/(n-1)} the
     origin's series variable (see integrate_r). x0 is rtol (n-b) / fg, for
     a next series term below the step tolerance, or where the series has
-    taken half of gamma, if smaller: an amplitude of a few rtol then starts
-    above zero. An x0 of 1 or more saturates r0 at the cap."""
+    taken `share` of gamma, if smaller: an amplitude of a few rtol then
+    starts above zero. An x0 of 1 or more saturates r0 at the cap."""
     nb = n - cfg.beta_weight
     x_tol = cfg.rtol * nb / fg
-    x_half = 0.5 * gamma * nb / (n - 1.0) * (nb / fg) ** (1.0 / (n - 1.0))
-    return min(1e-3, min(x_tol, x_half, 1.0) ** ((n - 1.0) / nb))
+    x_amp = share * gamma * nb / (n - 1.0) * (nb / fg) ** (1.0 / (n - 1.0))
+    return min(1e-3, min(x_tol, x_amp, 1.0) ** ((n - 1.0) / nb))
 
 
 def integrate_r(nl: Nonlinearity, n: int, gamma: float,
@@ -715,7 +716,9 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
     if fg == 0.0:
         raise AdmissionError(f"f(gamma) = exp({lf:.3g}) underflows to 0; the "
                              "radius route cannot start")
-    r0 = series_startup_radius(fg, n, gamma, cfg)
+    # f = lam u: the series' next term is its first one squared, over gamma
+    share = math.sqrt(cfg.rtol) if nl.linear else 0.5
+    r0 = series_startup_radius(fg, n, gamma, cfg, share)
     # the amplitude bound cuts r0 below r0_tol (gamma of a few rtol); the
     # first zero shrinks with it, and so does the stop's tolerance
     r0_tol = series_startup_radius(fg, n, math.inf, cfg)  # unbounded
@@ -742,6 +745,9 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
     if start_rate > math.exp(_LOG_CAP):
         raise AdmissionError("radius-route startup slope or source beyond "
                              "the overflow sentinel's budget")
+    if -Phi0 < _PSI_ATOL:
+        raise AdmissionError(f"startup flux {-Phi0:.3g} is below {_PSI_ATOL:g};"
+                             " the radius route cannot start")
     return _march("r", nl, n, cfg, rhs, (r0, R_MAX), y0, 0.0, track_s0,
                   f"inside r <= {R_MAX}", xtol, kernels=kernels, r0=r0)
 
@@ -787,9 +793,13 @@ def energy_violations(records, tol: float = 1e-9):
     return bad
 
 
-# 12-point Gauss-Legendre nodes and weights on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = (
-    v.tolist() for v in np.polynomial.legendre.leggauss(12))
+# 12-point Gauss-Legendre nodes on [-1, 1], ascending, and their weights
+_GL_X = (0.9815606342467192, 0.9041172563704748, 0.7699026741943047,
+         0.5873179542866175, 0.3678314989981802, 0.1252334085114689)
+_GL_W = (0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+         0.20316742672306573, 0.2334925365383546, 0.2491470458134027)
+_GL_NODES = [-x for x in _GL_X] + list(reversed(_GL_X))
+_GL_WEIGHTS = list(_GL_W) + list(reversed(_GL_W))
 
 
 def quad_dense(traj: Trajectory, func, a: float, b: float) -> float:

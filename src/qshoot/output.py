@@ -12,8 +12,6 @@ import math
 import os
 import tempfile
 
-import numpy as np
-
 from .errors import ConfigError
 from .ode import EVENT_TOL, Trajectory
 
@@ -42,10 +40,10 @@ def fmt_value(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, int):
+        return str(v)
     x = float(v)
     if math.isnan(x):
         return "nan"
@@ -68,12 +66,6 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
     return obj
 
 

@@ -24,8 +24,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
+from ._numeric import geomspace
 from .config import ProblemConfig, check_dimension
 from .errors import AdmissionError, ConfigError, QShootError, SolverError
 from .nonlinearity import (Nonlinearity, convexity_floor, log_f, with_lambda)
@@ -243,21 +242,24 @@ def classify_small_gamma(nl: Nonlinearity, n: int,
         raise ConfigError("need at least three amplitudes to read a trend")
     Ts = tuple(shoot(nl, n, g, cfg).T for g in gs)
     spread = max(Ts) - min(Ts)
-    diffs = np.diff(Ts)
+    diffs = [b - a for a, b in zip(Ts, Ts[1:])]
     if spread <= 0.75:
         verdict = "bounded"
-    elif np.all(diffs > 0.0):
+    elif all(d > 0.0 for d in diffs):
         verdict = "diverges_up"
-    elif np.all(diffs < 0.0):
+    elif all(d < 0.0 for d in diffs):
         verdict = "diverges_down"
     else:
         verdict = "inconclusive"
 
-    us = np.geomspace(1e-6, 1e-3, 24)
-    lf = np.array([log_f(nl, float(u)) for u in us])
-    slope = np.polyfit(np.log(us), lf, 1)[0]
-    return RegimeReport(verdict=verdict, p_estimate=float(slope), gammas=gs,
-                        Ts=Ts, spread=float(spread))
+    # least-squares slope of log f against log u
+    us = geomspace(1e-6, 1e-3, 24)
+    xs, ys = [math.log(u) for u in us], [log_f(nl, u) for u in us]
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - xm) * (y - ym) for x, y in zip(xs, ys)) \
+        / sum((x - xm) ** 2 for x in xs)
+    return RegimeReport(verdict=verdict, p_estimate=slope, gammas=gs,
+                        Ts=Ts, spread=spread)
 
 
 def singular_reduce(nl: Nonlinearity, n: int, beta: float):

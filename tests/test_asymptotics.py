@@ -85,8 +85,9 @@ class TestComparisonSolution:
     @pytest.mark.parametrize("n,gamma", GRID)
     def test_log_residual_along_the_window(self, n, gamma, nl_square):
         s = snapshot(nl_square, n, gamma)
-        for t in np.linspace(s.T0, s.T1 + 20.0 * (n - 1), 40):
-            assert z_ode_log_residual(gamma, n, nl_square, float(t)) <= 1e-9
+        ts = np.linspace(s.T0, s.T1 + 20.0 * (n - 1), 40).tolist()
+        res = z_ode_log_residual(gamma, n, nl_square, ts)
+        assert len(res) == 40 and max(res) <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([2, 3, 4]),
@@ -96,7 +97,7 @@ class TestComparisonSolution:
         nl = make_nonlinearity("pow_exp", q=2.0)
         s = snapshot(nl, n, gamma)
         t = max(s.T0, s.T1 + off * (n - 1))
-        assert z_ode_log_residual(gamma, n, nl, t) <= 1e-8
+        assert z_ode_log_residual(gamma, n, nl, [t])[0] <= 1e-8
 
 
 class TestDriftFunction:
@@ -404,20 +405,18 @@ class TestSnapshot:
                 continue
             assert all(v is None or math.isfinite(v) for v in vals)
 
-    def test_scalar_and_array_evaluations_agree_bitwise(self, nl_square):
-        # the verify grids evaluate on arrays what the march reads pointwise
-        s = snapshot(nl_square, 3, 5.0)
-        ts = np.linspace(s.T1 - 3000.0, s.T1 + 3000.0, 2001)
-        for method in (s.z, s.v2):
-            cols = method(ts)
-            for i in range(0, len(ts), 7):
-                assert method(float(ts[i])) == tuple(float(c[i]) for c in cols)
+    def test_logistic_helpers_stay_within_an_ulp_of_numpy(self):
+        # |x| reaches about 1,180 here, where math.exp(x) would raise
+        # OverflowError; numpy's own functions are the reference
         xs = np.random.default_rng(1).normal(0.0, 300.0, 20000)
-        for fn in (sigma, softplus):
-            assert fn(xs).tolist() == [float(fn(float(x))) for x in xs]
-        res = z_ode_log_residual(5.0, 3, nl_square, ts[900:1100])
-        assert res.tolist() == [z_ode_log_residual(5.0, 3, nl_square, float(t))
-                                for t in ts[900:1100]]
+        e = np.exp(-np.abs(xs))
+        refs = {sigma: np.where(xs >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)),
+                softplus: np.logaddexp(0.0, xs)}
+        for fn, ref in refs.items():
+            got = [fn(x) for x in xs.tolist()]
+            assert all(type(v) is float and math.isfinite(v) for v in got)
+            assert all(abs(v - r) <= math.ulp(r)
+                       for v, r in zip(got, ref.tolist()))
 
     def test_verify_builds_one_snapshot_per_amplitude(self, monkeypatch):
         # every snapshot runs harmonic(n) once; the suites used to rebuild

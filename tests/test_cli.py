@@ -148,6 +148,48 @@ class TestExitCodes:
             code, _, _ = run_cli(capsys, *argv.split())
         assert code in (0, 1, 2)
 
+    @pytest.mark.parametrize("beta", ["0", "1.9"])
+    @pytest.mark.parametrize("gamma", ["1e-280", "1e-300", "1e-310", "1e-320"])
+    def test_a_start_flux_below_its_tolerance_is_refused(self, capsys, beta,
+                                                         gamma):
+        # f = u has one first zero at every amplitude: the Bessel zero in
+        # x = (2/(2-b)) r^{(2-b)/2}. A flux below 1e-300 once marched out of
+        # error control to R = 2.4048260 (b = 0) and 3.8073711e-20 (b = 1.9)
+        # at gamma = 1e-300
+        b = float(beta)
+        exact = (2.404825557695773 * (2.0 - b) / 2.0) ** (2.0 / (2.0 - b))
+        code, out, err = run_cli(capsys, "shoot", "--family", "linear",
+                                 "--beta-weight", beta, "--gamma", gamma)
+        if code == 0 and float(gamma) > 1e-300:
+            R = float(dict(ln.split("=", 1) for ln in out.split())["R"])
+            assert R == pytest.approx(exact, rel=1e-8)
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("qshoot: error: startup flux")
+
+    def test_commands_run_without_numpy(self, tmp_path):
+        # numpy is a test and benchmark dependency only
+        src = Path(ode.__file__).resolve().parents[1]
+        argvs = [
+            ["shoot", "--family", "exp", "--gamma", "2"],
+            ["sweep", "--family", "pow_exp", "--gamma-min", "2",
+             "--gamma-max", "12", "--gamma-steps", "5",
+             "--out", str(tmp_path / "s.csv")],
+            ["linearize", "--family", "pow_exp", "--gamma", "4"],
+            ["regimes", "--family", "pow_exp", "--p", "1"],
+            ["singular", "--family", "exp", "--beta-weight", "1",
+             "--gamma", "2"],
+            ["verify", "--out", str(tmp_path / "v.json")]]
+        script = (f"import sys\nsys.modules['numpy'] = None\n"
+                  f"from qshoot.cli import main\n"
+                  f"print([main(argv) for argv in {argvs!r}])\n")
+        res = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, cwd=tmp_path,
+                             env={"PYTHONPATH": str(src)})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == str([0] * len(argvs))
+        assert (tmp_path / "s.csv").exists() and (tmp_path / "v.json").exists()
+
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1

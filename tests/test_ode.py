@@ -3,7 +3,6 @@ radius-variable route, and the energy monitor."""
 
 import functools
 import math
-import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -315,6 +314,35 @@ class TestOutwardMarch:
         weighted = ProblemConfig(beta_weight=1.9)
         assert series_startup_radius(1e-300, 2, math.inf, weighted) == 1e-3
 
+    def test_a_start_flux_below_its_tolerance_is_refused(self, nl_linear):
+        # Phi0 = -gamma r0^2 / 2 is about 1e-310 here
+        with pytest.raises(AdmissionError, match="startup flux"):
+            integrate_r(nl_linear, 2, 1e-300, ProblemConfig())
+
+    @pytest.mark.parametrize("beta", [0.5, 1.9])
+    def test_the_linear_zero_holds_at_every_amplitude(self, nl_linear, beta):
+        # f = u: R is the Bessel zero in x = (2/(2-b)) r^{(2-b)/2} whatever
+        # gamma. Its series start once took half of gamma where the next
+        # term, the first one squared, is not small: R was off by 89% from
+        # gamma = 1e-9 at b = 1.9
+        cfg = ProblemConfig(beta_weight=beta)
+        exact = (2.404825557695773 * (2.0 - beta) / 2.0) \
+            ** (2.0 / (2.0 - beta))
+        for gamma in (1e-1, 1e-5, 1e-9, 1e-100, 1e-200, 1e-280):
+            traj = integrate_r(nl_linear, 2, gamma, cfg)
+            assert traj.stop == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_the_linear_zero_scales_with_the_amplitude(self, n):
+        # u -> gamma u turns f = u into gamma^{2-n} u under the n-Laplacian,
+        # so R gamma^{-(n-2)/n} is R at gamma = 1; the half-gamma series
+        # start was off by 7.7% (n=3) and 5.6% (n=4) from gamma = 1e-10
+        nl = make_nonlinearity("linear", n=n)
+        r1 = integrate_r(nl, n, 1.0).stop
+        for gamma in (1e-4, 1e-8, 1e-12, 1e-20):
+            r = integrate_r(nl, n, gamma).stop * gamma ** ((2.0 - n) / n)
+            assert r == pytest.approx(r1, rel=1e-8)
+
     def test_weighted_linearization_is_refused(self, nl_square):
         cfg = ProblemConfig(beta_weight=1.0)
         with pytest.raises(ConfigError):
@@ -384,6 +412,12 @@ class TestDenseQuadrature:
         assert quad_dense(traj, fun, a, a) == 0.0
 
 
+    def test_gauss_legendre_table_is_leggauss_bitwise(self):
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        assert qshoot.ode._GL_NODES == nodes.tolist()
+        assert qshoot.ode._GL_WEIGHTS == weights.tolist()
+
+
 class TestTrajectoryViews:
     @pytest.mark.parametrize("route", ["t", "r"])
     def test_the_record_is_the_steppers_own_samples(self, route, nl_square,
@@ -410,11 +444,12 @@ class TestTrajectoryViews:
         assert dense.crossing(2.0, 1e-13, 1) is None
 
     def test_the_library_reads_no_numpy_on_a_march(self):
-        # numpy stays only for the Gauss-Legendre table, computed at import
-        src = Path(qshoot.ode.__file__).parent
-        assert "numpy" not in (src / "linearization.py").read_text()
-        assert re.findall(r"\bnp\.\w+", (src / "ode.py").read_text()) \
-            == ["np.polynomial"]
+        # the package and its scripts compute in Python floats alone
+        root = Path(__file__).resolve().parents[1]
+        paths = [*(root / "src" / "qshoot").glob("*.py"),
+                 *(root / "scripts").glob("*.py")]
+        assert len(paths) > 10
+        assert [p.name for p in paths if "numpy" in p.read_text()] == []
 
     def test_span_and_bounds(self, nl_square, cfg2):
         st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
