@@ -12,14 +12,12 @@ an oracle (the radial problem then has a closed-form first zero for n = 2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
-from ._numeric import geomspace
 from ._stable import EXP_ARG_MAX
 from .config import check_dimension
 from .errors import AdmissionError, ConfigError
-
-DEFAULT_S0_SCAN = (1e-6, 1e3, 6000)
 
 
 @dataclass(frozen=True)
@@ -128,13 +126,6 @@ def with_lambda(nl: Nonlinearity, lam: float) -> Nonlinearity:
     return replace(nl, lam=lam, f0=f0)
 
 
-def _falling(q: float, k: int) -> float:
-    out = 1.0
-    for j in range(k):
-        out *= q - j
-    return out
-
-
 def eval_g(nl: Nonlinearity, u: float, k: int = 0) -> float:
     """g and its derivatives, exact for the built-in families."""
     if nl.linear:
@@ -151,11 +142,16 @@ def eval_g(nl: Nonlinearity, u: float, k: int = 0) -> float:
         if e > 0 or nl.a == 0.0:
             power = 0.0
         elif e == 0:
-            power = nl.a * _falling(q, k)
+            power = nl.a * math.prod(q - j for j in range(k))
         else:
             raise ConfigError(f"u^{{q-k}} singular at 0 for q={q}, k={k}")
         return power + _rho(nl, u, k)
-    return nl.a * _falling(q, k) * u ** (q - k) + _rho(nl, u, k)
+    try:
+        return (nl.a * math.prod(q - j for j in range(k)) * u ** (q - k)
+                + _rho(nl, u, k))
+    except ZeroDivisionError:  # p / u^k with u^k underflowing to 0
+        raise AdmissionError(f"g^({k}) has no double value at u={u}: "
+                             f"u^{k} underflows to 0") from None
 
 
 def log_f(nl: Nonlinearity, u: float) -> float:
@@ -167,6 +163,13 @@ def log_f(nl: Nonlinearity, u: float) -> float:
     return math.log(nl.lam) + eval_g(nl, u, 0)
 
 
+def _exp(arg: float) -> float:
+    """e^arg, raising OverflowError where it leaves the double range."""
+    if arg > EXP_ARG_MAX:
+        raise OverflowError(f"exponent {arg:.6g} exceeds representable range")
+    return math.exp(arg)
+
+
 def eval_source(nl: Nonlinearity, u: float, t: float) -> float:
     """f(u) e^{-t} as a single exponentiation of log(lam) + g(u) - t.
 
@@ -174,45 +177,25 @@ def eval_source(nl: Nonlinearity, u: float, t: float) -> float:
     the source vanishes at the origin, otherwise the u -> 0+ limit.
     """
     if nl.linear:
-        if -t > EXP_ARG_MAX:
-            raise OverflowError(f"exponent {-t:.3g} exceeds representable range")
-        return nl.lam * u * math.exp(-t)
+        return nl.lam * u * _exp(-t)
     if u <= 0.0:
-        if nl.f0 == 0.0:
-            return 0.0
-        arg = math.log(nl.f0) - t
-    else:
-        arg = math.log(nl.lam) + eval_g(nl, u, 0) - t
-    if arg > EXP_ARG_MAX:
-        raise OverflowError(f"exponent {arg:.6g} exceeds representable range")
-    return math.exp(arg)
+        return 0.0 if nl.f0 == 0.0 else _exp(math.log(nl.f0) - t)
+    return _exp(math.log(nl.lam) + eval_g(nl, u, 0) - t)
 
 
 def eval_fprime_source(nl: Nonlinearity, u: float, t: float) -> float:
     """f'(u) e^{-t}, the coefficient in the variational equation."""
     if nl.linear:
-        if -t > EXP_ARG_MAX:
-            raise OverflowError(f"exponent {-t:.3g} exceeds representable range")
-        return nl.lam * math.exp(-t)
+        return nl.lam * _exp(-t)
     if u <= 0.0:
         if nl.f0 == 0.0:
             return 0.0
         # f'(0+) = f(0) * g'(0+); only the linear part of g survives at 0
         gp0 = nl.b if nl.q > 1.0 else (nl.a + nl.b if nl.q == 1.0 else 0.0)
-        arg = math.log(nl.f0) - t
-        if arg > EXP_ARG_MAX:
-            raise OverflowError(f"exponent {arg:.6g} exceeds representable range")
-        return gp0 * math.exp(arg)
+        return gp0 * _exp(math.log(nl.f0) - t)
     gp = eval_g(nl, u, 1)
     arg = math.log(nl.lam) + eval_g(nl, u, 0) - t
-    if gp > 0.0:
-        arg2 = arg + math.log(gp)
-        if arg2 > EXP_ARG_MAX:
-            raise OverflowError(f"exponent {arg2:.6g} exceeds representable range")
-        return math.exp(arg2)
-    if arg > EXP_ARG_MAX:
-        raise OverflowError(f"exponent {arg:.6g} exceeds representable range")
-    return gp * math.exp(arg)
+    return _exp(arg + math.log(gp)) if gp > 0.0 else gp * _exp(arg)
 
 
 # The march's overflow sentinel: SOURCE_TEXT saturates at it, ode clamps
@@ -273,52 +256,67 @@ def source_constants(nl: Nonlinearity) -> tuple:
                        gp0=b if q > 1.0 else (a + b if q == 1.0 else 0.0))
 
 
-def find_s0(nl: Nonlinearity) -> float:
-    """Convexity threshold s0 read off a geometric scan: the last sample
-    failing g' > 0 and g'' >= 0 (0.0 when none does), so the test still
-    fails just above it and s0 lies up to one grid ratio below the true
-    threshold. g'' >= 0 admits the pure exponential family (g'' identically
-    zero); a sample where g' or g'' overflows fails the test."""
-    if nl.linear:
-        raise ConfigError("linear family has no convexity threshold")
-    s0 = 0.0
-    for u in geomspace(*DEFAULT_S0_SCAN):
-        try:
-            gp = eval_g(nl, u, 1)
-            gpp = eval_g(nl, u, 2)
-        except OverflowError:
-            gp = gpp = math.nan
-        ok = gp > 0.0 and gpp >= 0.0
-        if not ok:
-            s0 = u
-    if not ok:
-        raise AdmissionError("no convexity threshold found within the scan range")
-    return s0
+def _first_holding(test, s: float, lo: float, hi: float) -> float:
+    """The first double at which `test` holds: walked by up to 16 ulps from
+    s (unless NaN), or else bisected down to adjacent doubles between lo,
+    where it fails, and hi, where it holds; inf when they do not."""
+    for _ in range(16 if s == s else 0):
+        if not test(s):
+            s = math.nextafter(s, math.inf)
+        elif test(below := math.nextafter(s, 0.0)):
+            s = below
+        else:
+            return s
+    if test(lo) or not test(hi):
+        return math.inf
+    while (m := lo + (hi - lo) / 2.0) not in (lo, hi):
+        lo, hi = (lo, m) if test(m) else (m, hi)
+    return hi
 
 
 def convexity_floor(nl: Nonlinearity) -> float:
-    """s0 for route switching and energy gating; inf when weak convexity
-    never holds (then only the radius-variable route applies). Exact for
-    a > 0, q >= 1 and p, b >= 0: the smallest double with g'' >= 0, a few
-    ulps from the root (p / (a q (q-1)))^{1/q}. The scan serves other
-    inputs and roots outside 1e+-150 (s^2 must stay normal)."""
+    """s0 for route switching and energy gating: the smallest double from
+    which g' > 0 and g'' >= 0 hold; inf when they hold on no tail (then only
+    the radius-variable route applies). With c = a q (q-1), u^2 g'' =
+    c u^q - p: g'' >= 0 everywhere when p = 0 <= c, from s = (p/c)^{1/q} on
+    when p, c, q > 0, and on no tail otherwise. Past s g' increases; when it
+    is not positive at s, s0 is its root: r = (-b/(a q))^{1/(q-1)} when
+    p = 0, else within [s, 2r]. Each threshold is the first double passing
+    the computed test, walked to from its closed form (s only inside
+    1e+-150, where s^2 is normal) or bisected on [s/2, 2s], [r/2, 2r] or
+    [s, 2r]; an overflowing one, or one not so bracketed, is inf."""
     if nl.linear:
         return math.inf
-    a, q, p = nl.a, nl.q, nl.p
-    if a > 0.0 and q >= 1.0 and min(p, nl.b) >= 0:
-        if p == 0.0 or q == 1.0:
-            return 0.0 if p == 0.0 else math.inf
-        s = (p / (a * q * (q - 1.0))) ** (1.0 / q)
-        for _ in range(16 if 1e-150 < s < 1e150 else 0):
-            if eval_g(nl, s, 2) < 0.0:
-                s = math.nextafter(s, math.inf)
-            elif eval_g(nl, below := math.nextafter(s, 0.0), 2) >= 0.0:
-                s = below
-            else:
-                return s
+    a, q, p, b = nl.a, nl.q, nl.p, nl.b
+    c = a * q * (q - 1.0)
+
+    def rising(u):
+        try:
+            return eval_g(nl, u, 1) > 0.0
+        except OverflowError:  # g' is past the double range: no certificate
+            return False
     try:
-        return find_s0(nl)
-    except AdmissionError:
+        if p == 0.0 and c >= 0.0:
+            s = 0.0
+        elif min(p, c, q) > 0.0:  # g is singular at 0: s is at least 5e-324
+            s = max((p / c) ** (1.0 / q) if p / c >= sys.float_info.min else
+                    math.exp((math.log(p) - math.log(c)) / q), math.ulp(0.0))
+            if 1e-150 < s < 1e150:
+                s = _first_holding(lambda u: eval_g(nl, u, 2) >= 0.0, s,
+                                   s / 2.0, 2.0 * s)
+            if rising(s):
+                return s
+        else:
+            return math.inf
+        x = -b / (a * q) if q != 1.0 and a * q != 0.0 else -1.0
+        if not x > 0.0:  # with p = 0, g' = a q u^{q-1} + b keeps one sign
+            return 0.0 if p == 0.0 and rising(1.0) else math.inf
+        r = x ** (1.0 / (q - 1.0))
+        lo, start = (s, math.nan) if p > 0.0 else (r / 2.0, r)
+        if not 0.0 < lo < 2.0 * r < math.inf:  # r/2 = 0: all doubles pass
+            return math.inf if lo else 0.0
+        return _first_holding(rising, start, lo, 2.0 * r)
+    except OverflowError:
         return math.inf
 
 

@@ -555,8 +555,10 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0,
             if not h_abs >= min_step:  # a NaN step fails too
                 counts["status"] = -1
                 return DenseOutput(kernels, ts, ys, stages), None, counts
-            # d: the tangent's distance to the level, when heading there
-            d = g is not None and g * sign * f[0] < 0.0 and g / -(sign * f[0])
+            # d: the tangent's distance to the level, when heading there, as
+            # the signs tell: the product of a tiny g and y' underflows to 0
+            d = g is not None and math.copysign(1.0, g) * sign * f[0] < 0.0 \
+                and g / -(sign * f[0])
             aim = d and max(1.0001 * d if 3.0 * d <= h_abs else d / 1.5,
                             min_step)
             aimed = aim and aim < h_abs

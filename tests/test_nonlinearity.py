@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from qshoot.errors import AdmissionError, ConfigError
-from qshoot.nonlinearity import (DEFAULT_S0_SCAN, SOURCE_CAP, convexity_floor,
+from qshoot.nonlinearity import (SOURCE_CAP, convexity_floor,
                                  eval_fprime_source, eval_g, eval_source,
-                                 find_s0, g_is_linear, log_f,
-                                 make_nonlinearity, with_lambda)
+                                 g_is_linear, log_f, make_nonlinearity,
+                                 with_lambda)
 from qshoot.ode import _system
 from conftest import saturated_fprime, saturated_source
 
@@ -44,6 +45,15 @@ class TestDerivatives:
         h = 1e-5 * max(1.0, u)
         want = fd_derivative(nl, u, k, h)
         assert eval_g(nl, u, k) == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_an_underflowing_divisor_is_refused(self, k):
+        # p / u^k with u^k below the double range: a typed refusal naming
+        # u and k, not a bare ZeroDivisionError
+        nl = make_nonlinearity("pow_exp", q=1.5, p=1.0)
+        with pytest.raises(AdmissionError, match=rf"g\^\({k}\).*u=1e-170"):
+            eval_g(nl, 1e-170, k)
+        assert math.isfinite(eval_g(nl, 1e-100, k))
 
     def test_log_term_blocks_zero(self):
         nl = make_nonlinearity("pow_exp", q=2.0, p=1.0)
@@ -158,79 +168,112 @@ def test_with_lambda_refuses_a_non_finite_multiplier(value):
         with_lambda(make_nonlinearity("exp"), value)
 
 
+# the reference scan the floor is checked against: 6000 geometric samples
+SCAN = (1e-6, 1e3, 6000)
+
+
+def _holds(nl, u):
+    """g' > 0 and g'' >= 0 at u, or None where the computed g'' cannot tell:
+    an overflow, a g'' that underflows to 0 without being identically 0, or
+    p / u^2 for u below 1e-150, where u^2 nears the subnormals and the floor
+    is its closed form, not walked."""
+    if nl.p > 0.0 and u < 1e-150:
+        return None
+    try:
+        g1, g2 = eval_g(nl, u, 1), eval_g(nl, u, 2)
+    except OverflowError:
+        return None
+    if g2 == 0.0 and (nl.p != 0.0 or nl.a * nl.q * (nl.q - 1.0) != 0.0):
+        return None
+    return g1 > 0.0 and g2 >= 0.0
+
+
 class TestConvexityThreshold:
     def test_square_is_globally_convex(self):
-        nl = make_nonlinearity("pow_exp", q=2.0)
-        assert find_s0(nl) == 0.0
+        assert convexity_floor(make_nonlinearity("pow_exp", q=2.0)) == 0.0
 
     def test_log_term_shifts_threshold(self):
-        # g = u^{3/2} + 2 log u; curvature turns positive at (8/3)^{2/3};
-        # the scan returns the last grid sample below the crossing, the
-        # floor the crossing itself
+        # g = u^{3/2} + 2 log u; curvature turns positive at (8/3)^{2/3}
         nl = make_nonlinearity("pow_exp", q=1.5, p=2.0)
-        got = find_s0(nl)
         exact = (8.0 / 3.0) ** (2.0 / 3.0)
-        assert got < exact
-        assert got == pytest.approx(exact, rel=5e-3)
         assert convexity_floor(nl) == pytest.approx(exact, rel=1e-15, abs=0)
-
-    def test_negative_drift_shifts_threshold(self):
-        # g = u^2 - 10 u; slope turns positive at u = 5
-        nl = make_nonlinearity("pow_exp", q=2.0, rho_beta=-10.0)
-        got = find_s0(nl)
-        assert got < 5.0
-        assert got == pytest.approx(5.0, rel=5e-3)
 
     def test_pure_exponential_needs_weak_test(self):
         nl = make_nonlinearity("exp")
-        assert find_s0(nl) == 0.0  # g'' == 0 passes only g'' >= 0
-        assert convexity_floor(nl) == 0.0
+        assert convexity_floor(nl) == 0.0  # g'' == 0 passes only g'' >= 0
 
     def test_linear_family_has_no_threshold(self):
-        nl = make_nonlinearity("linear")
-        with pytest.raises(ConfigError):
-            find_s0(nl)
-        assert convexity_floor(nl) == math.inf
+        assert convexity_floor(make_nonlinearity("linear")) == math.inf
 
-    @given(st.floats(min_value=0.05, max_value=5.0, exclude_min=True),
-           st.floats(min_value=1.0, max_value=3.0),
-           st.floats(min_value=0.0, max_value=5.0, allow_subnormal=False),
-           st.floats(min_value=0.0, max_value=5.0))
-    @settings(max_examples=40, deadline=None)
-    def test_exact_floor_is_the_curvature_threshold(self, a, q, p, b):
-        # the closed-form floor sits in the grid cell past the scan's last
-        # failing sample, and g' > 0, g'' >= 0 hold from it on (a subnormal
-        # p would let the scan's g'' = -p/u^2 round to -0.0 for q = 1)
-        nl = make_nonlinearity("pow_exp", a=a, q=q, p=p, rho_beta=b)
-        try:
-            grid = find_s0(nl)
-        except AdmissionError:
-            assume(False)
-        lo, hi, num = DEFAULT_S0_SCAN
-        ratio = (hi / lo) ** (1.0 / (num - 1))
-        floor = convexity_floor(nl)
-        assert floor >= grid
-        assert floor <= (grid * ratio if grid > 0.0 else lo) * (1.0 + 1e-12)
-        for u in np.geomspace(max(floor, lo), hi, 25):
-            u = max(float(u), floor)
-            assert eval_g(nl, u, 2) >= 0.0
-            assert eval_g(nl, u, 1) > 0.0
-        if floor > 0.0:
-            assert eval_g(nl, math.nextafter(floor, 0.0), 2) < 0.0
+    def test_negative_drift_shifts_threshold(self):
+        # g = u^2 - 10 u: the slope turns positive past u = 5
+        nl = make_nonlinearity("pow_exp", q=2.0, rho_beta=-10.0)
+        assert convexity_floor(nl) == 5.000000000000001
 
-    @pytest.mark.parametrize("kw", [
-        dict(q=0.7),
-        dict(q=0.5, p=1.0),
-        dict(q=2.0, rho_beta=-10.0),
-        dict(q=1.5, p=1.0, rho_beta=-2.0),
-    ])
-    def test_other_inputs_keep_the_scan(self, kw):
+    @pytest.mark.parametrize("kw, want", [
+        (dict(q=0.7), math.inf),  # g'' < 0 on every tail
+        (dict(q=0.5, p=1.0), math.inf),
+        (dict(q=2.0, rho_beta=-10.0), 5.000000000000001),
+        # the curvature threshold, where g' > 0 already holds
+        (dict(q=1.5, p=1.0, rho_beta=-2.0), 1.21141372855476),
+        (dict(q=2.0, rho_beta=-0.5), 0.25000000000000006),
+    ], ids=[f"kw{i}" for i in range(5)])
+    def test_other_inputs_keep_the_scan(self, kw, want):
+        # the exact floor, in the reference scan's cell past its last
+        # failing sample (the last sample itself where the tail never holds)
         nl = make_nonlinearity("pow_exp", **kw)
+        s0 = convexity_floor(nl)
+        assert s0 == want
+        grid = np.geomspace(*SCAN).tolist()
+        ok = [_holds(nl, u) for u in grid]
+        assert None not in ok
+        k = max(i for i, v in enumerate(ok) if not v)
+        assert s0 >= grid[k]
+        if k + 1 < len(grid):
+            assert s0 <= grid[k + 1]
+        else:
+            assert s0 == math.inf
+
+    # a subnormal p lets the reference's g'' = -p/u^2 round to -0.0, which
+    # passes; the floor itself takes one through the @example below
+    @given(st.floats(min_value=-3.0, max_value=5.0),
+           st.floats(min_value=-1.0, max_value=3.5),
+           st.floats(min_value=0.0, max_value=5.0, allow_subnormal=False),
+           st.floats(min_value=-5.0, max_value=5.0))
+    @example(1.0, 1.01, 0.0, -0.5)  # g' reads 0.0 on ~100 ulps at its root
+    @example(2.0, 1.001, 0.0, -0.5)  # the root 2e-602 underflows
+    @example(1.0, 1.01, 4.7, -3.9)  # p/r is lost in the rounding of g'(r)
+    @example(5.0, -0.2, 0.25, 0.0)  # the curvature fails again past 1e3
+    @example(1.0, 3.0, 5e-324, 0.0)  # p / c underflows to 0
+    @example(-1.0, 0.03125, 1e-38, 1.0)  # s underflows; g' overflows there
+    @settings(max_examples=150, deadline=None)
+    def test_the_floor_starts_the_convex_tail(self, a, q, p, b):
+        # g' > 0 and g'' >= 0 from the floor on, and not just below it; it
+        # lies in the reference scan's cell past its last failing sample
         try:
-            want = find_s0(nl)
-        except AdmissionError:
-            want = math.inf
-        assert convexity_floor(nl) == want
+            nl = make_nonlinearity("pow_exp", a=a, q=q, p=p, rho_beta=b)
+        except ConfigError:
+            assume(False)
+        s0 = convexity_floor(nl)
+        if 0.0 < s0 < math.inf:
+            top = min(max(1e4, 10.0 * s0), sys.float_info.max)
+            for u in [s0] + np.geomspace(s0, top, 25).tolist()[1:]:
+                assert _holds(nl, max(u, s0)) is not False
+            if 1e-150 < s0 < 1e150:
+                assert _holds(nl, math.nextafter(s0, 0.0)) is not True
+        grid = np.geomspace(*SCAN).tolist()
+        ok = [_holds(nl, u) for u in grid]
+        if None in ok:
+            return
+        failed = [u for u, v in zip(grid, ok) if not v]
+        if failed:
+            assert s0 >= failed[-1]
+        # where the computed test switches once in the window, the floor
+        # lies in the grid cell that holds the switch; past (p / c)^{1/q}
+        # the curvature of q < 0 < p fails for good
+        k = len(failed)
+        if failed == grid[:k] and k < len(grid) and not q < 0.0 < p:
+            assert s0 <= grid[k] * (1.0 + 1e-12)
 
 
 def test_g_is_linear_flags():

@@ -15,7 +15,7 @@ from qshoot._numeric import (_WG, _WK, _WK0, _XK, brentq, geomspace,
 from qshoot._stable import softplus
 from qshoot.asymptotics import snapshot
 from qshoot.errors import SolverError
-from qshoot.nonlinearity import DEFAULT_S0_SCAN, make_nonlinearity
+from qshoot.nonlinearity import make_nonlinearity
 
 
 class TestBrent:
@@ -150,10 +150,12 @@ class TestGaussKronrod:
 
 class TestGrids:
     # the package's grids: the command line's gamma grids, verify's identity
-    # and ladder grids, the small-amplitude ladder and the floor scan
+    # and ladder grids and the small-amplitude ladder; LONG, a 6000-point
+    # geometric grid, gives rounding many chances to differ
     LINEAR = [(2.0, 12.0, 40), (2.0, 12.0, 8), (1.0, 20.0, 6), (0.5, 3.0, 11),
               (2.0, 12.0, 2), (2.0, 12.0, 1), (1e-4, 1e-1, 5)]
     GEOMETRIC = [(20.0, 200.0, 6), (1e-6, 1e-3, 24)]
+    LONG = (1e-6, 1e3, 6000)
 
     def test_linspace_is_numpys_bitwise(self):
         grids = list(self.LINEAR)
@@ -162,7 +164,7 @@ class TestGrids:
             for gamma in (3.0, 5.0, 10.0):
                 s = snapshot(nl, n, gamma)
                 grids.append((s.T0, s.T1 + 20.0 * (n - 1.0), 100))
-        lo, hi, num = DEFAULT_S0_SCAN
+        lo, hi, num = self.LONG
         grids.append((math.log10(lo), math.log10(hi), num))
         for a, b, num in grids:
             assert linspace(a, b, num) == np.linspace(a, b, num).tolist()
@@ -173,7 +175,7 @@ class TestGrids:
 
     def test_the_floor_scan_is_within_an_ulp_of_numpys(self):
         # C pow and numpy's power round 10 ** e differently at some points
-        ours, ref = geomspace(*DEFAULT_S0_SCAN), np.geomspace(*DEFAULT_S0_SCAN)
-        assert len(ours) == len(ref) == DEFAULT_S0_SCAN[2]
+        ours, ref = geomspace(*self.LONG), np.geomspace(*self.LONG)
+        assert len(ours) == len(ref) == self.LONG[2]
         assert ours[0] == ref[0] and ours[-1] == ref[-1]
         assert all(abs(x - r) <= math.ulp(r) for x, r in zip(ours, ref.tolist()))

@@ -15,7 +15,7 @@ from qshoot.asymptotics import snapshot
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError, EventNotFoundError
 from qshoot.linearization import solve_V1
-from qshoot.nonlinearity import (SOURCE_CAP, eval_source, find_s0,
+from qshoot.nonlinearity import (SOURCE_CAP, convexity_floor, eval_source,
                                  make_nonlinearity)
 from qshoot.ode import (
     EVENT_TOL,
@@ -113,7 +113,7 @@ class TestTailStart:
             tail_start(nl_square, 2, 5.0, ProblemConfig(c_tail=0.1))
 
     def test_amplitude_below_convexity_floor_is_refused(self, nl_family_ii):
-        floor = find_s0(nl_family_ii)
+        floor = convexity_floor(nl_family_ii)
         with pytest.raises(AdmissionError):
             tail_start(nl_family_ii, 2, 0.5 * floor, ProblemConfig())
 
@@ -185,7 +185,7 @@ class TestBackwardMarch:
         assert e_tight <= 1e-7
 
     def test_threshold_crossing_is_tracked(self, nl_family_ii, cfg2):
-        s0 = find_s0(nl_family_ii)
+        s0 = convexity_floor(nl_family_ii)
         st = tail_start(nl_family_ii, 2, 8.0, cfg=cfg2)
         traj = integrate_t(nl_family_ii, 2, st, cfg2, track_s0=s0)
         assert traj.s0 is not None
@@ -584,6 +584,15 @@ class TestStepper:
         assert d["aimed"] >= 1 and 0 <= d["rejected_stop"] <= d["rejected"]
         if (route, lin) == ("t", False):
             assert d["rejected"] > 0
+
+    @pytest.mark.parametrize("gamma", [1e-170, 1e-250])
+    def test_the_aim_holds_at_tiny_amplitudes(self, gamma):
+        # y - level and y' both tiny: their product underflows to 0, their
+        # signs still say the march heads for the level
+        nl = make_nonlinearity("pow_exp", p=1.0, n=2)
+        d = shoot(nl, 2, gamma, ProblemConfig(),
+                  keep_trajectory=True).traj.diagnostics
+        assert d["aimed"] >= 1 and d["rejected_stop"] == 0
 
     def test_counters_account_for_a_rewound_step(self, monkeypatch):
         # the march first crosses y = 0 inside a steep core, where no step

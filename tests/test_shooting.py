@@ -12,7 +12,8 @@ from qshoot.asymptotics import snapshot
 from qshoot.config import ProblemConfig
 from qshoot.errors import AdmissionError, ConfigError, QShootError, SolverError
 from qshoot.linearization import solve_V1, t_prime
-from qshoot.nonlinearity import make_nonlinearity, with_lambda
+from qshoot.nonlinearity import (convexity_floor, eval_g, make_nonlinearity,
+                                 with_lambda)
 from qshoot.ode import integrate_r, integrate_t, tail_start
 from qshoot.output import curve_rows
 from qshoot.shooting import (
@@ -303,24 +304,31 @@ class TestRouteChoice:
             assert math.isfinite(solve().T)
             assert 0 < calls[0] < 50
 
-    def test_built_in_families_never_scan_the_floor(self, nl_family_ii,
-                                                    nl_exp, nl_square,
-                                                    monkeypatch):
+    def test_a_floor_takes_a_few_g_evaluations(self, nl_family_ii, nl_exp,
+                                               nl_square, monkeypatch):
+        # closed forms walked a few ulps, or a bisection down to adjacent
+        # doubles; a 6000-point scan of g' and g'' took 12,000
         import qshoot.nonlinearity
 
-        def no_scan(*args, **kwargs):
-            raise AssertionError("find_s0 reached")
+        calls = [0]
 
-        monkeypatch.setattr(qshoot.nonlinearity, "find_s0", no_scan)
-        three_halves = make_nonlinearity("pow_exp", q=1.5, n=3)
-        for nl, n, gamma in ((nl_family_ii, 2, 8.0), (nl_family_ii, 2, 2.0),
-                             (nl_exp, 2, 4.0), (three_halves, 3, 6.0),
-                             (nl_square, 2, 5.0)):
-            out = shoot(nl, n, gamma, ProblemConfig())
-            assert math.isfinite(out.T)
-        drift = make_nonlinearity("pow_exp", q=2.0, rho_beta=-1.0)
-        with pytest.raises(AssertionError, match="find_s0"):
-            shoot(drift, 2, 5.0, ProblemConfig())
+        def counted(*args):
+            calls[0] += 1
+            return eval_g(*args)
+
+        monkeypatch.setattr(qshoot.nonlinearity, "eval_g", counted)
+        cases = [(nl_family_ii, 5), (nl_exp, 1), (nl_square, 1),
+                 (make_nonlinearity("pow_exp", q=1.5, n=3), 1),
+                 (make_nonlinearity("pow_exp", q=2.0, rho_beta=-1.0), 4),
+                 # g' reads 0.0 on ~100 ulps round its root: bisected
+                 (make_nonlinearity("pow_exp", a=0.5, q=1.01,
+                                    rho_beta=-0.5), 80),
+                 (make_nonlinearity("pow_exp", q=1.5, p=1.0,
+                                    rho_beta=-5.0), 80)]
+        for nl, most in cases:
+            calls[0] = 0
+            assert 0.0 <= convexity_floor(nl) < math.inf
+            assert 0 < calls[0] <= most
 
     def test_choice_is_the_route_marched(self, nl_family_ii, nl_exp,
                                          nl_linear, nl_square, cfg2):
