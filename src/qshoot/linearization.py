@@ -107,8 +107,8 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
     """Normalized residual of the integrated flux identity for phi.
 
     With J = (1 - y' (g'(y) + g''(y)/g'(y))) phi + phi', and y', V1', phi'
-    and psi' = -f(y) e^{-t} read off the march's own right-hand side
-    (`Trajectory.rhs`), the identity reads
+    and psi' = -f(y) e^{-t} read off the march (`Trajectory.flux`, which
+    maps L = log psi back), the identity reads
 
         J(a) = J(b) + int_a^b -(g''/g') f(y) e^{-t} V1' / (n-1) dt
                     + int_a^b (g'' + g'''/g' - (g''/g')^2) psi^{n/(n-1)} V1' dt
@@ -125,8 +125,9 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
 
     def parts(t, s):
         # psi, phi, g' g'' g''' at y, then the slopes y', psi', V1', phi'
-        return (s[1], s[3], *(eval_g(nl, s[0], k) for k in (1, 2, 3)),
-                *traj.rhs(t, s))
+        psi, slopes = traj.flux(t, s)
+        return (psi, s[3], *(eval_g(nl, s[0], k) for k in (1, 2, 3)),
+                *slopes)
 
     def J(t):
         _, phi, gp, gpp, _, yp, _, _, phip = parts(t, traj.state_at(t))

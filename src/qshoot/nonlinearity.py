@@ -103,13 +103,9 @@ def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
     if p < 0.0:
         raise ConfigError(f"log coefficient p must be >= 0, got {p}")
 
-    exploratory = q <= 1.0 and family != "exp"
-    if family == "exp":
-        exploratory = True  # q = 1 sits outside the standard exponent window
-    if n is not None and q > n / (n - 1.0):
-        exploratory = True
-    if a <= 0.0 or rho_beta < 0.0:
-        exploratory = True
+    # outside the exponent window (exp's q = 1 included) or the signs
+    exploratory = (q <= 1.0 or n is not None and q > n / (n - 1.0)
+                   or a <= 0.0 or rho_beta < 0.0)
 
     # f(0): a log term kills the source at 0, otherwise g(0+) = 0
     f0 = 0.0 if p > 0.0 else lam
@@ -207,12 +203,13 @@ SOURCE_CAP = 1e100
 # leaving the value, saturated at cap, in {out}, its other free names those
 # of source_constants. ode splices the pair into its right-hand sides, the
 # only place it is compiled, f' after f in one scope: the exp-form f' reads
-# the exponent `arg` that f leaves. Bitwise, f is min(eval_source, cap) and
-# f' eval_fprime_source clamped to +-cap; either is cap where the reference
-# raises OverflowError (u**q included), and a NaN passes. g keeps eval_g's
-# grouping a u^q + (p log u + b u), each rho term present when _rho adds
-# it; p/u + b is _rho's rho' also with p or b zero (0/u is +0.0). The cap
-# is compared after exp: exp(log(cap)) > cap.
+# log f(u), `lg`, that f leaves, and takes its own {t}. Bitwise, f is
+# min(eval_source, cap) and f' eval_fprime_source clamped to +-cap; either
+# is cap where the reference raises OverflowError (u**q included), and a
+# NaN passes, in {t} too. g keeps eval_g's grouping a u^q + (p log u +
+# b u), each rho term present when _rho adds it; p/u + b is _rho's rho'
+# also with p or b zero (0/u is +0.0). The cap is compared after exp:
+# exp(log(cap)) > cap.
 _LINEAR_SOURCE = ("v = cap if -{t} > big else lam * {u} * exp(-{t})\n"
                   "{out} = cap if v > cap else v")
 SOURCE_TEXT = {
@@ -220,15 +217,17 @@ SOURCE_TEXT = {
     "linear": (_LINEAR_SOURCE, _LINEAR_SOURCE.replace("{u}", "1.0")),
     "exp": ("""\
 if {u} <= 0.0:
-    arg = -inf if lf0 is None else lf0 - {t}
+    lg = -inf if lf0 is None else lf0
 else:
     try:
-        arg = llam + (a * {u} ** q + ((p * log({u}) if hp else 0.0)
-                                      + (b * {u} if hb else 0.0))) - {t}
+        lg = llam + (a * {u} ** q + ((p * log({u}) if hp else 0.0)
+                                     + (b * {u} if hb else 0.0)))
     except OverflowError:
-        arg = inf
+        lg = inf
+arg = lg - {t}
 v = cap if arg > big else exp(arg)
 {out} = cap if v > cap else v""", """\
+arg = lg - {t}
 if {u} <= 0.0:
     v = 0.0 if lf0 is None else cap if arg > big else gp0 * exp(arg)
 else:
@@ -282,9 +281,10 @@ def convexity_floor(nl: Nonlinearity) -> float:
     when p, c, q > 0, and on no tail otherwise. Past s g' increases; when it
     is not positive at s, s0 is its root: r = (-b/(a q))^{1/(q-1)} when
     p = 0, else within [s, 2r]. Each threshold is the first double passing
-    the computed test, walked to from its closed form (s only inside
-    1e+-150, where s^2 is normal) or bisected on [s/2, 2s], [r/2, 2r] or
-    [s, 2r]; an overflowing one, or one not so bracketed, is inf."""
+    the computed test, walked to from its closed form (s only from
+    sqrt(float min) ~ 1.5e-154 to 1e150, where s^2 is normal) or bisected
+    on [s/2, 2s], [r/2, 2r] or [s, 2r]; an overflowing one, or one not so
+    bracketed, is inf."""
     if nl.linear:
         return math.inf
     a, q, p, b = nl.a, nl.q, nl.p, nl.b
@@ -301,7 +301,7 @@ def convexity_floor(nl: Nonlinearity) -> float:
         elif min(p, c, q) > 0.0:  # g is singular at 0: s is at least 5e-324
             s = max((p / c) ** (1.0 / q) if p / c >= sys.float_info.min else
                     math.exp((math.log(p) - math.log(c)) / q), math.ulp(0.0))
-            if 1e-150 < s < 1e150:
+            if math.sqrt(sys.float_info.min) < s < 1e150:
                 s = _first_holding(lambda u: eval_g(nl, u, 2) >= 0.0, s,
                                    s / 2.0, 2.0 * s)
             if rising(s):
@@ -323,9 +323,5 @@ def convexity_floor(nl: Nonlinearity) -> float:
 def g_is_linear(nl: Nonlinearity) -> bool:
     """True when g(u) is exactly linear in u, so the tail comparison solution
     solves the full equation rather than an approximation of it."""
-    if nl.linear:
-        return False
-    if nl.p != 0.0:
-        return False
-    return nl.q == 1.0 or nl.a == 0.0
+    return not nl.linear and nl.p == 0.0 and (nl.q == 1.0 or nl.a == 0.0)
 

@@ -16,10 +16,10 @@ family's source text into the step and its dense output, straight-line
 code generated from the tableau on first use, so that one step is one
 Python call:
 
-  t-route   y' = psi^{1/(n-1)}, psi' = -f(y) e^{-t}, integrated backwards in
+  t-route   y' = e^{L/(n-1)}, L' = -f(y) e^{-t-L}, integrated backwards in
             the log-radius variable t from a tail start down to the first
-            zero of y. The flux psi = (y')^{n-1} is the state variable, which
-            removes the |y'|^{n-2} degeneracy. Channel: (V1, phi).
+            zero of y. L = log psi of the flux psi = (y')^{n-1} removes the
+            |y'|^{n-2} degeneracy, and L' ~ -1 in the tail. Channel: (V1, phi).
 
   r-route   w' from Phi = r^{n-1}|w'|^{n-2} w', Phi' = -f(w) r^{n-1-beta},
             marched outward from a series startup at r0. beta > 0 covers the
@@ -38,10 +38,10 @@ the sentinel nonlinearity.SOURCE_CAP, and the routes clamp their slopes at
 the same one, so a saturated value only rejects the trial step that met it.
 
 Tolerance policy: scalar absolute tolerance on the solution value, but a
-purely relative control on the flux. The flux spans many orders of magnitude
-along the tail and an absolute floor there shows up as spurious wiggle in
-the energy monitor at the 1e-8 level; relative control keeps the energy
-monotone to better than 1e-11 of its natural scale.
+relative control on the flux, which spans many orders of magnitude along
+the tail (an absolute floor shows up as spurious wiggle in the energy
+monitor): the t-route holds L to the absolute tolerance rtol alone, psi to
+rtol relative; the r-route's Phi keeps a floor of at most 1e-300 (_PSI_ATOL).
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ._numeric import brentq
+from ._stable import softplus
 from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import (AdmissionError, ConfigError, EventNotFoundError,
@@ -64,8 +65,8 @@ from .nonlinearity import (SOURCE_CAP, SOURCE_TEXT, Nonlinearity,
 # unused here: bound only so perfbench/tracer.py can wrap it as a span
 from .nonlinearity import eval_source  # noqa: F401
 
-# the flux's absolute tolerance, capped at rtol |start flux| to keep its
-# control relative (see module docstring); a smaller start flux is refused
+# the r-route flux's absolute tolerance, capped at rtol |start flux| to keep
+# its control relative (see module docstring); a smaller start flux is refused
 _PSI_ATOL = 1e-300
 # abscissa tolerance of the located stop and floor crossings
 EVENT_TOL = 1e-12
@@ -80,12 +81,7 @@ _LOG_CAP = math.log(SOURCE_CAP) - 10.0
 class StateT:
     t: float
     y: float
-    psi: float
-
-
-# y' of a tail start, read before any right-hand side exists
-def yprime_from_psi(psi: float, n: int) -> float:
-    return psi ** (1.0 / (n - 1.0)) if psi > 0.0 else 0.0
+    L: float  # log of the flux psi = (y')^{n-1}
 
 
 @dataclass(frozen=True)
@@ -103,8 +99,9 @@ def _t_of_r(r: float, n: int) -> float:
 class Trajectory:
     """Accepted samples of one integration plus its dense interpolant.
 
-    For kind "t" the state columns are (y, psi) and, with the linearization
-    channel, (y, psi, V1, phi). For kind "r" they are (w, Phi) or
+    For kind "t" the state columns are (y, L) and, with the linearization
+    channel, (y, L, V1, phi), where L = log psi is the log of the flux
+    psi = (y')^{n-1}; `flux` maps it back. For kind "r" they are (w, Phi) or
     (w, Phi, W, chi). `ts` and `states` are the stepper's own lists of
     floats, the very lists `dense` reads: the abscissae in integration order
     (decreasing for the t-route, increasing for the r-route) and one state
@@ -134,6 +131,12 @@ class Trajectory:
     def state_at(self, x: float) -> list:
         lo, hi = self.span()
         return self.dense(min(max(x, lo), hi))
+
+    def flux(self, x: float, state: list) -> tuple:
+        """(psi, slopes) of a t-route state at x: psi = e^L, and the march's
+        own slopes with psi' = L' psi for L'."""
+        psi, (yp, lp, *rest) = math.exp(state[1]), self.rhs(x, state)
+        return psi, (yp, lp * psi, *rest)
 
     def yprime_at(self, x: float) -> float:
         """dy/dt (dw/dr on the r-route) at x, from the march's own rhs."""
@@ -168,31 +171,30 @@ def _tail_site(nl: Nonlinearity, n: int, gamma: float, c_tail: float,
     if gamma <= s0w:
         raise AdmissionError(f"gamma={gamma} below the convexity floor {s0w:.3g}")
     s = snapshot(nl, n, gamma)
-    exact = g_is_linear(nl)
-    if exact:
-        # comparison solution solves the full equation; any start works,
-        # push it above T1 only as far as g' > 1 allows
-        t_start = s.T1 + c_tail * (n - 1.0) * max(math.log(s.gp), 0.0)
-    else:
+    # where the comparison solution solves the full equation (g linear) any
+    # start works: it sits above T1 only as far as g' > 1 allows
+    if not g_is_linear(nl):
         if s.gp <= 1.0:
             raise AdmissionError(
                 f"tail start needs g'(gamma) > 1, got {s.gp:.3g}")
         if c_tail * math.log(s.gp) < 3.0:
             raise AdmissionError(
                 "tail remainder too large: c_tail * log g' < 3")
-        t_start = s.T1 + c_tail * (n - 1.0) * math.log(s.gp)
-    z0, zp0, _ = s.z(t_start)
+    t_start = s.T1 + c_tail * (n - 1.0) * max(math.log(s.gp), 0.0)
+    z0 = s.z(t_start)[0]
     if z0 <= max(s0w, 0.25 * gamma):
         raise AdmissionError(
             f"tail value z(t_start)={z0:.3g} too far below gamma={gamma}")
-    return StateT(t=t_start, y=z0, psi=zp0 ** (n - 1.0)), s
+    # L0 = (n-1) log z' from log sigma(x) = -softplus(-x): no flux underflows
+    L0 = (n - 1.0) * (math.log(s.c) - softplus(-s.x(t_start)))
+    return StateT(t=t_start, y=z0, L=L0), s
 
 
 def _v2_seed(start: StateT, s, n: int) -> tuple:
     """The t-route channel's seed (V1, phi) at the tail start `start`: the
     closed-form V2 of the comparison solution in the snapshot `s`."""
     v2, v2p, _ = s.v2(start.t)
-    return v2, yprime_from_psi(start.psi, n) ** (n - 2.0) * v2p
+    return v2, math.exp((n - 2.0) / (n - 1.0) * start.L) * v2p
 
 
 def tail_start(nl: Nonlinearity, n: int, gamma: float,
@@ -309,18 +311,19 @@ def _names(prefix: str, count: int) -> str:
 # Each route's right-hand side as text over t and u0..u3 that leaves the
 # slopes in {k}0..{k}3: the flux rows, then the linearization channel's,
 # with the family's source texts spliced in. The t-route's state is (y,
-# psi, V1, phi); the r-route's is (w, Phi, W, chi) over t = r, and it reads
-# the source at t = 0. _CLAMP is min(max(v, -cap), cap), a NaN passing.
+# L = log psi, V1, phi), its source read at t + L; the r-route's is (w,
+# Phi, W, chi) over t = r, and it reads the source at t = 0. _CLAMP is
+# min(max(v, -cap), cap), a NaN passing.
 _CLAMP = "cap if cap < v else (-cap if -cap > v else v)"
 
 
 def _t_rows(k: str, src: str, fprime: str) -> tuple:
     return f"""\
-yp = u1 ** ex if u1 > 0.0 else 0.0
-{k}0 = cap if cap < yp else yp
-{src.format(u="u0", t="t", out="s")}
+v = cap if u1 * ex > big else exp(u1 * ex)
+{k}0 = cap if v > cap else v
+{src.format(u="u0", t="(t + u1)", out="s")}
 {k}1 = -s""", f"""\
-v = u3 if n == 2 else u3 / ({_PSI_ATOL!r} if {_PSI_ATOL!r} > u1 else u1) ** exd
+v = u3 if n == 2 else u3 * (cap if -exd * u1 > big else exp(-exd * u1))
 {k}2 = v if n == 2 else {_CLAMP}
 {fprime.format(u="u0", t="t", out="fp")}
 v = -fp * u2 / (n - 1.0)
@@ -385,7 +388,9 @@ def _dp_kernel(m: int, route: str | None = None, kind: str = "",
             *(line for s in range(1, 13) for line in _stage(s, m, body)),
             f"    {_names('a', m)}= atol"]  # u0.. now hold the new state
     for j in J:
-        step += [f"    sc = a{j} + max(abs(y{j}), abs(u{j})) * rtol",
+        rel = "" if (route, j) == ("t", 1) else \
+            f" + max(abs(y{j}), abs(u{j})) * rtol"  # L: atol alone
+        step += [f"    sc = a{j}{rel}",
                  f"    x5_{j} = ({_sum(_E5, j)}) / sc",
                  f"    x3_{j} = ({_sum(_E3, j)}) / sc"]
     stages = ", ".join(f"({_names(f'k{s}_', m)})" for s in range(1, 13))
@@ -618,8 +623,9 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
     miss message."""
     level = float(level)
     track = track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0)
-    # the flux's atol: at most rtol |start flux|, unless that underflows to 0
-    atol = [cfg.atol, min(_PSI_ATOL, cfg.rtol * abs(y0[1])) or _PSI_ATOL] \
+    # L's atol is rtol; Phi's is at most rtol |Phi0|, unless that underflows
+    atol = [cfg.atol, cfg.rtol if kind == "t" else
+            min(_PSI_ATOL, cfg.rtol * abs(y0[1])) or _PSI_ATOL] \
         + [cfg.atol] * (len(y0) - 2)
     try:
         dense, stop, counts = _dopri(rhs, span[0], [float(v) for v in y0],
@@ -661,14 +667,14 @@ def integrate_t(nl: Nonlinearity, n: int, start: StateT,
                 cfg: ProblemConfig = ProblemConfig(), *,
                 lin_init: tuple | None = None,
                 track_s0: float | None = None) -> Trajectory:
-    """March the flux system backwards in t from `start` until y lands on 0,
-    giving up at a floor far below the start. A seed (V1, phi) in
+    """March the log-flux system backwards in t from `start` until y lands
+    on 0, giving up at a floor far below the start. A seed (V1, phi) in
     `lin_init` attaches the linearization channel."""
     check_dimension(n, cfg.beta_weight)
     lin = lin_init is not None
     rhs, kernels = _system("t", nl, n, lin)
     floor = start.t - max(1000.0, 4.0 * abs(start.t) + 400.0 * (n - 1.0))
-    y0 = [start.y, start.psi] + (list(lin_init) if lin else [])
+    y0 = [start.y, start.L] + (list(lin_init) if lin else [])
     return _march("t", nl, n, cfg, rhs, (start.t, floor), y0, 0.0, track_s0,
                   f"above the floor t={floor}", kernels=kernels,
                   t_start=start.t)
@@ -774,10 +780,11 @@ def energy_series(traj: Trajectory) -> list:
     s0w = convexity_floor(nl)
     out = []
     for t, row in zip(traj.ts, traj.states):
-        y, psi = row[0], row[1]
+        y = row[0]
         if y <= 0.0 or y < s0w:
             continue
-        ee = -traj.rhs(t, row)[1]  # psi' = -f(y) e^{-t}
+        psi, slopes = traj.flux(t, row)
+        ee = -slopes[1]  # psi' = -f(y) e^{-t}
         E = psi - (n - 1.0) / n * psi ** (n / (n - 1.0)) * eval_g(nl, y, 1) - ee
         out.append(EnergyRecord(t=t, E=E, scale=abs(E) + ee))
     return out
@@ -810,15 +817,11 @@ def quad_dense(traj: Trajectory, func, a: float, b: float) -> float:
     dense-output patch boundary."""
     if a == b:
         return 0.0
-    sign = 1.0
-    lo, hi = a, b
-    if lo > hi:
-        lo, hi, sign = b, a, -1.0
+    lo, hi, sign = (a, b, 1.0) if a < b else (b, a, -1.0)
     cuts = [lo, *(t for t in sorted(traj.ts) if lo < t < hi), hi]
     total = 0.0
     for left, right in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
+        mid, half = 0.5 * (left + right), 0.5 * (right - left)
         for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
             x = mid + half * xi
             total += wi * half * func(x, traj.state_at(x))

@@ -139,10 +139,10 @@ _ARG_CAP = math.log(SOURCE_CAP)
 def test_compiled_terms_are_bitwise_the_reference(family, a, q, p, rb, lam,
                                                   u, t):
     # the source text as the march runs it: the t-route channel at n = 2 on
-    # the state (u, 1, -1, 0) has -d1 = f(u) e^{-t} and d3 = f'(u) e^{-t},
-    # both exact, f' evaluated after f in one scope
+    # the state (u, L = 0, -1, 0) has -d1 = f(u) e^{-t-L} = f(u) e^{-t} and
+    # d3 = f'(u) e^{-t}, both exact, f' evaluated after f in one scope
     nl = make_nonlinearity(family, a=a, q=q, p=p, rho_beta=rb, lam=lam)
-    _, d1, _, d3 = _system("t", nl, 2, True)[0](t, [u, 1.0, -1.0, 0.0])
+    _, d1, _, d3 = _system("t", nl, 2, True)[0](t, [u, 0.0, -1.0, 0.0])
     assert (-d1).hex() == saturated_source(nl, u, t).hex()
     assert d3.hex() == saturated_fprime(nl, u, t).hex()
 
@@ -170,14 +170,15 @@ def test_with_lambda_refuses_a_non_finite_multiplier(value):
 
 # the reference scan the floor is checked against: 6000 geometric samples
 SCAN = (1e-6, 1e3, 6000)
+# below it u^2 is subnormal, and the floor is its closed form, not walked
+TINY = math.sqrt(sys.float_info.min)
 
 
 def _holds(nl, u):
     """g' > 0 and g'' >= 0 at u, or None where the computed g'' cannot tell:
     an overflow, a g'' that underflows to 0 without being identically 0, or
-    p / u^2 for u below 1e-150, where u^2 nears the subnormals and the floor
-    is its closed form, not walked."""
-    if nl.p > 0.0 and u < 1e-150:
+    p / u^2 for u below TINY."""
+    if nl.p > 0.0 and u < TINY:
         return None
     try:
         g1, g2 = eval_g(nl, u, 1), eval_g(nl, u, 2)
@@ -189,6 +190,16 @@ def _holds(nl, u):
 
 
 class TestConvexityThreshold:
+    def test_a_threshold_below_1e_150_is_walked(self):
+        # s = (p/c)^{1/q} = 5.97e-153 still has a normal s^2: the floor is
+        # the first double where the computed g'' >= 0, not the closed form
+        # a few ulps below it, where g'' = -1.1e100
+        nl = make_nonlinearity("pow_exp", q=1.25, p=1.6401655691816826e-191)
+        s0 = convexity_floor(nl)
+        assert s0 == pytest.approx(5.97076715778e-153, rel=1e-11)
+        assert eval_g(nl, s0, 2) >= 0.0 and eval_g(nl, s0, 1) > 0.0
+        assert eval_g(nl, math.nextafter(s0, 0.0), 2) < 0.0
+
     def test_square_is_globally_convex(self):
         assert convexity_floor(make_nonlinearity("pow_exp", q=2.0)) == 0.0
 
@@ -246,6 +257,7 @@ class TestConvexityThreshold:
     @example(5.0, -0.2, 0.25, 0.0)  # the curvature fails again past 1e3
     @example(1.0, 3.0, 5e-324, 0.0)  # p / c underflows to 0
     @example(-1.0, 0.03125, 1e-38, 1.0)  # s underflows; g' overflows there
+    @example(1.0, 1.25, 1.6401655691816826e-191, 0.0)  # s = 6e-153 is walked
     @settings(max_examples=150, deadline=None)
     def test_the_floor_starts_the_convex_tail(self, a, q, p, b):
         # g' > 0 and g'' >= 0 from the floor on, and not just below it; it
@@ -259,7 +271,7 @@ class TestConvexityThreshold:
             top = min(max(1e4, 10.0 * s0), sys.float_info.max)
             for u in [s0] + np.geomspace(s0, top, 25).tolist()[1:]:
                 assert _holds(nl, max(u, s0)) is not False
-            if 1e-150 < s0 < 1e150:
+            if TINY < s0 < 1e150:
                 assert _holds(nl, math.nextafter(s0, 0.0)) is not True
         grid = np.geomspace(*SCAN).tolist()
         ok = [_holds(nl, u) for u in grid]

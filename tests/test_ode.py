@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad, solve_ivp
 
 import qshoot.ode
 from qshoot.asymptotics import snapshot
 from qshoot.config import ProblemConfig
+from qshoot._stable import EXP_ARG_MAX
 from qshoot.errors import AdmissionError, ConfigError, EventNotFoundError
 from qshoot.linearization import solve_V1
 from qshoot.nonlinearity import (SOURCE_CAP, convexity_floor, eval_source,
@@ -30,7 +31,6 @@ from qshoot.ode import (
     series_startup_radius,
     tail_admissible,
     tail_start,
-    yprime_from_psi,
 )
 from qshoot.shooting import shoot
 from conftest import saturated_fprime, saturated_source
@@ -41,7 +41,7 @@ def _march_t(nl, n, start, cfg, level, floor):
     abscissa `floor`, through the shared core."""
     rhs, kernels = qshoot.ode._system("t", nl, n, False)
     return qshoot.ode._march("t", nl, n, cfg, rhs, (start.t, floor),
-                             [start.y, start.psi], level, None,
+                             [start.y, start.L], level, None,
                              f"above the floor t={floor}", kernels=kernels)
 
 
@@ -73,14 +73,19 @@ def _picard_delta(nl, n, gamma):
     y_int, _ = quad(lambda u: psi1(u) ** (1.0 / (n - 1.0)), st.t, hi,
                     limit=100)
     y1 = s.z(hi)[0] - y_int  # z itself past the window
-    return abs(y1 - st.y), abs(psi1(st.t) - st.psi)
+    return abs(y1 - st.y), abs(psi1(st.t) - math.exp(st.L))
 
 
 class TestStateHelpers:
-    def test_slope_from_flux(self):
-        assert yprime_from_psi(0.25, 2) == 0.25
-        assert yprime_from_psi(0.25, 3) == 0.5
-        assert yprime_from_psi(0.0, 3) == 0.0
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_start_carries_the_log_flux(self, nl_square, n):
+        # L0 = (n-1) log z'(t_start), and the channel seed phi = z'^{n-2} V2'
+        st, s = qshoot.ode._tail_site(nl_square, n, 5.0, 6.0, 0.0)
+        zp = s.z(st.t)[1]
+        assert st.L == pytest.approx((n - 1.0) * math.log(zp), rel=1e-14)
+        _, phi = qshoot.ode._v2_seed(st, s, n)
+        assert phi == pytest.approx(zp ** (n - 2.0) * s.v2(st.t)[1],
+                                    rel=1e-13)
 
     def test_radial_slope_keeps_the_flux_sign(self, nl_square):
         # the r-route readout at a node is w' = -(|Phi| / r^{n-1})^{1/(n-1)},
@@ -93,7 +98,7 @@ class TestStateHelpers:
                     -((abs(Phi) / r ** (n - 1.0)) ** (1.0 / (n - 1.0)))
 
     def test_states_are_frozen(self):
-        st = StateT(t=1.0, y=2.0, psi=3.0)
+        st = StateT(t=1.0, y=2.0, L=3.0)
         with pytest.raises(AttributeError):
             st.y = 0.0
 
@@ -121,7 +126,7 @@ class TestTailStart:
         gamma = 5.0
         st = tail_start(nl_square, 2, gamma, cfg=cfg2)
         assert 0.9 * gamma < st.y < gamma
-        assert st.psi > 0.0
+        assert math.exp(st.L) > 0.0
 
     def test_admissibility_mirrors_the_start(self, nl_exp, nl_square, cfg2):
         # pure exponential: the comparison solution is exact, but the start
@@ -183,6 +188,33 @@ class TestBackwardMarch:
         assert e_tight < e_loose
         assert e_loose / max(e_tight, 1e-300) >= 2.0
         assert e_tight <= 1e-7
+
+    # (family keywords, n, gamma): accepted steps with y > 0.999 gamma, where
+    # psi ~ f(gamma) e^{-t}; the march of psi took 12, 17 and 48
+    TAIL_STEPS = [(dict(q=1.5, p=1.0, rho_beta=1.0), 2, 6.0, 7),
+                  (dict(q=1.5), 3, 7.5, 8), (dict(q=2.0), 2, 20.0, 20)]
+
+    @pytest.mark.parametrize("kw,n,gamma,steps", TAIL_STEPS)
+    def test_the_exponential_tail_takes_few_steps(self, kw, n, gamma, steps):
+        # L = log psi falls at a nearly constant rate there, so the step is
+        # not held to a relative control of a decaying exponential
+        nl = make_nonlinearity("pow_exp", **kw)
+        traj = shoot(nl, n, gamma, ProblemConfig(), keep_trajectory=True,
+                     route="t").traj
+        assert sum(row[0] > 0.999 * gamma for row in traj.states[1:]) \
+            == steps
+
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_a_start_flux_below_the_double_range_marches(self, nl_square, n):
+        # psi0 = e^{L0} underflows to 0 (L0 = -950 and -1595), its log
+        # does not: T agrees across rtol and tail depth, where the march of
+        # psi gave 153.6307 and 302.82
+        st = tail_start(nl_square, n, 5.0, ProblemConfig())
+        assert math.exp(st.L) == 0.0
+        Ts = [shoot(nl_square, n, 5.0, ProblemConfig(rtol=rtol, c_tail=c),
+                    route="t").T
+              for rtol in (1e-10, 1e-12) for c in (6.0, 8.0)]
+        assert max(Ts) - min(Ts) <= 1e-12 * Ts[0]
 
     def test_threshold_crossing_is_tracked(self, nl_family_ii, cfg2):
         s0 = convexity_floor(nl_family_ii)
@@ -361,7 +393,8 @@ class TestOutwardMarch:
 
 class TestEnergyMonitor:
     def test_no_violations_along_a_shot(self, nl_square, cfg2):
-        st = tail_start(nl_square, 2, 5.0, cfg=cfg2)
+        # gamma = 8: the march of L takes 45 samples at gamma = 5
+        st = tail_start(nl_square, 2, 8.0, cfg=cfg2)
         traj = integrate_t(nl_square, 2, st, cfg2)
         recs = energy_series(traj)
         assert len(recs) > 50
@@ -375,7 +408,8 @@ class TestEnergyMonitor:
 
     def test_linear_family_is_refused(self, nl_linear, cfg2):
         # no tail start admits the linear family, but a direct march can
-        traj = integrate_t(nl_linear, 2, StateT(t=0.0, y=1.0, psi=0.5), cfg2)
+        traj = integrate_t(nl_linear, 2, StateT(t=0.0, y=1.0, L=math.log(0.5)),
+                           cfg2)
         with pytest.raises(ConfigError):
             energy_series(traj)
 
@@ -497,13 +531,24 @@ def _marched(monkeypatch, march):
     return traj, seen
 
 
+class _HeldLogFlux(DOP853):
+    """scipy's DOP853 with column 1, the t-route's L = log psi, held to its
+    atol alone in the error norm."""
+
+    def _estimate_error_norm(self, K, h, scale):
+        scale = scale.copy()
+        scale[1] = self.atol[1]
+        return super()._estimate_error_norm(K, h, scale)
+
+
 class TestStepper:
     """The DOP853 stepper keeps scipy DOP853's control law step for step
     until the march aims at its stop level: then a step that would reach
     past the tangent's estimate of the level is cut, and the stop is landed
     by a genuine step. Step ends are not pinned bitwise: the error sums
     cancel heavily, so a different summation order moves the norm by about
-    1e-4 and the step ends by about 1e-5.
+    1e-4 and the step ends by about 1e-5, and where the norm sits at
+    rounding level, as on the tail march's first steps, by far more.
 
     `nfev` counts the march's own evaluations, 2 + 12 per attempted or
     landing step. The three extra stages the dense output pays on each step
@@ -528,12 +573,18 @@ class TestStepper:
         got = np.array([dense(m) for m in mids])
         assert _dev(got, ref.sol(mids).T).max() <= 1e-9
 
-    # (the first step the aim cuts, steps, nfev) of each march; scipy takes
-    # 44 steps (842 nfev) and 71 (1,475)
-    TAIL_PINS = {(2, False): (39, 42, 614), (3, True): (58, 62, 890)}
+    # (steps, nfev, steps ending where scipy's do) of each march; scipy
+    # takes 36 steps (758 nfev) and 63 (1,355)
+    TAIL_PINS = {(2, False): (33, 506, 2), (3, True): (49, 758, 1)}
 
     @pytest.mark.parametrize("n,lin", [(2, False), (3, True)])
     def test_matches_scipy_on_the_tail_march(self, monkeypatch, n, lin):
+        # scipy's DOP853 takes one rtol for every column and clips a zero
+        # one to 100 eps, so a subclass holds L to its atol alone, as the
+        # t-route does; the initial step keeps the relative term on L in
+        # both. The first steps' error norms sit at rounding level (1e-8),
+        # where the summation order moves the step factor: the step ends
+        # part after one or two steps, and the states still agree.
         nl = make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0, n=n)
         cfg = ProblemConfig()
         if lin:
@@ -547,17 +598,16 @@ class TestStepper:
         def zero(t, u):
             return u[0]
         zero.terminal = True
-        atol = [cfg.atol, 1e-300] + [cfg.atol] * (len(seen["y0"]) - 2)
+        atol = [cfg.atol, cfg.rtol] + [cfg.atol] * (len(seen["y0"]) - 2)
         ref = solve_ivp(lambda t, u: seen["rhs"](t, list(u)), seen["span"],
-                        seen["y0"], method="DOP853", rtol=cfg.rtol,
+                        seen["y0"], method=_HeldLogFlux, rtol=cfg.rtol,
                         atol=atol, events=[zero], dense_output=True)
         diag = traj.diagnostics
-        first, steps, nfev = self.TAIL_PINS[n, lin]
+        steps, nfev, same = self.TAIL_PINS[n, lin]
         assert (diag["steps"], diag["nfev"]) == (steps, nfev)
-        # scipy's steps up to the first one the aim cuts, which parts them
         ts = np.asarray(traj.ts)
-        assert np.abs(ts[:first + 1] - ref.t[:first + 1]).max() <= 1e-6
-        assert abs(ts[first + 1] - ref.t[first + 1]) > 1e-3
+        assert np.abs(ts[:same + 1] - ref.t[:same + 1]).max() <= 1e-6
+        assert abs(ts[same + 1] - ref.t[same + 1]) > 1e-6
         dev = _dev(traj.states, ref.sol(traj.ts).T)
         assert dev[:-1].max() <= 1e-9
         # the landed stop against scipy's interpolant there
@@ -740,9 +790,10 @@ def _dot(weights, K, j):
     return total
 
 
-def _reference_step(rhs, t, y, k1, h, rtol, atol):
+def _reference_step(rhs, t, y, k1, h, rtol, atol, held=()):
     """One DOP853 step as plain loops over the tableau (zero weights
-    skipped): the new state, the thirteen stages and the error norm."""
+    skipped): the new state, the thirteen stages and the error norm, the
+    columns in `held` scaled by their atol alone."""
     ode = qshoot.ode
     K = [k1]
     for s in range(1, 12):
@@ -752,7 +803,7 @@ def _reference_step(rhs, t, y, k1, h, rtol, atol):
     K.append(rhs(t + h, y_new))
     e5 = e3 = 0.0
     for j, (u, v, a) in enumerate(zip(y, y_new, atol)):
-        sc = a + max(abs(u), abs(v)) * rtol
+        sc = a if j in held else a + max(abs(u), abs(v)) * rtol
         x5 = _dot(ode._E5, K, j) / sc
         x3 = _dot(ode._E3, K, j) / sc
         e5 += x5 * x5
@@ -915,7 +966,8 @@ class TestKernel:
 
 def _reference_rhs(route, nl, n, nb, lin):
     """A route's right-hand side as plain Python over the saturated
-    reference source terms, the clamps as min and max."""
+    reference source terms, the clamps as min and max; the t-route's
+    exponentials are cap past EXP_ARG_MAX."""
     src = functools.partial(saturated_source, nl)
     fprime = functools.partial(saturated_fprime, nl)
     ex, exd, cap = 1.0 / (n - 1.0), (n - 2.0) / (n - 1.0), SOURCE_CAP
@@ -923,14 +975,17 @@ def _reference_rhs(route, nl, n, nb, lin):
     def clamp(v):
         return min(max(v, -cap), cap)
 
+    def exp(x):
+        return cap if x > EXP_ARG_MAX else math.exp(x)
+
     def rhs(t, u):
         if route == "t":
-            y, psi = u[0], u[1]
-            yp = psi ** ex if psi > 0.0 else 0.0
-            du = (min(yp, cap), -src(y, t))
+            # L = log psi: psi' = -f(y) e^{-t} = L' psi; the source text
+            # passes a NaN L on where eval_source would not read t + L
+            y, L = u[0], u[1]
+            du = (min(exp(L * ex), cap), -src(y, t + L) if L == L else L)
             if lin:
-                dv = u[3] if n == 2 else \
-                    clamp(u[3] / max(psi, 1e-300) ** exd)
+                dv = u[3] if n == 2 else clamp(u[3] * exp(-exd * L))
                 du += (dv, clamp(-fprime(y, t) * u[2] / (n - 1.0)))
             return du
         w, aPhi = u[0], max(-u[1], 0.0)
@@ -961,8 +1016,9 @@ def _nan_bits(x) -> bytes:
 
 class TestSplicedStep:
     """Each route's right-hand side and the family's source text, spliced
-    into the step, against the generic step driven by plain Python over the
-    saturated reference source terms, bit for bit."""
+    into the step, against the plain-loop reference step (the t-route's L
+    scaled by its atol alone) and the generic dense output, driven by plain
+    Python over the saturated reference source terms, bit for bit."""
 
     @pytest.mark.parametrize("route", ["t", "r"])
     @pytest.mark.parametrize("lin", [False, True])
@@ -975,11 +1031,12 @@ class TestSplicedStep:
         rhs, (step, dense) = qshoot.ode._system(route, nl, n, lin,
                                                 nb=n - beta)
         ref = _reference_rhs(route, nl, n, n - beta, lin)
-        generic = qshoot.ode._dp_kernel(m)(f=ref)[1:]
+        generic_dense = _generic_dense(m, ref)
+        held = (1,) if route == "t" else ()  # L's scale is its atol
         rng = np.random.default_rng(7)
         # saturating, NaN, zero and negative values among ordinary ones
         special = [math.nan, 0.0, -0.0, -0.3, 1e3, 1e150, -1e150, 1e-320]
-        atol = [1e-12, 1e-300] + [1e-12] * (m - 2)
+        atol = [1e-12, 1e-10 if held else 1e-300] + [1e-12] * (m - 2)
         for i in range(60):
             y = [float(v) for v in rng.normal(0.5, 2.0, size=m)]
             if i % 2:
@@ -992,12 +1049,12 @@ class TestSplicedStep:
             k0 = rhs(t, y)
             assert _nan_bits(k0) == _nan_bits(ref(t, y))
             got = step(t, y, k0, h, 1e-10, atol)
-            want = generic[0](t, y, k0, h, 1e-10, atol)
+            want = _reference_step(ref, t, y, k0, h, 1e-10, atol, held)
             for a, b in zip(got, want):
                 assert _nan_bits(a) == _nan_bits(b), (y, t, h)
             if got[2] < 1.0:
                 assert _nan_bits(dense(t, h, y, *got[:2])) == \
-                    _nan_bits(generic[1](t, h, y, *want[:2]))
+                    _nan_bits(generic_dense(t, h, y, *want[:2]))
 
     def test_the_cache_holds_one_kernel_per_shape(self, monkeypatch):
         # two nonlinearities of each kind share every kernel; their
