@@ -56,7 +56,7 @@ class RunConfig:
     gamma_min: float | None = _option(None, read=float)
     gamma_max: float | None = _option(None, read=float)
     gamma_steps: int = _option(0)
-    tol: float = _option(1e-10, help="relative step tolerance")
+    tol: float = _option(1e-10, help="step rtol; all other tolerances follow")
     tail_c: float = _option(6.0, help="tail start depth multiplier")
     out: str | None = _option(None, read=str, help="output file path")
     # output formats: the curve as CSV plus its meta sidecar, or an SVG
@@ -73,7 +73,7 @@ class RunConfig:
         fit the dimension (a sweep would otherwise fail row by row)."""
         check_dimension(self.n, self.beta_weight)
         return ProblemConfig(beta_weight=self.beta_weight, rtol=self.tol,
-                             atol=self.tol * 1e-2, c_tail=self.tail_c)
+                             c_tail=self.tail_c)
 
 
 # config-file key and long flag -> RunConfig field

@@ -22,15 +22,15 @@ def check_dimension(n, beta: float = 0.0) -> None:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Singular weight exponent and solver policy: the step tolerances and
-    the tail start depth c_tail. The dimension is each call's argument
-    (see check_dimension); the event tolerance, the outward march's reach
+    """Singular weight exponent and solver policy: the step tolerance rtol
+    and the tail start depth c_tail. rtol sets every tolerance of a march,
+    the absolute ones and the stop's too (see ode._march). The dimension is
+    each call's argument (see check_dimension); the outward march's reach
     and the overflow budget are constants of ode.py. Frozen, so a shared
     default instance is safe."""
 
     beta_weight: float = 0.0
     rtol: float = 1e-10
-    atol: float = 1e-12
     c_tail: float = 6.0
 
     def __post_init__(self):
@@ -38,12 +38,12 @@ class ProblemConfig:
             raise ConfigError(
                 f"singular weight exponent beta_weight must be a finite "
                 f"number >= 0, got {self.beta_weight}")
-        for name in ("rtol", "atol", "c_tail"):
+        for name in ("rtol", "c_tail"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive, got {v}")
 
     def tighter(self) -> "ProblemConfig":
-        """Copy with ten-times-tighter step tolerances, for the
+        """Copy with a ten-times-tighter step tolerance, for the
         finite-difference cross-checks."""
-        return replace(self, rtol=self.rtol * 0.1, atol=self.atol * 0.1)
+        return replace(self, rtol=self.rtol * 0.1)

@@ -37,11 +37,13 @@ Overflow policy: the source text (nonlinearity.SOURCE_TEXT) saturates at
 the sentinel nonlinearity.SOURCE_CAP, and the routes clamp their slopes at
 the same one, so a saturated value only rejects the trial step that met it.
 
-Tolerance policy: scalar absolute tolerance on the solution value, but a
-relative control on the flux, which spans many orders of magnitude along
-the tail (an absolute floor shows up as spurious wiggle in the energy
-monitor): the t-route holds L to the absolute tolerance rtol alone, psi to
-rtol relative; the r-route's Phi keeps a floor of at most 1e-300 (_PSI_ATOL).
+Tolerance policy: rtol sets every tolerance, in _march alone. y (or w) and
+the channel take the absolute tolerance rtol/100; the flux, which spans many
+orders of magnitude along the tail, is under relative control (an absolute
+floor shows up as spurious wiggle in the energy monitor): the t-route holds
+L to the absolute tolerance rtol alone, psi to rtol relative; the r-route's
+Phi keeps a floor of at most 1e-300 (_PSI_ATOL). The stop and the floor
+crossing are found to rtol/200, shrunk with a tiny amplitude's startup.
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ from .nonlinearity import eval_source  # noqa: F401
 # the r-route flux's absolute tolerance, capped at rtol |start flux| to keep
 # its control relative (see module docstring); a smaller start flux is refused
 _PSI_ATOL = 1e-300
-# abscissa tolerance of the located stop and floor crossings
-EVENT_TOL = 1e-12
 # radius where the outward march gives up looking for its stop
 R_MAX = 1e5
 # largest log of a legitimate radius-route source or slope: both peak at the
@@ -614,22 +614,23 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0,
 
 def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
            span: tuple, y0: list, level: float, track_s0: float | None,
-           where: str, xtol: float = 0.5 * EVENT_TOL, *, kernels,
+           where: str, shrink: float = 1.0, *, kernels,
            **diag) -> Trajectory:
     """The marching core of both routes: integrate `rhs` by its `kernels`
     over `span` until the first component lands on `level`, and find the
-    crossing of track_s0 on the dense output, both to within `xtol`. A
-    4-component `y0` carries the linearization channel; `where` ends the
-    miss message."""
+    crossing of track_s0 on the dense output, both to within rtol/200
+    times `shrink`. A 4-component `y0` carries the linearization channel;
+    `where` ends the miss message."""
     level = float(level)
     track = track_s0 is not None and track_s0 > 0.0 and math.isfinite(track_s0)
+    rtol, xtol = cfg.rtol, cfg.rtol / 200.0 * shrink
     # L's atol is rtol; Phi's is at most rtol |Phi0|, unless that underflows
-    atol = [cfg.atol, cfg.rtol if kind == "t" else
-            min(_PSI_ATOL, cfg.rtol * abs(y0[1])) or _PSI_ATOL] \
-        + [cfg.atol] * (len(y0) - 2)
+    atol = [rtol / 100.0, rtol if kind == "t" else
+            min(_PSI_ATOL, rtol * abs(y0[1])) or _PSI_ATOL] \
+        + [rtol / 100.0] * (len(y0) - 2)
     try:
         dense, stop, counts = _dopri(rhs, span[0], [float(v) for v in y0],
-                                     span[1], cfg.rtol, atol, level, xtol,
+                                     span[1], rtol, atol, level, xtol,
                                      kernels)
     except OverflowError as exc:
         raise SolverError(f"source overflow during integration: {exc}") from exc
@@ -730,7 +731,7 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
     # the amplitude bound cuts r0 below r0_tol (gamma of a few rtol); the
     # first zero shrinks with it, and so does the stop's tolerance
     r0_tol = series_startup_radius(fg, n, math.inf, cfg)  # unbounded
-    xtol = 0.5 * EVENT_TOL * (r0 / r0_tol if r0 < r0_tol else 1.0)
+    shrink = r0 / r0_tol if r0 < r0_tol else 1.0
     w0 = gamma - (n - 1.0) / nb * (fg / nb) ** (1.0 / (n - 1.0)) \
         * r0 ** (nb / (n - 1.0))
     Phi0 = -fg * r0 ** nb / nb
@@ -757,7 +758,7 @@ def integrate_r(nl: Nonlinearity, n: int, gamma: float,
         raise AdmissionError(f"startup flux {-Phi0:.3g} is below {_PSI_ATOL:g};"
                              " the radius route cannot start")
     return _march("r", nl, n, cfg, rhs, (r0, R_MAX), y0, 0.0, track_s0,
-                  f"inside r <= {R_MAX}", xtol, kernels=kernels, r0=r0)
+                  f"inside r <= {R_MAX}", shrink, kernels=kernels, r0=r0)
 
 
 @dataclass(frozen=True)

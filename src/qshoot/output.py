@@ -13,7 +13,7 @@ import os
 import tempfile
 
 from .errors import ConfigError
-from .ode import EVENT_TOL, Trajectory
+from .ode import Trajectory
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -97,8 +97,7 @@ def curve_meta(curve, version: str) -> dict:
         "n": curve.n,
         "beta": curve.beta,
         "nonlinearity": curve.nl.describe(),
-        "tolerances": {"rtol": curve.cfg.rtol, "atol": curve.cfg.atol,
-                       "event_tol": EVENT_TOL},
+        "tolerances": {"rtol": curve.cfg.rtol},
         "gamma_count": len(curve.gammas),
         "errors": [{"gamma": g, "message": m} for g, m in curve.errors],
         "version": version,

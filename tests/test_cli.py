@@ -20,9 +20,11 @@ from qshoot.cli import (
     main,
     parse_config_text,
 )
+from qshoot.config import ProblemConfig
 from qshoot.errors import ConfigError
 from qshoot.linearization import detect_turning
 from qshoot.nonlinearity import make_nonlinearity
+from qshoot.shooting import shoot
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +256,24 @@ class TestRunConfig:
     def test_unknown_key_raises(self):
         with pytest.raises(ConfigError):
             parse_config_text("nope=1\n")
+
+    @pytest.mark.parametrize("rtol", [1e-12, 1e-8])
+    @pytest.mark.parametrize("flags,family,gamma,route", [
+        (["--family", "pow_exp", "--q", "1.5", "--p", "1", "--rho-beta", "1"],
+         dict(family="pow_exp", q=1.5, p=1.0, rho_beta=1.0), 8.0, "t"),
+        (["--family", "exp"], dict(family="exp"), 0.5, "r"),
+        (["--family", "linear"], dict(family="linear"), 1.0, "r"),
+    ], ids=["pow_exp", "exp", "linear"])
+    def test_tol_marches_as_the_library_rtol(self, capsys, flags, family,
+                                              gamma, route, rtol):
+        # --tol r and ProblemConfig(rtol=r) are one tolerance policy, so
+        # the command prints the library's T to the last digit
+        code, out, _ = run_cli(capsys, "shoot", *flags, "--gamma",
+                               str(gamma), "--tol", repr(rtol))
+        want = shoot(make_nonlinearity(**family), 2, gamma,
+                     ProblemConfig(rtol=rtol))
+        assert code == 0 and want.route == route
+        assert f"T={want.T!r}\n" in out and f"route={route}\n" in out
 
 
 class TestSweepCommand:

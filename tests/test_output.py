@@ -76,6 +76,8 @@ class TestRowSchemas:
         assert header == ("gamma", "T", "R", "lambda", "yprime_T")
         assert len(rows) == 2
         meta = curve_meta(curve, "9.9.9")
+        # rtol sets every other tolerance, so the sidecar states it alone
+        assert meta["tolerances"] == {"rtol": cfg2.rtol}
         assert meta["version"] == "9.9.9"
         assert meta["gamma_count"] == 2
         assert "nonlinearity" in meta

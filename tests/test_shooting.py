@@ -197,7 +197,7 @@ class TestReferenceProblems:
         # g'(8) = 16: the plain march's T against a run at rtol 1e-13
         nl = make_nonlinearity("pow_exp", q=2.0, n=2)
         T = shoot(nl, 2, 8.0, ProblemConfig()).T
-        ref = shoot(nl, 2, 8.0, ProblemConfig(rtol=1e-13, atol=1e-16)).T
+        ref = shoot(nl, 2, 8.0, ProblemConfig(rtol=1e-13)).T
         assert T == pytest.approx(ref, rel=2e-10)
 
 
