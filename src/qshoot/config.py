@@ -7,6 +7,9 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
+# a few eps: below it a march's steps and their stages grow without bound
+RTOL_FLOOR = 1e-15
+
 
 def check_dimension(n, beta: float = 0.0) -> None:
     """Refuse a dimension n that is not an integer >= 2, or a weight
@@ -22,12 +25,12 @@ def check_dimension(n, beta: float = 0.0) -> None:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Singular weight exponent and solver policy: the step tolerance rtol
-    and the tail start depth c_tail. rtol sets every tolerance of a march,
-    the absolute ones and the stop's too (see ode._march). The dimension is
-    each call's argument (see check_dimension); the outward march's reach
-    and the overflow budget are constants of ode.py. Frozen, so a shared
-    default instance is safe."""
+    """Singular weight exponent and solver policy: the step tolerance rtol,
+    RTOL_FLOOR or above, and the tail start depth c_tail. rtol sets every
+    tolerance of a march, the absolute ones and the stop's too (see
+    ode._march). The dimension is each call's argument (see
+    check_dimension); the outward march's reach and the overflow budget are
+    constants of ode.py. Frozen, so a shared default instance is safe."""
 
     beta_weight: float = 0.0
     rtol: float = 1e-10
@@ -42,6 +45,9 @@ class ProblemConfig:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive, got {v}")
+        if self.rtol < RTOL_FLOOR:
+            raise ConfigError(f"rtol must be at least RTOL_FLOOR = "
+                              f"{RTOL_FLOOR:g}, got {self.rtol:g}")
 
     def tighter(self) -> "ProblemConfig":
         """Copy with a ten-times-tighter step tolerance, for the

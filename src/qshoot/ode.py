@@ -3,18 +3,18 @@
 One marching core (`_march`) serves both coordinate setups of the same
 equation. It drives the in-repo DOP853 stepper (`_dopri`: the
 Dormand-Prince 8(5,3) pair with its 7th-order dense output, under scipy
-DOP853's control law until it aims its steps at the stop level), which
-ends the march with a genuine step onto that level, rewinding a crossing
-step that no such step can replace. It finds the convexity floor crossing
-on the dense output, raises with the last accepted state when the march
-fails or misses its stop, and assembles the Trajectory. Each setup only
-supplies its start state, its span and its right-hand side, stated once as
-text (`_t_rows`, `_r_rows`) with the rows of the linearization block (the
-derivative of the flow with respect to gamma; see the linearization
-module) appended when asked. `_dp_kernel` splices that text and the
-family's source text into the step and its dense output, straight-line
-code generated from the tableau on first use, so that one step is one
-Python call:
+DOP853's control law and Gustafsson's prediction, with a step bound on the
+t-route, until it aims its steps at the stop level), which ends the march
+with a genuine step onto that level, rewinding a crossing step that no such
+step can replace. It finds the convexity floor crossing on the dense
+output, raises with the last accepted state when the march fails or misses
+its stop, and assembles the Trajectory. Each setup only supplies its start
+state, its span and its right-hand side, stated once as text (`_t_rows`,
+`_r_rows`) with the rows of the linearization block (the derivative of the
+flow with respect to gamma; see the linearization module) appended when
+asked. `_dp_kernel` splices that text and the family's source text into the
+step and its dense output, straight-line code generated from the tableau on
+first use, so that one step is one Python call:
 
   t-route   y' = e^{L/(n-1)}, L' = -f(y) e^{-t-L}, integrated backwards in
             the log-radius variable t from a tail start down to the first
@@ -72,6 +72,7 @@ from .nonlinearity import eval_source  # noqa: F401
 _PSI_ATOL = 1e-300
 # radius where the outward march gives up looking for its stop
 R_MAX = 1e5
+_PRED_CAP = 0.9 * 1e4 ** 0.125  # 0.9 err^{-1/8} at the prediction's floor
 # largest log of a legitimate radius-route source or slope: both peak at the
 # startup or stay below f(gamma), so the sentinel then only cuts trial steps
 _LOG_CAP = math.log(SOURCE_CAP) - 10.0
@@ -509,14 +510,21 @@ class DenseOutput:
 
 
 def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0,
-           kernels=None):
+           kernels=None, reach=(math.inf, 0.0)):
     """DOP853 march of y' = rhs(t, y) by rhs's step and dense output
     (`kernels`, `_dp_kernel`'s generic ones unless given) from t towards
-    t_end under scipy
-    DOP853's control law (initial step, safety 0.9, exponent 1/8, factors
-    in [0.2, 10], none above 1 after a rejection, failure below 10
-    ulp(t)), aimed at `level`: the dense output, where y[0] met the level
-    (None if not), and the counters.
+    t_end, no step longer than max(a, b |t|) for `reach` (a, b), under
+    scipy DOP853's control law (initial step, safety 0.9, exponent 1/8,
+    factors in [0.2, 10], none above 1 after a rejection, failure below 10
+    ulp(t)) and Gustafsson's prediction (Hairer & Wanner II, IV.8), aimed at
+    `level`: the dense output, where y[0] met the level (None if not), and
+    the counters.
+
+    The prediction: after an accepted step the aim did not cut, the factor
+    is scaled by min(1, r/r_acc), held at 0.2 or above, with r = h 0.9
+    max(err, 1e-4)^{-1/8} and r_acc that of the last such step: the smaller
+    of the factor and 0.9 (h/h_acc) (err_acc/err^2)^{1/8}, which foresees a
+    growing error. Aimed steps, cut to a third of the last, stay out of it.
 
     The aim: while y[0]' points at the level, the tangent puts it a
     distance d ahead. A longer trial step is cut to 1.0001 d, to end just
@@ -529,11 +537,12 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0,
     stop is read off the step's interpolant. The first aimed trial
     that crosses and fails is offered to the landing too, from its chord.
 
-    Counters: `aimed` trials cut by the aim, `rejected` trials in all,
-    `rejected_stop` those whose end crossed the level (rewinds included;
-    an offered trial that lands counts as the step it became), `landing`
-    passes, and `nfev` the march's own evaluations, 2 + 12 per attempted
-    or landing step; the dense output's extra stages are not in it."""
+    Counters: `aimed` trials cut by the aim, `predicted` accepted steps whose
+    factor the prediction cut, `rejected` trials in all, `rejected_stop`
+    those whose end crossed the level (rewinds included; an offered trial
+    that lands counts as the step it became), `landing` passes, and `nfev`
+    the march's own evaluations, 2 + 12 per attempted or landing step; the
+    dense output's extra stages are not in it."""
     sign, span = (1.0 if t_end > t else -1.0), abs(t_end - t)
     kernels = kernels or _dp_kernel(len(y))(f=rhs)[1:]
     step = kernels[0]
@@ -550,11 +559,13 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0,
                 if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125)
     ts, ys, stages = [t], [y], []
     counts = dict(status=0, nfev=2, rejected=0, rejected_stop=0, aimed=0,
-                  landing=0, landed=False)
+                  predicted=0, landing=0, landed=False)
     g = None if level is None else y[0] - level
-    offered, rewinds = False, 0
+    offered, rewinds, r_acc = False, 0, 0.0
     while sign * (t - t_end) < 0.0:
         min_step = 10.0 * abs(math.nextafter(t, sign * math.inf) - t)
+        if h_abs > reach[0]:
+            h_abs = min(h_abs, max(reach[0], reach[1] * abs(t)))
         h_abs, retry = max(h_abs, min_step), False
         while True:
             if not h_abs >= min_step:  # a NaN step fails too
@@ -593,6 +604,12 @@ def _dopri(rhs, t, y, t_end, rtol, atol, level=None, xtol=0.0,
                     rewinds += 1
                     err, factor = math.inf, 0.5
             if err < 1.0:
+                if not aimed:  # the prediction: see the docstring
+                    r = h_abs * (factor if factor < _PRED_CAP else _PRED_CAP)
+                    if r < r_acc:
+                        factor = max(0.2, factor * r / r_acc)
+                        counts["predicted"] += 1
+                    r_acc = r
                 h_abs *= min(1.0 if retry else 10.0, factor)
                 break
             # an infinite norm makes factor 0, a NaN one NaN: both give 0.2
@@ -628,10 +645,12 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
     atol = [rtol / 100.0, rtol if kind == "t" else
             min(_PSI_ATOL, rtol * abs(y0[1])) or _PSI_ATOL] \
         + [rtol / 100.0] * (len(y0) - 2)
+    # t-route steps up to max(4, |t|/2): longer ones miss the returning e^{-t}
+    reach = (4.0, 0.5) if kind == "t" else (math.inf, 0.0)
     try:
         dense, stop, counts = _dopri(rhs, span[0], [float(v) for v in y0],
                                      span[1], rtol, atol, level, xtol,
-                                     kernels)
+                                     kernels, reach)
     except OverflowError as exc:
         raise SolverError(f"source overflow during integration: {exc}") from exc
     ts, ys = dense.ts, dense.ys
@@ -645,7 +664,7 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
                                  last_state=last)
     hs = [abs(b - a) for a, b in zip(ts, ts[1:])]
     diag = {"route": kind, "steps": len(hs), "h_min": min(hs),
-            "h_max": max(hs), **counts, **diag}
+            "h_max": max(hs), "h_land": hs[-1], **counts, **diag}
     return Trajectory(kind=kind, n=n, nl=nl, ts=ts, states=ys, dense=dense,
                       rhs=rhs, stop=stop,
                       s0=dense.crossing(track_s0, xtol) if track else None,

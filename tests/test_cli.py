@@ -20,7 +20,7 @@ from qshoot.cli import (
     main,
     parse_config_text,
 )
-from qshoot.config import ProblemConfig
+from qshoot.config import RTOL_FLOOR, ProblemConfig
 from qshoot.errors import ConfigError
 from qshoot.linearization import detect_turning
 from qshoot.nonlinearity import make_nonlinearity
@@ -275,6 +275,30 @@ class TestRunConfig:
         assert code == 0 and want.route == route
         assert f"T={want.T!r}\n" in out and f"route={route}\n" in out
 
+    def test_an_rtol_below_the_floor_is_refused(self):
+        # below a few eps a march's steps and memory grow without bound
+        # (9.3 million evaluations and about 1.1 GB at 1e-20) instead of
+        # meeting the tolerance; the tests' tightest rtols still construct
+        for rtol in (RTOL_FLOOR, 1e-13, ProblemConfig(rtol=1e-13).tighter()
+                     .rtol, 3e-14):
+            assert ProblemConfig(rtol=rtol).rtol == rtol
+        for rtol in (1e-16, 1e-20):
+            with pytest.raises(ConfigError, match="RTOL_FLOOR = 1e-15"):
+                ProblemConfig(rtol=rtol)
+        with pytest.raises(ConfigError, match="RTOL_FLOOR"):
+            ProblemConfig(rtol=RTOL_FLOOR).tighter()
+
+    def test_tol_below_the_floor_is_an_error_line(self, capsys, monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march ran")
+
+        monkeypatch.setattr(ode, "_dopri", no_march)
+        code, out, err = run_cli(capsys, "shoot", "--family", "linear",
+                                 "--gamma", "0.5", "--tol", "1e-20")
+        assert (code, out) == (1, "")
+        assert err == ("qshoot: error: rtol must be at least RTOL_FLOOR = "
+                       "1e-15, got 1e-20\n")
+
 
 class TestSweepCommand:
     def test_csv_schema_and_grid(self, capsys, tmp_path):
@@ -293,8 +317,9 @@ class TestSweepCommand:
         assert meta["gamma_count"] == 5
         assert meta["n"] == 2
         # the march counters and the route's reason stay in diagnostics
-        for counter in ("nfev", "rejected", "aimed", "landing", "h_min",
-                        "h_max", "route_reason"):
+        for counter in ("nfev", "rejected", "aimed", "predicted",
+                        "landing", "h_min", "h_max", "h_land",
+                        "route_reason"):
             assert counter not in text + out.read_text() + meta_text
 
     def test_sweep_rows_match_single_shots(self, capsys, tmp_path):

@@ -188,20 +188,27 @@ class TestBackwardMarch:
         assert e_loose / max(e_tight, 1e-300) >= 2.0
         assert e_tight <= 1e-7
 
-    # (family keywords, n, gamma): accepted steps with y > 0.999 gamma, where
-    # psi ~ f(gamma) e^{-t}; the march of psi took 12, 17 and 48
+    # (family keywords, n, gamma, steps): accepted steps with y > 0.999
+    # gamma, where psi ~ f(gamma) e^{-t}; the march of psi took 12, 17 and
+    # 48, and scipy's control law alone took 7, 8 and 20
     TAIL_STEPS = [(dict(q=1.5, p=1.0, rho_beta=1.0), 2, 6.0, 7),
-                  (dict(q=1.5), 3, 7.5, 8), (dict(q=2.0), 2, 20.0, 20)]
+                  (dict(q=1.5), 3, 7.5, 8), (dict(q=2.0), 2, 20.0, 21)]
+    # each march's rejected trials, by (n, gamma); 8, 9 and 22 under scipy's
+    # control law alone
+    TAIL_REJECTED = {(2, 6.0): 5, (3, 7.5): 3, (2, 20.0): 9}
 
     @pytest.mark.parametrize("kw,n,gamma,steps", TAIL_STEPS)
     def test_the_exponential_tail_takes_few_steps(self, kw, n, gamma, steps):
         # L = log psi falls at a nearly constant rate there, so the step is
-        # not held to a relative control of a decaying exponential
+        # not held to a relative control of a decaying exponential; the
+        # error per step grows as the source returns, and the predictive
+        # factor keeps the march from failing each step it grows into
         nl = make_nonlinearity("pow_exp", **kw)
         traj = shoot(nl, n, gamma, ProblemConfig(), keep_trajectory=True,
                      route="t").traj
         assert sum(row[0] > 0.999 * gamma for row in traj.states[1:]) \
             == steps
+        assert traj.diagnostics["rejected"] == self.TAIL_REJECTED[n, gamma]
 
     @pytest.mark.parametrize("n", [60, 100])
     def test_a_start_flux_below_the_double_range_marches(self, nl_square, n):
@@ -541,13 +548,18 @@ class _HeldLogFlux(DOP853):
 
 
 class TestStepper:
-    """The DOP853 stepper keeps scipy DOP853's control law step for step
-    until the march aims at its stop level: then a step that would reach
-    past the tangent's estimate of the level is cut, and the stop is landed
-    by a genuine step. Step ends are not pinned bitwise: the error sums
-    cancel heavily, so a different summation order moves the norm by about
-    1e-4 and the step ends by about 1e-5, and where the norm sits at
-    rounding level, as on the tail march's first steps, by far more.
+    """The DOP853 stepper keeps scipy DOP853's control law (initial step,
+    error norm, safety 0.9, exponent 1/8, growth of at most 10, none after
+    a rejection) with one change: after an accepted step the aim did not
+    cut, the step factor is scaled by Gustafsson's predictive term, so the
+    step ends part from scipy's once the error per step grows. The t-route
+    also bounds its steps by max(4, |t|/2). When the march aims at its stop
+    level, a step that would reach past the tangent's estimate of the level
+    is cut, and the stop is landed by a genuine step. Step ends are not
+    pinned bitwise: the error sums cancel heavily, so a different summation
+    order moves the norm by about 1e-4 and the step ends by about 1e-5, and
+    where the norm sits at rounding level, as on the tail march's first
+    steps, by far more.
 
     `nfev` counts the march's own evaluations, 2 + 12 per attempted or
     landing step. The three extra stages the dense output pays on each step
@@ -573,8 +585,9 @@ class TestStepper:
         assert _dev(got, ref.sol(mids).T).max() <= 1e-9
 
     # (steps, nfev, steps ending where scipy's do) of each march; scipy
-    # takes 36 steps (758 nfev) and 63 (1,355)
-    TAIL_PINS = {(2, False): (33, 506, 2), (3, True): (49, 758, 1)}
+    # takes 36 steps (758 nfev) and 63 (1,355), and scipy's control law
+    # alone took 33 (506) and 49 (758)
+    TAIL_PINS = {(2, False): (35, 494, 2), (3, True): (50, 686, 1)}
 
     @pytest.mark.parametrize("n,lin", [(2, False), (3, True)])
     def test_matches_scipy_on_the_tail_march(self, monkeypatch, n, lin):
@@ -632,6 +645,9 @@ class TestStepper:
         assert d["landing"] >= 1 and d["landed"]
         assert d["steps"] == len(traj.ts) - 1
         assert d["aimed"] >= 1 and 0 <= d["rejected_stop"] <= d["rejected"]
+        # the step that lands on the zero, and the predicted ones
+        assert d["h_land"] == abs(traj.ts[-1] - traj.ts[-2])
+        assert 0 <= d["predicted"] <= d["steps"]
         if (route, lin) == ("t", False):
             assert d["rejected"] > 0
 
@@ -644,10 +660,21 @@ class TestStepper:
                   keep_trajectory=True).traj.diagnostics
         assert d["aimed"] >= 1 and d["rejected_stop"] == 0
 
+    def test_a_steep_core_lands_on_its_first_zero(self):
+        # the step bound keeps the march from leaping into the core, where
+        # no step lands: it lands on the first crossing (3.4710749 when
+        # capped at steps of 0.5)
+        nl = make_nonlinearity(
+            "pow_exp", q=2.048104938325588, p=1.2205259916931035,
+            rho_beta=1.468465276109871, lam=0.29230008974150495, n=2)
+        traj = shoot(nl, 2, 142.00054031975856, ProblemConfig(),
+                     keep_trajectory=True, route="t").traj
+        assert traj.diagnostics["landed"]
+        assert traj.stop == pytest.approx(3.4710749, abs=1e-7)
+
     def test_counters_account_for_a_rewound_step(self, monkeypatch):
-        # the march first crosses y = 0 inside a steep core, where no step
-        # lands: the crossing step is rewound as a rejection, and the march
-        # goes on to the first zero (3.4710749 when capped at steps of 0.5)
+        # on either route the first landing fails: the crossing step is
+        # rewound as a rejection, and the march lands on its retry
         landed = []
         land = qshoot.ode.DenseOutput.land
 
@@ -658,16 +685,44 @@ class TestStepper:
 
         monkeypatch.setattr(qshoot.ode.DenseOutput, "land", spy)
         nl = make_nonlinearity(
-            "pow_exp", q=2.048104938325588, p=1.2205259916931035,
-            rho_beta=1.468465276109871, lam=0.29230008974150495, n=2)
-        traj = shoot(nl, 2, 142.00054031975856, ProblemConfig(),
-                     keep_trajectory=True, route="t").traj
-        d = traj.diagnostics
-        assert landed[0] is False and landed[-1] is True
-        assert d["nfev"] == 2 + 12 * (d["steps"] + d["rejected"]
-                                      + d["landing"])
-        assert 0 < d["rejected_stop"] <= d["rejected"]
-        assert traj.stop == pytest.approx(3.4710749, abs=1e-7)
+            "pow_exp", q=1.7829969044604073, p=0.12372409667228079,
+            rho_beta=1.7566242679211603, lam=0.12565466792950805, n=2)
+        gamma, tight = 2.478536716884354, ProblemConfig(rtol=1e-13)
+        for route in ("t", "r"):
+            landed.clear()
+            out = shoot(nl, 2, gamma, ProblemConfig(), keep_trajectory=True,
+                        route=route)
+            d = out.traj.diagnostics
+            assert landed == [False, True], route
+            assert d["nfev"] == 2 + 12 * (d["steps"] + d["rejected"]
+                                          + d["landing"])
+            assert d["rejected_stop"] == 2 and d["rejected"] > 2
+            ref = shoot(nl, 2, gamma, tight, route=route)
+            assert out.T == pytest.approx(ref.T, rel=2e-11)
+
+    def test_the_predictive_factor_ends_the_reject_ping_pong(self):
+        # y' = e^{-t} backwards: the error per step grows as e^{|h|}, and
+        # scipy's control law alone failed 10 trials (518 nfev) to the same
+        # end error
+        dense, _, counts = _dopri(lambda t, u: (math.exp(-t),), 30.0, [0.0],
+                                  0.0, 1e-10, [1e-12])
+        assert (counts["rejected"], counts["nfev"]) == (2, 434)
+        assert counts["predicted"] > 0
+        assert abs(dense.ys[-1][0] - (math.exp(-30.0) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [5.0, 7.0, 9.0])
+    def test_aimed_steps_stay_out_of_the_prediction(self, gamma):
+        # the aim cuts each step near the zero to about a third of the last;
+        # a prediction fed those steps would shrink the next one alike, and
+        # the aim's approach would take twice the aimed steps
+        nl = make_nonlinearity("pow_exp", q=1.5, n=3)
+        cfg = ProblemConfig()
+        d = shoot(nl, 3, gamma, cfg, keep_trajectory=True,
+                  route="t").traj.diagnostics
+        assert 1 <= d["aimed"] <= 4
+        d = solve_V1(nl, 3, gamma, cfg, keep_trajectory=True,
+                     route="t").traj.diagnostics
+        assert 1 <= d["aimed"] <= 7
 
     @pytest.mark.parametrize("bad", [math.nan, 1e300])
     def test_a_non_finite_error_norm_is_a_rejection(self, bad):
