@@ -27,7 +27,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     nl = make_nonlinearity("pow_exp", q=args.q, p=args.p,
-                           rho_beta=args.rho_beta, n=args.n)
+                           rho_beta=args.rho_beta)
     grid = geomspace(args.gamma_min, args.gamma_max, args.steps)
     curve = sweep(nl, args.n, grid, with_derivative=True)
     preds = [predict_all(g, args.n, nl) for g in grid]

@@ -23,7 +23,7 @@ def main(argv=None):
     results = []
     print(f"{'p':>6}  {'verdict':<14} {'p_estimate':>12} {'spread':>10}")
     for p in args.p:
-        nl = make_nonlinearity("pow_exp", q=args.q, p=p, n=args.n)
+        nl = make_nonlinearity("pow_exp", q=args.q, p=p)
         rep = classify_small_gamma(nl, args.n)
         print(f"{p:6.2f}  {rep.verdict:<14} {rep.p_estimate:12.6f} "
               f"{rep.spread:10.4f}")

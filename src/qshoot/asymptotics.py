@@ -25,7 +25,7 @@ from fractions import Fraction
 from ._stable import sigma, softplus
 from .config import check_dimension
 from .errors import AdmissionError, ConfigError
-from .nonlinearity import Nonlinearity, eval_g
+from .nonlinearity import Nonlinearity, eval_g, exploratory
 
 __all__ = [
     "GammaSnapshot", "AsymptoticPrediction", "snapshot", "harmonic",
@@ -373,7 +373,7 @@ def error_decay_report(curve, predictions, *,
     reported but not judged.
     """
     nl = curve.nl
-    if nl.linear or nl.exploratory:
+    if nl.linear or exploratory(nl, curve.n):
         raise ConfigError(
             "decay comparison refused: input outside the standing hypotheses")
     outs = curve.outcomes

@@ -65,8 +65,7 @@ class RunConfig:
 
     def nonlinearity(self) -> Nonlinearity:
         return make_nonlinearity(self.family, a=self.a, q=self.q, p=self.p,
-                                 rho_beta=self.rho_beta, lam=self.lam,
-                                 n=self.n)
+                                 rho_beta=self.rho_beta, lam=self.lam)
 
     def problem(self) -> ProblemConfig:
         """The solver settings, refused up front when the weight does not
@@ -188,11 +187,14 @@ def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _write_curve(path: str, curve) -> None:
-    """The curve as CSV plus its .meta.json sidecar."""
+def _write_curve(rc: RunConfig, curve) -> None:
+    """The curve to --out: an SVG sketch, or CSV plus a .meta.json sidecar."""
+    if rc.fmt == "svg":
+        atomic_write(rc.out, sweep_svg(curve))
+        return
     header, rows = curve_rows(curve)
-    atomic_write(path, csv_text(header, rows))
-    atomic_write(path + ".meta.json",
+    atomic_write(rc.out, csv_text(header, rows))
+    atomic_write(rc.out + ".meta.json",
                  json_text(curve_meta(curve, __version__)))
 
 
@@ -220,10 +222,7 @@ def cmd_sweep(rc: RunConfig, args) -> int:
         lines.append(f"error[gamma={fmt_value(g)}]={msg}")
     _emit(lines)
     if rc.out:
-        if rc.fmt == "svg":
-            atomic_write(rc.out, sweep_svg(curve))
-        else:
-            _write_curve(rc.out, curve)
+        _write_curve(rc, curve)
     return 0
 
 
@@ -236,19 +235,17 @@ def cmd_linearize(rc: RunConfig, args) -> int:
         lines = [f"points={len(curve.gammas)}"]
         # uniqueness window: first grid amplitude after which the derivative
         # of the zero stays positive through the end of the grid
-        gamma0 = None
-        pairs = [(g, tp) for g, tp in zip(curve.gammas, curve.tprime_v1)]
-        for i, (g, _) in enumerate(pairs):
-            if all(t2 is not None and t2 > 0.0 for _, t2 in pairs[i:]):
-                gamma0 = g
-                break
+        tps = curve.tprime_v1
+        gamma0 = next((g for i, g in enumerate(curve.gammas)
+                       if all(t is not None and t > 0.0 for t in tps[i:])),
+                      None)
         lines.append("gamma0=" + (fmt_value(gamma0) if gamma0 is not None
                                   else "not found"))
         for g, msg in curve.errors:
             lines.append(f"error[gamma={fmt_value(g)}]={msg}")
         _emit(lines)
         if rc.out:
-            _write_curve(rc.out, curve)
+            _write_curve(rc, curve)
         return 0
 
     if rc.gamma is None:
@@ -360,6 +357,11 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         rc = load_run_config(args.config, _flag_values(args))
+        grid = rc.gamma_min is not None or rc.gamma_max is not None
+        if rc.out and rc.fmt == "svg" and args.command != "sweep" and not (
+                args.command == "linearize" and grid):
+            raise ConfigError(f"{args.command} draws no curve: --format svg "
+                              "needs sweep or a linearize grid")
         return _COMMANDS[args.command](rc, args)
     except ConfigError as exc:
         print(f"qshoot: error: {exc}", file=sys.stderr)

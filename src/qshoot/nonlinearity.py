@@ -5,8 +5,8 @@ coefficients p and b of the Nonlinearity; `_rho` is its derivative table.
 Derivatives of g up to order three are exact, which the flux-identity
 checks rely on.
 
-A `linear` flag covers the non-exponential special case f(u) = lam*u used as
-an oracle (the radial problem then has a closed-form first zero for n = 2).
+The linear family covers the non-exponential special case f(u) = lam*u used
+as an oracle (the radial problem then has a closed-form first zero for n = 2).
 """
 
 from __future__ import annotations
@@ -22,26 +22,40 @@ from .errors import AdmissionError, ConfigError
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """f(u) = lam e^{a u^q + p log(u) + b u}, or lam*u when `linear`."""
+    """Parameters of f = lam e^{a u^q + p log u + b u}, or lam u if linear."""
 
     lam: float = 1.0
     a: float = 1.0
     q: float = 2.0
     p: float = 0.0
     b: float = 0.0
-    linear: bool = False
-    f0: float = 1.0
     family: str = "pow_exp"
-    exploratory: bool = False
 
-    def describe(self) -> dict:
-        """Flat parameter dict, used by config files and JSON meta blocks."""
+    @property
+    def linear(self) -> bool:
+        return self.family == "linear"
+
+    @property
+    def f0(self) -> float:
+        """f(0+): a log term kills the source at 0, otherwise g(0+) = 0."""
+        return 0.0 if self.linear or self.p > 0.0 else self.lam
+
+    def describe(self, n: int) -> dict:
+        """JSON meta parameter dict, tagged when exploratory(self, n) holds."""
         d = {"family": self.family, "lambda": self.lam}
         if not self.linear:
             d.update({"a": self.a, "q": self.q, "p": self.p, "rho_beta": self.b})
-        if self.exploratory:
+        if exploratory(self, n):
             d["exploratory"] = True
         return d
+
+
+def exploratory(nl: Nonlinearity, n: int) -> bool:
+    """Whether an exponential nl breaks a standing hypothesis in dimension
+    n: q in (1, n/(n-1)] (exp's q = 1 is out), a > 0 or rho_beta >= 0."""
+    check_dimension(n)
+    return not nl.linear and (nl.q <= 1.0 or nl.q > n / (n - 1.0)
+                              or nl.a <= 0.0 or nl.b < 0.0)
 
 
 def _rho(nl: Nonlinearity, u: float, k: int) -> float:
@@ -74,26 +88,23 @@ def _require_finite(*pairs) -> None:
 
 
 def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
-                      p: float = 0.0, rho_beta: float = 0.0, lam: float = 1.0,
-                      n: int | None = None) -> Nonlinearity:
+                      p: float = 0.0, rho_beta: float = 0.0,
+                      lam: float = 1.0) -> Nonlinearity:
     """Build one of the named families.
 
     pow_exp  g(u) = a*u^q + p*log(u) + rho_beta*u
     exp      g(u) = a*u (q = 1, classical Gelfand-type source)
     linear   f(u) = lam*u, no exponential structure
 
-    Parameters outside the standard window (q in (1, n/(n-1)], a > 0) are
-    allowed but tagged exploratory so downstream reports can refuse or flag.
-    The dimension n, when given, only places that window.
+    Parameters outside the standard window are allowed; `exploratory(nl, n)`
+    tells them apart in a given dimension n.
     """
     _require_finite(("lambda", lam), ("a", a), ("q", q), ("p", p),
                     ("rho_beta", rho_beta))
-    if n is not None:
-        check_dimension(n)
     if lam <= 0.0:
         raise ConfigError(f"lambda must be positive, got {lam}")
     if family == "linear":
-        return Nonlinearity(lam=lam, linear=True, f0=0.0, family="linear")
+        return Nonlinearity(lam=lam, family="linear")
     if family == "exp":
         q, p, rho_beta = 1.0, 0.0, 0.0
     elif family != "pow_exp":
@@ -102,24 +113,15 @@ def make_nonlinearity(family: str, *, a: float = 1.0, q: float = 2.0,
         raise ConfigError("need a positive leading coefficient in g")
     if p < 0.0:
         raise ConfigError(f"log coefficient p must be >= 0, got {p}")
-
-    # outside the exponent window (exp's q = 1 included) or the signs
-    exploratory = (q <= 1.0 or n is not None and q > n / (n - 1.0)
-                   or a <= 0.0 or rho_beta < 0.0)
-
-    # f(0): a log term kills the source at 0, otherwise g(0+) = 0
-    f0 = 0.0 if p > 0.0 else lam
-    return Nonlinearity(lam=lam, a=a, q=q, p=p, b=rho_beta, f0=f0,
-                        family=family, exploratory=exploratory)
+    return Nonlinearity(lam=lam, a=a, q=q, p=p, b=rho_beta, family=family)
 
 
 def with_lambda(nl: Nonlinearity, lam: float) -> Nonlinearity:
-    """Same nonlinearity with the multiplier replaced (f0 rescales with it)."""
+    """Same nonlinearity with the multiplier replaced."""
     _require_finite(("lambda", lam))
     if lam <= 0.0:
         raise ConfigError(f"lambda must be positive, got {lam}")
-    f0 = nl.f0 * (lam / nl.lam)
-    return replace(nl, lam=lam, f0=f0)
+    return replace(nl, lam=lam)
 
 
 def eval_g(nl: Nonlinearity, u: float, k: int = 0) -> float:

@@ -122,7 +122,6 @@ class Trajectory:
     rhs: Callable
     stop: float
     s0: Optional[float] = None
-    lin: bool = False
     diagnostics: dict = field(default_factory=dict)
 
     def span(self) -> tuple:
@@ -668,7 +667,7 @@ def _march(kind: str, nl: Nonlinearity, n: int, cfg: ProblemConfig, rhs,
     return Trajectory(kind=kind, n=n, nl=nl, ts=ts, states=ys, dense=dense,
                       rhs=rhs, stop=stop,
                       s0=dense.crossing(track_s0, xtol) if track else None,
-                      lin=len(y0) == 4, diagnostics=diag)
+                      diagnostics=diag)
 
 
 def _system(route: str, nl: Nonlinearity, n: int, lin: bool,

@@ -70,7 +70,7 @@ def _plain(obj):
 
 
 def linearization_rows(traj: Trajectory):
-    if not traj.lin or traj.kind != "t":
+    if len(traj.states[0]) != 4 or traj.kind != "t":
         raise ConfigError("linearization rows need a t-route trajectory "
                           "with the channel attached")
     header = ("t", "y", "yprime", "V1", "V1prime")
@@ -95,8 +95,8 @@ def curve_meta(curve, version: str) -> dict:
     return {
         "family": curve.nl.family,
         "n": curve.n,
-        "beta": curve.beta,
-        "nonlinearity": curve.nl.describe(),
+        "beta": curve.cfg.beta_weight,
+        "nonlinearity": curve.nl.describe(curve.n),
         "tolerances": {"rtol": curve.cfg.rtol},
         "gamma_count": len(curve.gammas),
         "errors": [{"gamma": g, "message": m} for g, m in curve.errors],

@@ -167,13 +167,15 @@ class BifurcationCurve:
 
     nl: Nonlinearity
     n: int
-    beta: float
     cfg: ProblemConfig
-    gammas: tuple
     outcomes: tuple
     tprime_v1: Optional[tuple] = None
     tprime_fd: Optional[tuple] = None
     errors: tuple = ()
+
+    @property
+    def gammas(self) -> tuple:
+        return tuple(o.gamma for o in self.outcomes)
 
 
 def sweep(nl: Nonlinearity, n: int, gammas,
@@ -184,8 +186,6 @@ def sweep(nl: Nonlinearity, n: int, gammas,
     march per amplitude gives the row and T'; a plain shoot stands in
     only when that march fails."""
     from .linearization import solve_V1, t_prime_fd
-
-    gam = tuple(float(g) for g in gammas)
 
     def one(g):
         try:
@@ -207,14 +207,13 @@ def sweep(nl: Nonlinearity, n: int, gammas,
             return (out, tv1, tfd, f"derivative failed: {exc}")
         return (out, tv1, tfd, None)
 
-    results = [one(g) for g in gam]
+    results = [one(float(g)) for g in gammas]
     outcomes = tuple(r[0] for r in results)
-    errs = tuple((g, r[3]) for g, r in zip(gam, results) if r[3] is not None)
+    errs = tuple((r[0].gamma, r[3]) for r in results if r[3] is not None)
     tv1 = tuple(r[1] for r in results) if with_derivative else None
     tfd = tuple(r[2] for r in results) if with_derivative else None
-    return BifurcationCurve(nl=nl, n=n, beta=cfg.beta_weight, cfg=cfg,
-                            gammas=gam, outcomes=outcomes, tprime_v1=tv1,
-                            tprime_fd=tfd, errors=errs)
+    return BifurcationCurve(nl=nl, n=n, cfg=cfg, outcomes=outcomes,
+                            tprime_v1=tv1, tprime_fd=tfd, errors=errs)
 
 
 @dataclass(frozen=True)

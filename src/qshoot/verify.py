@@ -13,17 +13,19 @@ import math
 from dataclasses import dataclass
 
 from ._numeric import geomspace, linspace, quad
-from .asymptotics import (comparison_z, harmonic, perturbed_root, predict_all,
-                          psi_eval, snapshot, tail_power_integral,
-                          turning_integrals, z_ode_log_residual)
+from .asymptotics import (comparison_z, error_decay_report, harmonic,
+                          perturbed_root, predict_all, psi_eval, snapshot,
+                          tail_power_integral, turning_integrals,
+                          z_ode_log_residual)
 from .config import ProblemConfig
 from .errors import QShootError
 from .linearization import t_prime
-from .nonlinearity import eval_g, make_nonlinearity
+from .nonlinearity import make_nonlinearity
 from .shooting import (classify_small_gamma, shoot, shoot_singular,
-                       shoot_weighted_direct)
-# unused here: bound only so perfbench/tracer.py can wrap it as a span
+                       shoot_weighted_direct, sweep)
+# unused here: bound only so perfbench/tracer.py can wrap them
 from .linearization import v2_eval  # noqa: F401
+from .nonlinearity import eval_g  # noqa: F401
 
 BESSEL_FIRST_ZERO = 2.404825557695773
 
@@ -134,7 +136,7 @@ def suite_oracles() -> SuiteReport:
              ("pow_exp", {"q": 1.5}, 3, 6.0),
              ("exp", {}, 3, 3.0)]
     for fam, kw, n, gamma in cross:
-        nl = make_nonlinearity(fam, n=n, **kw)
+        nl = make_nonlinearity(fam, **kw)
         Tt = shoot(nl, n, gamma, _CFG, route="t").T
         Tr = shoot(nl, n, gamma, _CFG, route="r").T
         rows.append(_leq(f"route_agreement[{fam},n={n},gamma={gamma:g}]",
@@ -225,18 +227,13 @@ def suite_asymptotics() -> SuiteReport:
 
     # prediction errors shrink along a short amplitude ladder
     gs = geomspace(20.0, 200.0, 6)
-    errTs, errTp = [], []
-    for g in gs:
-        out = shoot(nl15, 2, g, _CFG)
-        p = predict_all(g, 2, nl15)
-        errTs.append(abs(out.T - p.T_pred))
-        errTp.append(abs(t_prime(nl15, 2, g, _CFG) - p.Tprime_pred))
+    preds = [predict_all(g, 2, nl15) for g in gs]
+    report = error_decay_report(sweep(nl15, 2, gs, _CFG), preds)
+    errTp = [abs(t_prime(nl15, 2, g, _CFG) - p.Tprime_pred)
+             for g, p in zip(gs, preds)]
     half = len(gs) // 2
-    norm = [e * eval_g(nl15, g, 1) / math.log(eval_g(nl15, g, 1)) ** 2
-            for e, g in zip(errTs, gs)]
-    upper = norm[half:]
     rows.append(_leq("zero_error_normalized_spread[u^1.5]",
-                     max(upper) / min(upper), 10.0))
+                     report.verdicts["T"]["max_over_min"], 10.0))
     drops = all(b < a for a, b in zip(errTp[half:], errTp[half + 1:]))
     rows.append(CheckRow(name="slope_error_decreasing[u^1.5]",
                          value=float(errTp[-1]), bound=float(errTp[half]),
@@ -248,7 +245,7 @@ def suite_regimes() -> SuiteReport:
     rows = []
     expected = {0.3: "diverges_up", 1.0: "bounded", 2.0: "diverges_down"}
     for p, want in expected.items():
-        nl = make_nonlinearity("pow_exp", q=2.0, p=p, n=2)
+        nl = make_nonlinearity("pow_exp", q=2.0, p=p)
         rep = classify_small_gamma(nl, 2, cfg=_CFG)
         rows.append(CheckRow(name=f"small_amplitude_regime[p={p:g}->{want}]",
                              value=rep.spread, bound=0.75,

@@ -60,7 +60,7 @@ def nl_three_halves():
 @pytest.fixture(scope="session")
 def nl_family_ii():
     """f = lambda u e^{u^{3/2} + u}; log term plus linear drift."""
-    return make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0, n=2)
+    return make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0)
 
 
 def _saturated(ref, lower):

@@ -272,8 +272,7 @@ class TestPredictions:
 def _fake_curve(nl, gammas, Ts, cfg):
     outs = [ShootOutcome(gamma=g, T=t, yprime_T=0.1, R=1.0, lam=1.0)
             for g, t in zip(gammas, Ts)]
-    return BifurcationCurve(nl=nl, n=2, beta=0.0, cfg=cfg,
-                            gammas=list(gammas), outcomes=outs)
+    return BifurcationCurve(nl=nl, n=2, cfg=cfg, outcomes=outs)
 
 
 class TestDecayReport:
@@ -287,6 +286,15 @@ class TestDecayReport:
         curve = _fake_curve(nl, [1.0], [1.0], cfg2)
         with pytest.raises(ConfigError):
             error_decay_report(curve, [])
+
+    def test_refuses_a_growth_past_the_window_of_its_dimension(self, cfg2):
+        # q = 3 > n/(n-1) = 2: refused from the curve's own n
+        nl = make_nonlinearity("pow_exp", q=3.0)
+        gammas = (3.0, 4.0, 5.0, 6.0)
+        curve = _fake_curve(nl, gammas, [1.0] * 4, cfg2)
+        preds = [predict_all(g, 2, nl) for g in gammas]
+        with pytest.raises(ConfigError, match="standing hypotheses"):
+            error_decay_report(curve, preds)
 
     def test_refuses_mismatched_grids(self, nl_square, cfg2):
         curve = _fake_curve(nl_square, [3.0, 4.0, 5.0, 6.0], [1.0] * 4, cfg2)
@@ -377,7 +385,7 @@ class TestSnapshot:
     @settings(max_examples=300, deadline=None)
     def test_fields_are_finite_or_the_error_is_typed(self, family, q, p, rb,
                                                      n, gamma):
-        nl = make_nonlinearity(family, q=q, p=p, rho_beta=rb, n=n)
+        nl = make_nonlinearity(family, q=q, p=p, rho_beta=rb)
         try:
             s = snapshot(nl, n, gamma)
         except QShootError:

@@ -5,6 +5,7 @@ its sweep workload's final check imports a few public names. A refactor that
 drops one of them would crash the benchmark run; these tests fail first.
 """
 
+import ast
 import importlib
 import inspect
 import types
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +69,39 @@ def test_names_the_sweep_final_check_imports():
                                 "rho_beta": 1.0, "n": 2})
     nl, cfg = rc.nonlinearity(), rc.problem()
     assert choose_route(nl, rc.n, 6.0, cfg) in ("t", "r")
+
+
+def _unread_imports(tree) -> list:
+    """(import statement, bound name) for each name the module imports and
+    never reads; `__future__` and the names `__all__` exports are read."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            read |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant)}
+    return [(node, name) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in ((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+            if name not in read]
+
+
+def test_every_import_is_read_or_bound_for_the_tracer(tracer):
+    # no pyflakes here: an import nothing reads is either deleted or kept,
+    # marked `# noqa: F401`, as a binding the tracer wraps by name
+    wrapped = {(m, a) for m, a, _ in tracer.SPAN_POINTS}
+    wrapped |= {(m, "eval_g") for m in tracer.EVAL_G_MODULES}
+    stray = []
+    for path in sorted((ROOT / "src" / "qshoot").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        module = "qshoot" if path.stem == "__init__" else f"qshoot.{path.stem}"
+        for node, name in _unread_imports(ast.parse(text)):
+            marked = any("# noqa: F401" in line
+                         for line in lines[node.lineno - 1:node.end_lineno])
+            if not (marked and (module, name) in wrapped):
+                stray.append(f"{path.name}:{node.lineno} {name}")
+    assert stray == []

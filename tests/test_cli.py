@@ -408,6 +408,18 @@ class TestLinearizeCommand:
         header = out.read_text().splitlines()[0]
         assert header == "gamma,T,R,lambda,yprime_T,Tprime_v1,Tprime_fd"
 
+    def test_grid_mode_draws_svg(self, capsys, tmp_path):
+        out = tmp_path / "lin.svg"
+        code, _, _ = run_cli(
+            capsys, "linearize", "--family", "pow_exp", "--q", "1.5",
+            "--p", "1", "--rho-beta", "1", "--gamma-min", "2",
+            "--gamma-max", "8", "--gamma-steps", "4", "--format", "svg",
+            "--out", str(out))
+        assert code == 0
+        body = out.read_text()
+        assert body.startswith("<svg") and "<polyline" in body
+        assert [p.name for p in tmp_path.iterdir()] == ["lin.svg"]
+
     def test_single_amplitude_and_grid_row_agree(self, capsys, tmp_path):
         flags = ("--family", "pow_exp", "--q", "1.5", "--p", "1",
                  "--rho-beta", "1")
@@ -508,6 +520,31 @@ class TestOtherCommands:
                                "--beta-weight", "2", "--gamma", "1")
         assert code == 1
         assert "beta" in err
+
+
+class TestSvgOfNoCurve:
+    """Only a sweep and a linearize grid draw a curve; every other
+    command refuses --format svg for its --out before it marches."""
+
+    @pytest.mark.parametrize("argv", [
+        ("shoot", "--gamma", "2"),
+        ("linearize", "--gamma", "4"),
+        ("verify", "--suite", "identities"),
+        ("regimes", "--p", "1"),
+        ("singular", "--family", "exp", "--beta-weight", "1", "--gamma", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_is_a_config_error(self, capsys, tmp_path, monkeypatch, argv):
+        def march(*args, **kwargs):
+            raise AssertionError("marched")
+
+        monkeypatch.setattr(ode, "_march", march)
+        out = tmp_path / "x.svg"
+        code, stdout, err = run_cli(capsys, *argv, "--format", "svg",
+                                    "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == f"qshoot: error: {argv[0]} draws no curve: --format " \
+            "svg needs sweep or a linearize grid\n"
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from qshoot.errors import AdmissionError, ConfigError
 from qshoot.nonlinearity import (SOURCE_CAP, convexity_floor,
                                  eval_fprime_source, eval_g, eval_source,
-                                 g_is_linear, log_f, make_nonlinearity,
-                                 with_lambda)
+                                 exploratory, g_is_linear, log_f,
+                                 make_nonlinearity, with_lambda)
 from qshoot.ode import _system
 from conftest import saturated_fprime, saturated_source
 
@@ -151,7 +152,16 @@ def test_with_lambda_rescales():
     nl = make_nonlinearity("exp", lam=1.0)
     nl2 = with_lambda(nl, 3.0)
     assert log_f(nl2, 1.5) == pytest.approx(math.log(3.0) + 1.5)
-    assert nl2.f0 == pytest.approx(3.0)
+    assert nl2.f0 == 3.0
+
+
+def test_with_lambda_sets_f0_to_the_new_multiplier():
+    # f0 used to be stored and rescaled by lam / nl.lam, which rounded
+    # away from lam in 875 of these draws
+    rng = random.Random(1)
+    for _ in range(10_000):
+        a, b = rng.uniform(0.01, 10.0), rng.uniform(0.01, 10.0)
+        assert with_lambda(make_nonlinearity("exp", lam=a), b).f0 == b
 
 
 @pytest.mark.parametrize("name", ["lam", "a", "q", "p", "rho_beta"])
@@ -297,15 +307,15 @@ def test_g_is_linear_flags():
 
 
 def test_exploratory_tagging():
-    assert make_nonlinearity("pow_exp", q=3.0, n=2).exploratory
-    assert not make_nonlinearity("pow_exp", q=2.0, n=2).exploratory
-    assert not make_nonlinearity("pow_exp", q=1.5, n=3).exploratory
-    assert make_nonlinearity("exp").exploratory
+    assert exploratory(make_nonlinearity("pow_exp", q=3.0), 2)
+    assert not exploratory(make_nonlinearity("pow_exp", q=2.0), 2)
+    assert not exploratory(make_nonlinearity("pow_exp", q=1.5), 3)
+    assert exploratory(make_nonlinearity("exp"), 2)
 
 
 def test_describe_mentions_lambda():
     nl = make_nonlinearity("pow_exp", q=2.0, lam=2.5)
-    d = nl.describe()
+    d = nl.describe(2)
     assert d["lambda"] == 2.5
     assert d["family"] == "pow_exp"
 

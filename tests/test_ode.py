@@ -375,7 +375,7 @@ class TestOutwardMarch:
         # u -> gamma u turns f = u into gamma^{2-n} u under the n-Laplacian,
         # so R gamma^{-(n-2)/n} is R at gamma = 1; the half-gamma series
         # start was off by 7.7% (n=3) and 5.6% (n=4) from gamma = 1e-10
-        nl = make_nonlinearity("linear", n=n)
+        nl = make_nonlinearity("linear")
         r1 = integrate_r(nl, n, 1.0).stop
         for gamma in (1e-4, 1e-8, 1e-12, 1e-20):
             r = integrate_r(nl, n, gamma).stop * gamma ** ((2.0 - n) / n)
@@ -597,7 +597,7 @@ class TestStepper:
         # both. The first steps' error norms sit at rounding level (1e-8),
         # where the summation order moves the step factor: the step ends
         # part after one or two steps, and the states still agree.
-        nl = make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0, n=n)
+        nl = make_nonlinearity("pow_exp", q=1.5, p=1.0, rho_beta=1.0)
         cfg = ProblemConfig()
         if lin:
             traj, seen = _marched(monkeypatch, lambda: solve_V1(
@@ -605,7 +605,7 @@ class TestStepper:
         else:
             traj, seen = _marched(monkeypatch, lambda: shoot(
                 nl, n, 6.0, cfg, keep_trajectory=True, route="t").traj)
-        assert traj.lin == lin
+        assert len(traj.states[0]) == (4 if lin else 2)
 
         def zero(t, u):
             return u[0]
@@ -655,7 +655,7 @@ class TestStepper:
     def test_the_aim_holds_at_tiny_amplitudes(self, gamma):
         # y - level and y' both tiny: their product underflows to 0, their
         # signs still say the march heads for the level
-        nl = make_nonlinearity("pow_exp", p=1.0, n=2)
+        nl = make_nonlinearity("pow_exp", p=1.0)
         d = shoot(nl, 2, gamma, ProblemConfig(),
                   keep_trajectory=True).traj.diagnostics
         assert d["aimed"] >= 1 and d["rejected_stop"] == 0
@@ -666,7 +666,7 @@ class TestStepper:
         # capped at steps of 0.5)
         nl = make_nonlinearity(
             "pow_exp", q=2.048104938325588, p=1.2205259916931035,
-            rho_beta=1.468465276109871, lam=0.29230008974150495, n=2)
+            rho_beta=1.468465276109871, lam=0.29230008974150495)
         traj = shoot(nl, 2, 142.00054031975856, ProblemConfig(),
                      keep_trajectory=True, route="t").traj
         assert traj.diagnostics["landed"]
@@ -686,7 +686,7 @@ class TestStepper:
         monkeypatch.setattr(qshoot.ode.DenseOutput, "land", spy)
         nl = make_nonlinearity(
             "pow_exp", q=1.7829969044604073, p=0.12372409667228079,
-            rho_beta=1.7566242679211603, lam=0.12565466792950805, n=2)
+            rho_beta=1.7566242679211603, lam=0.12565466792950805)
         gamma, tight = 2.478536716884354, ProblemConfig(rtol=1e-13)
         for route in ("t", "r"):
             landed.clear()
@@ -715,7 +715,7 @@ class TestStepper:
         # the aim cuts each step near the zero to about a third of the last;
         # a prediction fed those steps would shrink the next one alike, and
         # the aim's approach would take twice the aimed steps
-        nl = make_nonlinearity("pow_exp", q=1.5, n=3)
+        nl = make_nonlinearity("pow_exp", q=1.5)
         cfg = ProblemConfig()
         d = shoot(nl, 3, gamma, cfg, keep_trajectory=True,
                   route="t").traj.diagnostics
@@ -781,7 +781,7 @@ class TestLanding:
     @pytest.mark.parametrize("group", sorted(GROUPS))
     def test_every_march_lands_accurately(self, group):
         family, kw, n, grid, solve = self.GROUPS[group]
-        nl = make_nonlinearity(family, n=n, **kw)
+        nl = make_nonlinearity(family, **kw)
         cfg = ProblemConfig()
         tight = replace(cfg, rtol=1e-13)
         for gamma in np.linspace(*grid):
@@ -797,7 +797,7 @@ class TestLanding:
         # to that spacing, in one pass here
         nl = make_nonlinearity(
             "pow_exp", q=2.241937444429604, p=2.7170013314033414,
-            rho_beta=2.4625338705116473, lam=0.31486428271855005, n=2)
+            rho_beta=2.4625338705116473, lam=0.31486428271855005)
         out = shoot(nl, 2, 0.00022065807470623684, ProblemConfig(),
                     keep_trajectory=True)
         d = out.traj.diagnostics

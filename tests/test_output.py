@@ -80,7 +80,12 @@ class TestRowSchemas:
         assert meta["tolerances"] == {"rtol": cfg2.rtol}
         assert meta["version"] == "9.9.9"
         assert meta["gamma_count"] == 2
-        assert "nonlinearity" in meta
+        assert "exploratory" not in meta["nonlinearity"]
+
+    def test_meta_tags_growth_past_the_window_of_the_dimension(self, cfg2):
+        nl = make_nonlinearity("pow_exp", q=3.0)
+        meta = curve_meta(sweep(nl, 2, [2.0, 3.0], cfg2), "9.9.9")
+        assert meta["nonlinearity"]["exploratory"] is True
 
     def test_svg_has_labeled_axes(self, nl_square, cfg2):
         curve = sweep(nl_square, 2, [3.0, 4.0, 5.0], cfg2)

@@ -78,8 +78,8 @@ CASES = st.tuples(st.sampled_from(["exp", "pow_exp", "linear"]),
 
 
 def _case_nl(case):
-    family, n, q, p, rb, lam = case[:6]
-    return make_nonlinearity(family, q=q, p=p, rho_beta=rb, lam=lam, n=n)
+    family, _, q, p, rb, lam = case[:6]
+    return make_nonlinearity(family, q=q, p=p, rho_beta=rb, lam=lam)
 
 
 def _liouville_R(n, gamma):
@@ -195,7 +195,7 @@ class TestReferenceProblems:
 
     def test_steep_amplitude_zero_meets_the_tolerance(self):
         # g'(8) = 16: the plain march's T against a run at rtol 1e-13
-        nl = make_nonlinearity("pow_exp", q=2.0, n=2)
+        nl = make_nonlinearity("pow_exp", q=2.0)
         T = shoot(nl, 2, 8.0, ProblemConfig()).T
         ref = shoot(nl, 2, 8.0, ProblemConfig(rtol=1e-13)).T
         assert T == pytest.approx(ref, rel=2e-10)
@@ -318,7 +318,7 @@ class TestRouteChoice:
 
         monkeypatch.setattr(qshoot.nonlinearity, "eval_g", counted)
         cases = [(nl_family_ii, 5), (nl_exp, 1), (nl_square, 1),
-                 (make_nonlinearity("pow_exp", q=1.5, n=3), 1),
+                 (make_nonlinearity("pow_exp", q=1.5), 1),
                  (make_nonlinearity("pow_exp", q=2.0, rho_beta=-1.0), 4),
                  # g' reads 0.0 on ~100 ulps round its root: bisected
                  (make_nonlinearity("pow_exp", a=0.5, q=1.01,
@@ -423,7 +423,7 @@ class TestSweep:
     def test_failed_channel_keeps_the_shoot_row(self):
         # p < 1: the channel's step size collapses just above the zero,
         # while the plain march lands on it
-        nl = make_nonlinearity("pow_exp", q=1.9, p=0.2, n=2)
+        nl = make_nonlinearity("pow_exp", q=1.9, p=0.2)
         cfg = ProblemConfig()
         curve = sweep(nl, 2, [1.0, 3.0], cfg, with_derivative=True)
         for g, out, tv1, tfd in zip(curve.gammas, curve.outcomes,
