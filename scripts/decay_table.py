@@ -7,7 +7,7 @@ amplitude ladder and judge whether the normalized errors stay bounded.
 import argparse
 
 from qshoot._numeric import geomspace
-from qshoot.asymptotics import error_decay_report, predict_all
+from qshoot.asymptotics import BOUND_FACTOR, error_decay_report
 from qshoot.nonlinearity import make_nonlinearity
 from qshoot.output import atomic_write, csv_text, decay_rows
 from qshoot.shooting import sweep
@@ -22,7 +22,6 @@ def main(argv=None):
     ap.add_argument("--gamma-min", type=float, default=20.0)
     ap.add_argument("--gamma-max", type=float, default=200.0)
     ap.add_argument("--steps", type=int, default=6)
-    ap.add_argument("--bound-factor", type=float, default=10.0)
     ap.add_argument("--out", default=None, help="optional CSV path")
     args = ap.parse_args(argv)
 
@@ -30,8 +29,7 @@ def main(argv=None):
                            rho_beta=args.rho_beta)
     grid = geomspace(args.gamma_min, args.gamma_max, args.steps)
     curve = sweep(nl, args.n, grid, with_derivative=True)
-    preds = [predict_all(g, args.n, nl) for g in grid]
-    report = error_decay_report(curve, preds, bound_factor=args.bound_factor)
+    report = error_decay_report(curve)
 
     header, rows = decay_rows(report)
     widths = (10, 10, 9, 14, 14, 11, 11)
@@ -48,7 +46,7 @@ def main(argv=None):
     for q, v in report.verdicts.items():
         word = "bounded" if v["bounded"] else "UNBOUNDED"
         print(f"{q}: {word} (upper-half max/min = {v['max_over_min']:.3g}, "
-              f"factor allowed {args.bound_factor:g})")
+              f"factor allowed {BOUND_FACTOR:g})")
     if args.out:
         atomic_write(args.out, csv_text(header, rows))
         print(f"wrote {args.out}")

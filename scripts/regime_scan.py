@@ -27,9 +27,7 @@ def main(argv=None):
         rep = classify_small_gamma(nl, args.n)
         print(f"{p:6.2f}  {rep.verdict:<14} {rep.p_estimate:12.6f} "
               f"{rep.spread:10.4f}")
-        results.append({"p": p, "verdict": rep.verdict,
-                        "p_estimate": rep.p_estimate, "spread": rep.spread,
-                        "gammas": list(rep.gammas), "T": list(rep.Ts)})
+        results.append({"p": p, **rep.as_dict()})
     if args.out:
         atomic_write(args.out, json_text(results))
         print(f"wrote {args.out}")

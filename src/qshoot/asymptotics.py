@@ -309,26 +309,23 @@ def perturbed_root(a: float, n: int, b: float) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    gamma: float
-    n: int
     T_pred: float
     yprime_T_pred: float
     Tprime_pred: float
-    S_pred: float | None
 
 
 def predict_all(gamma: float, n: int, nl: Nonlinearity) -> AsymptoticPrediction:
-    """Leading-order predictions for T, y'(T), T' and the turning point.
+    """Leading-order predictions for T, y'(T) and T'.
 
     T_pred = g - ((n-1)/n) gamma g' + (n-1) log(((n-1)/n) g')
              + alpha_n (n-1) gamma g''/g'
     yprime_T_pred = n/((n-1) g') + n^2 alpha_n g'' / ((n-1)(g')^3)
     Tprime_pred = (1/n)(g' - (n-1) gamma g'')
-    S_pred = T1 + (n-1) log((n-1) g''/(g')^2)   (absent when g'' <= 0)
 
-    The displayed (log g')^2/g' term of the T expansion is an order, not a
-    computable coefficient, so it is excluded from T_pred and only used to
-    normalize error-decay verdicts. The bounded correction A that appears
+    The turning point prediction is GammaSnapshot.S_pred. The displayed
+    (log g')^2/g' term of the T expansion is an order, not a computable
+    coefficient, so it is excluded from T_pred and only used to normalize
+    error-decay verdicts. The bounded correction A that appears
     when f(0) > 0 needs a computed trajectory and is not part of T_pred.
     """
     s = snapshot(nl, n, gamma)
@@ -341,9 +338,8 @@ def predict_all(gamma: float, n: int, nl: Nonlinearity) -> AsymptoticPrediction:
     yprime = s.c + n * n * s.alpha_n * s.gpp \
         / ((n - 1.0) * checked_pow(s.gp, 3, gamma))
     tprime = (s.gp - (n - 1.0) * gamma * s.gpp) / n
-    return AsymptoticPrediction(
-        gamma=float(gamma), n=int(n), T_pred=t_lead,
-        yprime_T_pred=yprime, Tprime_pred=tprime, S_pred=s.S_pred)
+    return AsymptoticPrediction(T_pred=t_lead, yprime_T_pred=yprime,
+                                Tprime_pred=tprime)
 
 
 @dataclass
@@ -359,40 +355,37 @@ class DecayReport:
 
 # what error_decay_report judges, in report order
 _JUDGED = ("T", "yprime_T", "Tprime")
+# a verdict is "bounded" when its normalized errors stay within this factor
+BOUND_FACTOR = 10.0
 
 
-def error_decay_report(curve, predictions, *,
-                       bound_factor: float = 10.0) -> DecayReport:
+def error_decay_report(curve) -> DecayReport:
     """Raw and normalized prediction errors along a gamma ladder.
 
-    For each of T, y'(T) and T' (when the curve has it) the raw error is
-    divided by the claimed error order (see predict_all); the verdict is
-    "bounded" when the normalized errors over the upper half of the grid
-    stay within bound_factor of each other.
+    Each solved row of the curve is compared with predict_all at its own
+    gamma, n and nl. For each of T, y'(T) and T' (when the curve has it)
+    the raw error is divided by the claimed error order (see predict_all);
+    the verdict is "bounded" when the normalized errors over the upper
+    half of the grid stay within BOUND_FACTOR of each other.
     Asymptotic claims say nothing at small gamma, so the lower half is
     reported but not judged.
     """
-    nl = curve.nl
-    if nl.linear or exploratory(nl, curve.n):
+    nl, n = curve.nl, curve.n
+    if nl.linear or exploratory(nl, n):
         raise ConfigError(
             "decay comparison refused: input outside the standing hypotheses")
-    outs = curve.outcomes
-    if len(outs) != len(predictions):
-        raise ConfigError("curve and prediction grids differ in length")
-    good = [o for o in outs if o.T is not None]
+    good = [o for o in curve.outcomes if o.T is not None]
     if len(good) < 4:
         raise ConfigError("need at least 4 gamma points for a decay verdict")
     gammas = [o.gamma for o in good]
     span_ok = max(gammas) / min(gammas) >= 10.0
 
-    n = curve.n
     rows = []
-    for i, (out, pred) in enumerate(zip(outs, predictions)):
+    for i, out in enumerate(curve.outcomes):
         if out.T is None:
             continue
         gam = out.gamma
-        if abs(pred.gamma - gam) > 1e-12 * max(1.0, gam):
-            raise ConfigError("prediction grid does not match the curve grid")
+        pred = predict_all(gam, n, nl)
         gp = eval_g(nl, gam, 1)
         gpp = eval_g(nl, gam, 2)
         dlt = math.log(gp)
@@ -425,7 +418,7 @@ def error_decay_report(curve, predictions, *,
         upper = sub[len(sub) // 2:]
         vals = [r["normalized_err"] for r in upper]
         ok = (all(math.isfinite(v) for v in vals) and min(vals) > 0.0
-              and max(vals) / min(vals) <= bound_factor)
+              and max(vals) / min(vals) <= BOUND_FACTOR)
         verdicts[qn] = {
             "bounded": ok,
             "max_over_min": (max(vals) / min(vals)

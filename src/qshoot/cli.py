@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from ._numeric import linspace
-from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
 from .errors import ConfigError, QShootError
 from .linearization import _turning, detect_turning, solve_V1, t_prime_fd
@@ -262,8 +261,7 @@ def cmd_linearize(rc: RunConfig, args) -> int:
              f"route={res.route}"]
     try:
         # a t-route march already carries the channel the report reads
-        rep = (_turning(snapshot(nl, rc.n, rc.gamma), res)
-               if res.route == "t" else
+        rep = (_turning(res) if res.route == "t" else
                detect_turning(nl, rc.n, rc.gamma, cfg))
         for k, v in rep.as_dict().items():
             lines.append(f"{k}={fmt_value(v) if v is not None else 'absent'}")
@@ -309,10 +307,7 @@ def cmd_regimes(rc: RunConfig, args) -> int:
         lines.append(f"T[gamma={fmt_value(g)}]={fmt_value(T)}")
     _emit(lines)
     if rc.out:
-        atomic_write(rc.out, json_text({
-            "verdict": rep.verdict, "p_estimate": rep.p_estimate,
-            "spread": rep.spread, "gammas": list(rep.gammas),
-            "T": list(rep.Ts)}))
+        atomic_write(rc.out, json_text(rep.as_dict()))
     return 0
 
 
@@ -358,10 +353,14 @@ def main(argv=None) -> int:
             return 1
         rc = load_run_config(args.config, _flag_values(args))
         grid = rc.gamma_min is not None or rc.gamma_max is not None
-        if rc.out and rc.fmt == "svg" and args.command != "sweep" and not (
-                args.command == "linearize" and grid):
-            raise ConfigError(f"{args.command} draws no curve: --format svg "
-                              "needs sweep or a linearize grid")
+        if rc.out and rc.fmt == "svg":
+            if args.command != "sweep" and not (
+                    args.command == "linearize" and grid):
+                raise ConfigError(f"{args.command} draws no curve: --format "
+                                  "svg needs sweep or a linearize grid")
+            if not grid or rc.gamma_steps < 2:
+                raise ConfigError("--format svg draws a curve through a "
+                                  "grid: it needs --gamma-steps >= 2")
         return _COMMANDS[args.command](rc, args)
     except ConfigError as exc:
         print(f"qshoot: error: {exc}", file=sys.stderr)

@@ -82,16 +82,16 @@ def detect_turning(nl: Nonlinearity, n: int, gamma: float,
     by the same scan as its stop, to 1e-13. They come back None when no
     accepted step brackets one before the stop; nothing is extrapolated.
     """
-    s = snapshot(nl, n, gamma)
-    s.S_pred  # refuses an overflowing (g')^2 before the march
-    return _turning(s, solve_V1(nl, n, gamma, cfg, keep_trajectory=True,
-                                route="t"))
+    snapshot(nl, n, gamma).S_pred  # refuses an overflowing (g')^2 first
+    return _turning(solve_V1(nl, n, gamma, cfg, keep_trajectory=True,
+                             route="t"))
 
 
-def _turning(s, res: ShootOutcome) -> TurningReport:
+def _turning(res: ShootOutcome) -> TurningReport:
     """The turning report of `detect_turning`, read off a t-route channel
-    march `res` that kept its trajectory, with s the snapshot of its
-    amplitude."""
+    march `res` that kept its trajectory."""
+    s = snapshot(res.traj.nl, res.traj.n, res.gamma)
+
     def zero(j):  # the first crossing of component j, unless past the stop
         x = res.traj.dense.crossing(0.0, 1e-13, j)
         return x if x is not None and x >= res.T else None

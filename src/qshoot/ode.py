@@ -809,14 +809,18 @@ def energy_series(traj: Trajectory) -> list:
     return out
 
 
-def energy_violations(records, tol: float = 1e-9):
+# the relative drop of E that energy_violations tolerates
+_ENERGY_TOL = 1e-9
+
+
+def energy_violations(records):
     """Pairs of consecutive records violating monotone decrease in t beyond
-    tol * scale. Records are in decreasing-t order, so E must not decrease
-    along the list."""
+    _ENERGY_TOL * scale. Records are in decreasing-t order, so E must not
+    decrease along the list."""
     bad = []
     for r1, r2 in zip(records[:-1], records[1:]):
         drop = r1.E - r2.E
-        if drop > tol * r1.scale:
+        if drop > _ENERGY_TOL * r1.scale:
             bad.append((r1.t, r2.t, drop / r1.scale))
     return bad
 

@@ -58,15 +58,7 @@ def csv_text(header, rows) -> str:
 
 
 def json_text(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def linearization_rows(traj: Trajectory):

@@ -184,8 +184,11 @@ def sweep(nl: Nonlinearity, n: int, gammas,
     """Shoot every amplitude in `gammas`, in order; a failed amplitude
     keeps its slot as a placeholder row. With derivatives, one channel
     march per amplitude gives the row and T'; a plain shoot stands in
-    only when that march fails."""
+    only when that march fails. An n or weight that no amplitude can
+    take is refused up front."""
     from .linearization import solve_V1, t_prime_fd
+
+    check_dimension(n, cfg.beta_weight)
 
     def one(g):
         try:
@@ -223,6 +226,11 @@ class RegimeReport:
     gammas: tuple
     Ts: tuple
     spread: float
+
+    def as_dict(self) -> dict:
+        return {"verdict": self.verdict, "p_estimate": self.p_estimate,
+                "spread": self.spread, "gammas": list(self.gammas),
+                "T": list(self.Ts)}
 
 
 def classify_small_gamma(nl: Nonlinearity, n: int,

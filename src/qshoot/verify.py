@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from ._numeric import geomspace, linspace, quad
-from .asymptotics import (comparison_z, error_decay_report, harmonic,
-                          perturbed_root, predict_all, psi_eval, snapshot,
-                          tail_power_integral, turning_integrals,
+from .asymptotics import (BOUND_FACTOR, comparison_z, error_decay_report,
+                          harmonic, perturbed_root, predict_all, psi_eval,
+                          snapshot, tail_power_integral, turning_integrals,
                           z_ode_log_residual)
 from .config import ProblemConfig
 from .errors import QShootError
@@ -227,13 +227,12 @@ def suite_asymptotics() -> SuiteReport:
 
     # prediction errors shrink along a short amplitude ladder
     gs = geomspace(20.0, 200.0, 6)
-    preds = [predict_all(g, 2, nl15) for g in gs]
-    report = error_decay_report(sweep(nl15, 2, gs, _CFG), preds)
-    errTp = [abs(t_prime(nl15, 2, g, _CFG) - p.Tprime_pred)
-             for g, p in zip(gs, preds)]
+    report = error_decay_report(sweep(nl15, 2, gs, _CFG))
+    errTp = [abs(t_prime(nl15, 2, g, _CFG)
+                 - predict_all(g, 2, nl15).Tprime_pred) for g in gs]
     half = len(gs) // 2
     rows.append(_leq("zero_error_normalized_spread[u^1.5]",
-                     report.verdicts["T"]["max_over_min"], 10.0))
+                     report.verdicts["T"]["max_over_min"], BOUND_FACTOR))
     drops = all(b < a for a, b in zip(errTp[half:], errTp[half + 1:]))
     rows.append(CheckRow(name="slope_error_decreasing[u^1.5]",
                          value=float(errTp[-1]), bound=float(errTp[half]),

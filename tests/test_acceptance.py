@@ -155,7 +155,7 @@ def test_criterion_06_energy_monotonicity(cfg2):
         out = shoot(nl, 2, gamma, cfg2, keep_trajectory=True, route="t")
         recs = energy_series(out.traj)
         total += len(recs)
-        bad += len(energy_violations(recs, tol=1e-9))
+        bad += len(energy_violations(recs))
     elapsed = time.perf_counter() - t0
     _criterion(6, "energy_monotonicity", bad == 0,
                f"{total} samples over {len(ENERGY_MATRIX)} trajectories, "
@@ -190,12 +190,11 @@ def test_criterion_09_zero_error_decay(nl_three_halves, cfg2):
     t0 = time.perf_counter()
     gammas = np.geomspace(20.0, 200.0, 6)
     curve = sweep(nl_three_halves, 2, gammas, cfg2)
-    preds = [predict_all(float(g), 2, nl_three_halves) for g in gammas]
-    rep = error_decay_report(curve, preds, bound_factor=10.0)
+    rep = error_decay_report(curve)
     ratio = rep.verdicts["T"]["max_over_min"]
     lead = 2.0 / (1.5 * math.sqrt(200.0))
-    slope_rel = abs(curve.outcomes[-1].yprime_T
-                    - preds[-1].yprime_T_pred) / lead
+    pred = predict_all(200.0, 2, nl_three_halves)
+    slope_rel = abs(curve.outcomes[-1].yprime_T - pred.yprime_T_pred) / lead
     elapsed = time.perf_counter() - t0
     ok = rep.span_ok and rep.verdicts["T"]["bounded"] and slope_rel <= 0.1
     _criterion(9, "zero_error_decay", ok,

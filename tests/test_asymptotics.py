@@ -250,14 +250,12 @@ class TestPredictions:
 
     def test_turning_prediction_absent_without_convexity(self):
         nl = make_nonlinearity("pow_exp", q=1.0, a=2.0)
-        pred = predict_all(4.0, 2, nl)
-        assert pred.S_pred is None
+        assert snapshot(nl, 2, 4.0).S_pred is None
 
     def test_turning_prediction_present_when_convex(self, nl_square):
-        pred = predict_all(5.0, 2, nl_square)
         s = snapshot(nl_square, 2, 5.0)
         want = s.T1 + math.log(s.gpp / s.gp ** 2)
-        assert pred.S_pred == pytest.approx(want, rel=1e-13)
+        assert s.S_pred == pytest.approx(want, rel=1e-13)
 
     def test_needs_a_steep_exponent(self, nl_square, nl_exp):
         with pytest.raises(AdmissionError):
@@ -269,57 +267,56 @@ class TestPredictions:
         assert predict_all(7.0, 3, nl_square) == predict_all(7.0, 3, nl_square)
 
 
-def _fake_curve(nl, gammas, Ts, cfg):
+def _fake_curve(nl, gammas, Ts, cfg, n=2):
     outs = [ShootOutcome(gamma=g, T=t, yprime_T=0.1, R=1.0, lam=1.0)
             for g, t in zip(gammas, Ts)]
-    return BifurcationCurve(nl=nl, n=2, cfg=cfg, outcomes=outs)
+    return BifurcationCurve(nl=nl, n=n, cfg=cfg, outcomes=outs)
 
 
 class TestDecayReport:
     def test_refuses_linear_family(self, nl_linear, cfg2):
         curve = _fake_curve(nl_linear, [1.0], [1.0], cfg2)
         with pytest.raises(ConfigError):
-            error_decay_report(curve, [])
+            error_decay_report(curve)
 
     def test_refuses_exploratory_families(self, cfg2):
         nl = make_nonlinearity("pow_exp", q=2.0, rho_beta=-1.0)
         curve = _fake_curve(nl, [1.0], [1.0], cfg2)
         with pytest.raises(ConfigError):
-            error_decay_report(curve, [])
+            error_decay_report(curve)
 
     def test_refuses_a_growth_past_the_window_of_its_dimension(self, cfg2):
         # q = 3 > n/(n-1) = 2: refused from the curve's own n
         nl = make_nonlinearity("pow_exp", q=3.0)
-        gammas = (3.0, 4.0, 5.0, 6.0)
-        curve = _fake_curve(nl, gammas, [1.0] * 4, cfg2)
-        preds = [predict_all(g, 2, nl) for g in gammas]
+        curve = _fake_curve(nl, (3.0, 4.0, 5.0, 6.0), [1.0] * 4, cfg2)
         with pytest.raises(ConfigError, match="standing hypotheses"):
-            error_decay_report(curve, preds)
-
-    def test_refuses_mismatched_grids(self, nl_square, cfg2):
-        curve = _fake_curve(nl_square, [3.0, 4.0, 5.0, 6.0], [1.0] * 4, cfg2)
-        preds = [predict_all(g, 2, nl_square) for g in (3.0, 4.0, 5.0)]
-        with pytest.raises(ConfigError):
-            error_decay_report(curve, preds)
+            error_decay_report(curve)
 
     def test_refuses_short_ladders(self, nl_square, cfg2):
         curve = _fake_curve(nl_square, [3.0, 4.0, 5.0], [1.0] * 3, cfg2)
-        preds = [predict_all(g, 2, nl_square) for g in (3.0, 4.0, 5.0)]
         with pytest.raises(ConfigError):
-            error_decay_report(curve, preds)
+            error_decay_report(curve)
 
-    def test_refuses_permuted_prediction_grid(self, nl_square, cfg2):
-        gam = [3.0, 4.0, 5.0, 6.0]
-        curve = _fake_curve(nl_square, gam, [1.0] * 4, cfg2)
-        preds = [predict_all(g, 2, nl_square) for g in reversed(gam)]
-        with pytest.raises(ConfigError):
-            error_decay_report(curve, preds)
+    def test_predicts_at_the_curves_own_dimension(self, cfg2):
+        # an n=3 curve of u^1.5 growth: every row is compared with the
+        # n=3 prediction at its own gamma, never with the n=2 one
+        nl = make_nonlinearity("pow_exp", q=1.5)
+        gammas = (20.0, 40.0, 80.0, 160.0)
+        curve = _fake_curve(nl, gammas, [1.0] * 4, cfg2, n=3)
+        rows = error_decay_report(curve).rows
+        assert [(r["gamma"], r["Q"]) for r in rows] == [
+            (g, q) for g in gammas for q in ("T", "yprime_T")]
+        for r in rows:
+            pred = predict_all(r["gamma"], 3, nl)
+            want = pred.T_pred if r["Q"] == "T" else pred.yprime_T_pred
+            assert r["predicted"] == want
+            assert want != getattr(predict_all(r["gamma"], 2, nl),
+                                   r["Q"] + "_pred")
 
     def test_short_ladder_smoke(self, nl_three_halves, cfg2):
         gammas = np.geomspace(20.0, 120.0, 5)
         curve = sweep(nl_three_halves, 2, gammas, cfg2)
-        preds = [predict_all(float(g), 2, nl_three_halves) for g in gammas]
-        report = error_decay_report(curve, preds)
+        report = error_decay_report(curve)
         assert not report.span_ok  # 120/20 falls short of a decade
         assert {r["Q"] for r in report.rows} == {"T", "yprime_T"}
         assert all(r["raw_err"] >= 0.0 for r in report.rows)
@@ -395,7 +392,7 @@ class TestSnapshot:
         # the closed forms read off the snapshot: finite, or typed refusals
         def prediction():
             pr = predict_all(gamma, n, nl)
-            return pr.T_pred, pr.yprime_T_pred, pr.Tprime_pred, pr.S_pred
+            return pr.T_pred, pr.yprime_T_pred, pr.Tprime_pred, s.S_pred
 
         def turning():  # the markers on the closed-form V2
             S1 = v2_largest_zero(s, tail_start(nl, n, gamma,

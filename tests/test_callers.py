@@ -11,7 +11,9 @@ own tests reach is deleted, or kept in ALLOWED with the reason.
 Parameters need callers too: each defaulted parameter of a public function
 that has callers is passed by some call in those same sources, as a
 keyword, a positional argument or a `**mapping`, or kept in ALLOWED_PARAMS
-with the reason.
+with the reason. A parameter must also vary: when every call that passes
+it passes a literal equal to its default, it is a constant, not a
+setting. An expression, a `*sequence` or a `**mapping` counts as varying.
 
 Fields need readers: each field and property of a public dataclass is read
 as an attribute, or named as a string, in those same sources, or kept in
@@ -100,8 +102,8 @@ def _called() -> set:
 
 
 def _defaulted() -> list:
-    """(function, parameter, positional index or None) for each defaulted
-    parameter of a public module-level function outside ALLOWED."""
+    """(function, parameter, positional index or None, default) for each
+    defaulted parameter of a public module-level function outside ALLOWED."""
     out = []
     for _, node in _public_nodes():
         if isinstance(node, ast.ClassDef) or node.name in ALLOWED:
@@ -109,21 +111,34 @@ def _defaulted() -> list:
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
-        out += [(node.name, a.arg, i)
+        out += [(node.name, a.arg, i, args.defaults[i - first])
                 for i, a in enumerate(positional) if i >= first]
-        out += [(node.name, a.arg, None)
+        out += [(node.name, a.arg, None, d)
                 for a, d in zip(args.kwonlyargs, args.kw_defaults)
                 if d is not None]
     return out
 
 
-def _passes(call: ast.Call, param: str, index) -> bool:
-    if any(k.arg is None or k.arg == param for k in call.keywords):
-        return True
+def _argument(call: ast.Call, param: str, index):
+    """The expression a call passes for param, or None when it passes
+    none; a `**mapping` or `*sequence` that may hold it stands for it."""
+    for k in call.keywords:
+        if k.arg is None or k.arg == param:
+            return k.value
     if index is None:
-        return False
-    return (len(call.args) > index
-            or any(isinstance(a, ast.Starred) for a in call.args))
+        return None
+    starred = [a for a in call.args if isinstance(a, ast.Starred)]
+    if starred:
+        return starred[0]
+    return call.args[index] if len(call.args) > index else None
+
+
+def _literal(node):
+    """(True, value) for a literal expression, else (False, None)."""
+    try:
+        return True, ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False, None
 
 
 def _calls() -> dict:
@@ -152,20 +167,41 @@ def test_the_allowlist_holds_only_uncalled_names():
     assert set(ALLOWED) & _called() == set()
 
 
-def _unpassed() -> set:
+def _passed() -> dict:
+    """(function, parameter) to the expressions its calls pass for it, and
+    to the parameter's default as a literal pair (see _literal)."""
     calls = _calls()
-    return {(fn, param) for fn, param, index in _defaulted()
-            if not any(_passes(c, param, index) for c in calls.get(fn, []))}
+    out = {}
+    for fn, param, index, default in _defaulted():
+        args = [_argument(c, param, index) for c in calls.get(fn, [])]
+        out[(fn, param)] = ([a for a in args if a is not None],
+                            _literal(default))
+    return out
+
+
+def _unpassed() -> set:
+    return {key for key, (args, _) in _passed().items() if not args}
+
+
+def _fixed() -> set:
+    """Parameters that every passing call sets to its literal default."""
+    return {key for key, (args, default) in _passed().items()
+            if args and default[0]
+            and all(_literal(a) == default for a in args)}
 
 
 def test_every_defaulted_parameter_has_a_caller():
     assert sorted(_unpassed() - set(ALLOWED_PARAMS)) == []
 
 
+def test_every_passed_parameter_varies():
+    assert sorted(_fixed() - set(ALLOWED_PARAMS)) == []
+
+
 def test_the_parameter_allowlist_holds_only_unpassed_parameters():
-    defaulted = {(fn, param) for fn, param, _ in _defaulted()}
-    assert set(ALLOWED_PARAMS) <= defaulted
-    assert set(ALLOWED_PARAMS) <= _unpassed()
+    # unpassed, or passed only as its literal default
+    assert set(ALLOWED_PARAMS) <= set(_passed())
+    assert set(ALLOWED_PARAMS) <= _unpassed() | _fixed()
 
 
 def _decorated(node, name: str) -> bool:

@@ -523,8 +523,9 @@ class TestOtherCommands:
 
 
 class TestSvgOfNoCurve:
-    """Only a sweep and a linearize grid draw a curve; every other
-    command refuses --format svg for its --out before it marches."""
+    """Only a sweep and a linearize grid of at least two amplitudes draw
+    a curve; every other request refuses --format svg for its --out
+    before it marches."""
 
     @pytest.mark.parametrize("argv", [
         ("shoot", "--gamma", "2"),
@@ -545,6 +546,27 @@ class TestSvgOfNoCurve:
         assert err == f"qshoot: error: {argv[0]} draws no curve: --format " \
             "svg needs sweep or a linearize grid\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--gamma-min", "2", "--gamma-max", "3", "--gamma-steps",
+         "1"),
+        ("linearize", "--gamma-min", "2", "--gamma-max", "3",
+         "--gamma-steps", "1"),
+        ("sweep", "--gamma", "2"),
+    ], ids=["sweep-grid", "linearize-grid", "sweep-gamma"])
+    def test_a_one_point_curve_is_refused_before_it_solves(
+            self, capsys, tmp_path, monkeypatch, argv):
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march ran")
+
+        monkeypatch.setattr(ode, "_dopri", no_march)
+        out = tmp_path / "x.svg"
+        code, stdout, err = run_cli(capsys, *argv, "--format", "svg",
+                                    "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "qshoot: error: --format svg draws a curve through a " \
+            "grid: it needs --gamma-steps >= 2\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUnwritableOutput:

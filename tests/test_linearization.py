@@ -143,17 +143,16 @@ class TestTurningDetection:
                                                          cfg2):
         # S1 and S are the first crossings of V1 and phi on the dense output,
         # the scan that finds the stop; one past the stop is not reported
-        s = snapshot(nl_family_ii, 2, 8.0)
         res = solve_V1(nl_family_ii, 2, 8.0, cfg2, keep_trajectory=True,
                        route="t")
-        rep = _turning(s, res)
+        rep = _turning(res)
         assert rep == detect_turning(nl_family_ii, 2, 8.0, cfg2)
         dense = res.traj.dense
         assert (rep.S1, rep.S) == (dense.crossing(0.0, 1e-13, 2),
                                    dense.crossing(0.0, 1e-13, 3))
         assert abs(res.traj.state_at(rep.S1)[2]) <= 1e-10
         assert abs(res.traj.state_at(rep.S)[3]) <= 1e-10
-        short = _turning(s, replace(res, T=0.5 * (rep.S + rep.S1)))
+        short = _turning(replace(res, T=0.5 * (rep.S + rep.S1)))
         assert (short.S1, short.S) == (rep.S1, None)
 
     def test_closed_form_mode_recovers_the_marker(self, nl_family_ii, cfg2):

@@ -425,7 +425,7 @@ class TestEnergyMonitor:
                 EnergyRecord(t=1.0, E=1.1, scale=1.0),
                 EnergyRecord(t=0.0, E=1.05, scale=1.0)]
         # records run in decreasing t; E must not decrease along the list
-        bad = energy_violations(recs, tol=1e-9)
+        bad = energy_violations(recs)
         assert len(bad) == 1
         assert bad[0][0] == 1.0 and bad[0][1] == 0.0
 
@@ -757,7 +757,7 @@ class TestStepper:
         assert abs(traj.states[-1][0] - 2e-9) <= 1e-12
         recs = energy_series(traj)
         assert recs[-1].t == traj.ts[-1]
-        assert energy_violations(recs, tol=1e-9) == []
+        assert energy_violations(recs) == []
 
 
 class TestLanding:

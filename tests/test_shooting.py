@@ -466,13 +466,12 @@ class TestDimension:
             with pytest.raises(ConfigError, match="beta_weight"):
                 shoot(nl_exp, 2, 1.0, ProblemConfig(beta_weight=beta))
 
-    def test_sweep_keeps_placeholder_rows_with_the_reason(self, nl_exp,
-                                                          cfg2):
-        curve = sweep(nl_exp, 1, [3.0, 4.0], cfg2)
-        assert [o.T for o in curve.outcomes] == [None, None]
-        assert curve.errors == tuple(
-            (g, "dimension n must be an integer >= 2, got 1")
-            for g in (3.0, 4.0))
+    def test_sweep_refuses_before_any_amplitude(self, nl_exp, cfg2):
+        with pytest.raises(ConfigError,
+                           match="dimension n must be an integer >= 2, got 1"):
+            sweep(nl_exp, 1, [3.0, 4.0], cfg2)
+        with pytest.raises(ConfigError, match="beta_weight"):
+            sweep(nl_exp, 2, [3.0, 4.0], ProblemConfig(beta_weight=2.0))
 
 
 class TestFarZero:
