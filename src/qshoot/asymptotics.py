@@ -108,6 +108,18 @@ class GammaSnapshot:
         """Tail variable x = (T1 - t)/(n-1)."""
         return (self.T1 - t) / (self.n - 1.0)
 
+    def _terms(self, t: float) -> tuple:
+        """x, the logistic pair sigma(x), sigma(-x), and z', z'', V2' built
+        on that pair; z, v2 and slopes all read them from here."""
+        x = self.x(t)
+        sp, sm = sigma(x), sigma(-x)
+        c, n1 = self.c, self.n - 1.0
+        return x, sp, sm, c * sp, -c / n1 * sp * sm, self.n / n1 ** 2 * sp * sm
+
+    def slopes(self, t: float) -> tuple:
+        """z', z'' and V2' (see z and v2), from one x and one pair."""
+        return self._terms(t)[3:]
+
     def z(self, t: float) -> tuple:
         """Comparison solution z, z', z''. It solves the equation with the
         exponent linearized at gamma, so it is exact when g is linear:
@@ -115,11 +127,8 @@ class GammaSnapshot:
             z'  = c sigma(x)
             z'' = -(c/(n-1)) sigma(x) sigma(-x)
         """
-        x = self.x(t)
-        sp = sigma(x)
-        z = self.gamma - (self.n / self.gp) * softplus(x)
-        zpp = -self.c / (self.n - 1.0) * sp * sigma(-x)
-        return z, self.c * sp, zpp
+        x, _, _, zp, zpp, _ = self._terms(t)
+        return self.gamma - (self.n / self.gp) * softplus(x), zp, zpp
 
     def v2(self, t: float) -> tuple:
         """Gamma-derivative V2 of the comparison solution, V2', V2'':
@@ -128,10 +137,8 @@ class GammaSnapshot:
             V2'' = (n/(n-1)^3) sigma(x) sigma(-x) (1 - 2 sigma(-x))
         """
         n = self.n
-        x = self.x(t)
-        sp, sm = sigma(x), sigma(-x)
+        _, sp, sm, _, _, v2p = self._terms(t)
         v2 = -1.0 / (n - 1.0) + n / (n - 1.0) * sm
-        v2p = n / (n - 1.0) ** 2 * sp * sm
         v2pp = n / (n - 1.0) ** 3 * sp * sm * (1.0 - 2.0 * sm)
         return v2, v2p, v2pp
 

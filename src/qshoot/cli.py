@@ -13,7 +13,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from ._numeric import linspace
@@ -108,7 +108,8 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_run_config(path: str | None, flag_values: dict) -> RunConfig:
-    merged = asdict(RunConfig())
+    # every default is an immutable scalar, str or None: no deep copy
+    merged = {f.name: f.default for f in fields(RunConfig)}
     if path is not None:
         try:
             with open(path) as fh:

@@ -4,7 +4,8 @@ predictions, and small-amplitude regimes.
 Each suite returns rows of (name, value, bound, passed) with the value the
 measured quantity and the bound what it must stay under (or a target it
 must hit, stated in the name). Grids and inputs are fixed so repeated runs
-produce identical reports.
+produce identical reports. The decay ladder reads T and T' off one channel
+march per amplitude.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from .asymptotics import (BOUND_FACTOR, comparison_z, error_decay_report,
                           z_ode_log_residual)
 from .config import ProblemConfig
 from .errors import QShootError
-from .linearization import t_prime
+from .linearization import solve_V1
 from .nonlinearity import make_nonlinearity
-from .shooting import (classify_small_gamma, shoot, shoot_singular,
-                       shoot_weighted_direct, sweep)
-# unused here: bound only so perfbench/tracer.py can wrap them
-from .linearization import v2_eval  # noqa: F401
+from .shooting import (BifurcationCurve, classify_small_gamma, shoot,
+                       shoot_singular, shoot_weighted_direct)
+# unused here (the ladder reads T' off its own marches): bound only so
+# perfbench/tracer.py can wrap them
+from .linearization import t_prime, v2_eval  # noqa: F401
 from .nonlinearity import eval_g  # noqa: F401
 
 BESSEL_FIRST_ZERO = 2.404825557695773
@@ -161,8 +163,8 @@ _QUAD_OPT = {"limit": 400, "epsabs": 1e-300, "epsrel": 1e-12}
 
 
 def _quad_tail_power(k, s, t):
-    val, _ = quad(lambda u: s.z(u)[1] ** (k + 1), t, t + 200.0 * (s.n - 1.0),
-                  **_QUAD_OPT)
+    val, _ = quad(lambda u: s.slopes(u)[0] ** (k + 1), t,
+                  t + 200.0 * (s.n - 1.0), **_QUAD_OPT)
     return val
 
 
@@ -170,11 +172,12 @@ def _quad_turning(s, t):
     n = s.n
 
     def ig1(u):
-        _, zp, zpp = s.z(u)
-        return zp ** (n - 2.0) * zpp * s.v2(u)[1]
+        zp, zpp, v2p = s.slopes(u)
+        return zp ** (n - 2.0) * zpp * v2p
 
     def ig2(u):
-        return s.z(u)[1] ** n * s.v2(u)[1]
+        zp, _, v2p = s.slopes(u)
+        return zp ** n * v2p
 
     hi = t + 200.0 * (n - 1.0)
     i1q, _ = quad(ig1, t, hi, **_QUAD_OPT)
@@ -225,12 +228,14 @@ def suite_asymptotics() -> SuiteReport:
     rows.append(_leq("zero_prediction[u^2,gamma=5]",
                      abs(pr2.T_pred - (math.log(5.0) + 1.5)), 1e-12))
 
-    # prediction errors shrink along a short amplitude ladder
-    gs = geomspace(20.0, 200.0, 6)
-    report = error_decay_report(sweep(nl15, 2, gs, _CFG))
-    errTp = [abs(t_prime(nl15, 2, g, _CFG)
-                 - predict_all(g, 2, nl15).Tprime_pred) for g in gs]
-    half = len(gs) // 2
+    # prediction errors shrink along a short amplitude ladder; one channel
+    # march per amplitude gives both its T and its T'
+    outs = tuple(solve_V1(nl15, 2, g, _CFG) for g in geomspace(20.0, 200.0, 6))
+    report = error_decay_report(
+        BifurcationCurve(nl=nl15, n=2, cfg=_CFG, outcomes=outs))
+    errTp = [abs(o.tprime() - predict_all(o.gamma, 2, nl15).Tprime_pred)
+             for o in outs]
+    half = len(outs) // 2
     rows.append(_leq("zero_error_normalized_spread[u^1.5]",
                      report.verdicts["T"]["max_over_min"], BOUND_FACTOR))
     drops = all(b < a for a, b in zip(errTp[half:], errTp[half + 1:]))

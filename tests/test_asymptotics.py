@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import qshoot.asymptotics
+import qshoot.ode
 from qshoot._stable import sigma, softplus
 from qshoot.asymptotics import (
     GammaSnapshot,
@@ -389,6 +390,12 @@ class TestSnapshot:
             return
         assert all(math.isfinite(getattr(s, f)) for f in (
             "g", "gp", "gpp", "alpha_n", "T1", "T0"))
+        # the quadratures' reader is bitwise z', z'' and V2', through both
+        # saturations of sigma (x = -800 and +800)
+        for x in (-800.0, -40.0, -1.0, 0.0, 0.5, 40.0, 800.0):
+            t = s.T1 - (n - 1.0) * x
+            want = (s.z(t)[1], s.z(t)[2], s.v2(t)[1])
+            assert [v.hex() for v in s.slopes(t)] == [v.hex() for v in want]
         # the closed forms read off the snapshot: finite, or typed refusals
         def prediction():
             pr = predict_all(gamma, n, nl)
@@ -432,3 +439,18 @@ class TestSnapshot:
                             lambda k: calls.append(k) or real(k))
         assert all(rep.passed for rep in run_suites())
         assert 0 < len(calls) <= 150
+
+    def test_verify_marches_each_ladder_amplitude_once(self, monkeypatch):
+        # the decay ladder reads T and T' off one channel march per
+        # amplitude, and the suite marches nothing else
+        cols = []
+        real = qshoot.ode._march
+
+        def counted(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            cols.append(len(traj.states[0]))
+            return traj
+
+        monkeypatch.setattr(qshoot.ode, "_march", counted)
+        assert all(rep.passed for rep in run_suites(("asymptotics",)))
+        assert cols == [4] * 6
