@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
+from ._numeric import brentq
 from ._stable import sigma, softplus
 from .config import check_dimension
-from .errors import AdmissionError, ConfigError
+from .errors import AdmissionError, ConfigError, SolverError
 from .nonlinearity import Nonlinearity, eval_g, exploratory
 
 __all__ = [
@@ -209,10 +210,9 @@ def psi_eval(gamma: float, n: int, nl: Nonlinearity, theta: float) -> float:
     """Exponent comparison function used by the convexity argument:
     psi(theta) = g(theta) - g(gamma) + ((n-1)/n)(gamma-theta) g'(gamma)
                  - (n-1) log(((n-1)/n) g'(gamma)).
-    The multiplier cancels in the difference."""
-    gp = eval_g(nl, gamma, 1)
-    if gp <= 0.0:
-        raise AdmissionError(f"g'({gamma}) = {gp} is not positive")
+    The multiplier cancels in the difference. g'(gamma) is the snapshot's,
+    which refuses a bad n or gamma and a g'(gamma) <= 0."""
+    gp = snapshot(nl, n, gamma).gp
     return (eval_g(nl, theta, 0) - eval_g(nl, gamma, 0)
             + (n - 1.0) / n * (gamma - theta) * gp
             - (n - 1.0) * math.log((n - 1.0) / n * gp))
@@ -263,15 +263,16 @@ def turning_integrals(gamma: float, n: int, nl: Nonlinearity, t: float):
     return i1, i2, (s.gpp / s.gp) * i1 + s.gpp * i2
 
 
-# Newton's relative step tolerance and iteration budget in perturbed_root
-_NEWTON_TOL = 1e-14
-_NEWTON_MAXIT = 80
-
-
 def perturbed_root(a: float, n: int, b: float) -> float:
-    """Root of x^n - a x^{n-1} - b = 0 near x = a, by damped Newton from a.
+    """Root of x^n - a x^{n-1} = b near x = a: brentq on
+    h(x) = x^{n-1}(x - a) - b, to 4 eps |x|, over its exact bracket.
 
-    The first Newton step from a is exactly a + b/a^{n-1}.
+    For b > 0 the root lies in (a, a + b/a^{n-1}], up to the first Newton
+    step from a; where rounding leaves h <= 0 at that step, the step is
+    the root. For b < 0 it lies in [a(n-1)/n, a), where h rises from its
+    minimum, unless that minimum is above 0: then no real root lies near a.
+    That, an a^{n-1} or h outside the doubles and a search that does not
+    converge raise AdmissionError.
     """
     if a <= 0.0:
         raise ConfigError(f"a must be positive, got {a}")
@@ -282,36 +283,16 @@ def perturbed_root(a: float, n: int, b: float) -> float:
         return a
 
     def h(x):
-        return x ** n - a * x ** (n - 1) - b
+        return x ** (n - 1) * (x - a) - b
 
-    def hp(x):
-        return n * x ** (n - 1) - (n - 1.0) * a * x ** (n - 2)
-
-    x = a
-    for _ in range(_NEWTON_MAXIT):
-        fx, dx = h(x), hp(x)
-        if dx == 0.0:
-            raise AdmissionError("Newton hit a flat spot; outside the basin")
-        step = fx / dx
-        xn = x - step
-        # keep the iterate on the positive side of the degenerate root at 0
-        damp = 0
-        while xn <= 0.0 and damp < 60:
-            step *= 0.5
-            xn = x - step
-            damp += 1
-        if not math.isfinite(xn):
-            raise AdmissionError("Newton diverged; outside the basin")
-        if abs(xn - x) <= _NEWTON_TOL * max(1.0, abs(xn)):
-            x = xn
-            break
-        x = xn
-    else:
-        raise AdmissionError(
-            f"no convergence within {_NEWTON_MAXIT} iterations")
-    if abs(h(x)) > 1e-8 * max(1.0, abs(b), a ** n):
-        raise AdmissionError("Newton stalled away from a root; outside the basin")
-    return x
+    try:
+        if b < 0.0:
+            return brentq(h, a * (n - 1) / n, a, xtol=0.0)
+        step = a + b / a ** (n - 1)
+        return step if h(step) <= 0.0 else brentq(h, a, step, xtol=0.0)
+    except (ArithmeticError, SolverError) as exc:
+        raise AdmissionError(f"no root of x^{n} - a x^{n - 1} = {b} found "
+                             f"near a={a}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from typing import Optional
 
 from .asymptotics import snapshot
 from .config import ProblemConfig
+from .errors import AdmissionError
 from .nonlinearity import Nonlinearity, eval_g
 from .ode import quad_dense
 from .shooting import ShootOutcome, _solve
@@ -114,14 +115,19 @@ def flux_identity_residual(nl: Nonlinearity, n: int, gamma: float,
                     + int_a^b (g'' + g'''/g' - (g''/g')^2) psi^{n/(n-1)} V1' dt
 
     on any [a, b] inside the integrated span; here a is the convexity
-    crossing (the zero T without one) and b the tail start, which the tail
-    admits only above the floor, so a < b. The residual is normalized by
-    the largest magnitude among the four terms.
+    floor crossing and b the tail start, which the tail admits only above
+    the floor, so a < b. A march that crosses no floor before its zero T
+    is refused with AdmissionError: at T the u^2 family's g'(y) vanishes,
+    and for exp every term does. The residual is normalized by the largest
+    magnitude among the four terms.
     """
     res = solve_V1(nl, n, gamma, cfg, keep_trajectory=True, route="t")
+    if res.Ttilde is None:
+        raise AdmissionError(
+            f"flux identity needs a convexity-floor crossing; the march at "
+            f"gamma={gamma} crossed none before its zero T={res.T}")
     traj = res.traj
-    a = res.Ttilde if res.Ttilde is not None else res.T
-    b = res.diagnostics["t_start"]
+    a, b = res.Ttilde, res.diagnostics["t_start"]
 
     def parts(t, s):
         # psi, phi, g' g'' g''' at y, then the slopes y', psi', V1', phi'

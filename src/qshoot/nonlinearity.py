@@ -133,20 +133,16 @@ def eval_g(nl: Nonlinearity, u: float, k: int = 0) -> float:
     if u < 0.0:
         raise ConfigError(f"g evaluated at negative u={u}")
     q = nl.q
+    # a zero coefficient a q (q-1)...(q-k+1) leaves the rho part alone
+    coef = nl.a * math.prod(q - j for j in range(k))
     if u == 0.0:
         if nl.p != 0.0:
             raise ConfigError("g singular at u = 0 for this rho")
-        e = q - k
-        if e > 0 or nl.a == 0.0:
-            power = 0.0
-        elif e == 0:
-            power = nl.a * math.prod(q - j for j in range(k))
-        else:
+        if q < k and coef != 0.0:
             raise ConfigError(f"u^{{q-k}} singular at 0 for q={q}, k={k}")
-        return power + _rho(nl, u, k)
     try:
-        return (nl.a * math.prod(q - j for j in range(k)) * u ** (q - k)
-                + _rho(nl, u, k))
+        power = coef * u ** (q - k) if coef != 0.0 else 0.0
+        return power + _rho(nl, u, k)
     except ZeroDivisionError:  # p / u^k with u^k underflowing to 0
         raise AdmissionError(f"g^({k}) has no double value at u={u}: "
                              f"u^{k} underflows to 0") from None

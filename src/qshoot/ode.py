@@ -55,7 +55,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ._numeric import brentq
+from ._numeric import brentq, quad
 from ._stable import softplus
 from .asymptotics import snapshot
 from .config import ProblemConfig, check_dimension
@@ -825,27 +825,15 @@ def energy_violations(records):
     return bad
 
 
-# 12-point Gauss-Legendre nodes on [-1, 1], ascending, and their weights
-_GL_X = (0.9815606342467192, 0.9041172563704748, 0.7699026741943047,
-         0.5873179542866175, 0.3678314989981802, 0.1252334085114689)
-_GL_W = (0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
-         0.20316742672306573, 0.2334925365383546, 0.2491470458134027)
-_GL_NODES = [-x for x in _GL_X] + list(reversed(_GL_X))
-_GL_WEIGHTS = list(_GL_W) + list(reversed(_GL_W))
-
-
 def quad_dense(traj: Trajectory, func, a: float, b: float) -> float:
-    """Integral of func(x, state(x)) over [a, b] using fixed Gauss-Legendre
-    panels split at the accepted steps, so the quadrature never crosses a
-    dense-output patch boundary."""
-    if a == b:
-        return 0.0
+    """Integral of func(x, state(x)) over [a, b]: one 21-point
+    Gauss-Kronrod rule (`quad` held to one interval) on each accepted step,
+    so no rule crosses a dense-output patch boundary."""
     lo, hi, sign = (a, b, 1.0) if a < b else (b, a, -1.0)
     cuts = [lo, *(t for t in sorted(traj.ts) if lo < t < hi), hi]
-    total = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            x = mid + half * xi
-            total += wi * half * func(x, traj.state_at(x))
-    return sign * total
+
+    def f(x):
+        return func(x, traj.state_at(x))
+
+    return sign * sum(quad(f, left, right, limit=1)[0]
+                      for left, right in zip(cuts[:-1], cuts[1:]))

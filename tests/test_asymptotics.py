@@ -2,6 +2,7 @@
 perturbed roots and the leading-order predictions."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,28 @@ class TestDriftFunction:
             psi_eval(1.0, 2, nl, 1.0)  # g'(1) = 2 - 10 < 0
 
 
+# each closed form as a call on (gamma, n, nl), with its other arguments
+CLOSED_FORMS = {
+    "psi_eval": lambda g, n, nl: psi_eval(g, n, nl, 3.0),
+    "comparison_z": lambda g, n, nl: comparison_z(g, n, nl, 1.0),
+    "v2_eval": lambda g, n, nl: v2_eval(g, n, nl, 1.0),
+    "z_ode_log_residual": lambda g, n, nl: z_ode_log_residual(g, n, nl,
+                                                              [1.0]),
+    "tail_power_integral": lambda g, n, nl: tail_power_integral(1, g, n, nl,
+                                                                1.0),
+    "turning_integrals": lambda g, n, nl: turning_integrals(g, n, nl, 1.0),
+    "predict_all": predict_all,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+@pytest.mark.parametrize("n,gamma", [(0, 5.0), (1, 5.0), (2.5, 5.0),
+                                     (2, math.nan), (2, math.inf)])
+def test_closed_forms_refuse_bad_inputs(name, n, gamma, nl_square):
+    with pytest.raises(ConfigError):
+        CLOSED_FORMS[name](gamma, n, nl_square)
+
+
 class TestTailPowerIntegral:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -221,6 +244,23 @@ class TestPerturbedRoot:
         assert x >= a - 1e-12
         assert abs(x ** n - a * x ** (n - 1) - b) <= 1e-8 * max(1.0, b, a ** n)
 
+    def test_a_steep_power_converges(self):
+        # x^399 (x - 1) = 2: Newton from a crawls down from its first step
+        x = perturbed_root(1.0, 400, 2.0)
+        assert 1.0 < x < 3.0
+        assert abs(x ** 399 * (x - 1.0) - 2.0) <= 1e-12
+
+    def test_a_perturbation_below_rounding_returns_a(self):
+        # a + b/a^{n-1} rounds to a, so h there is -b: that step is the root
+        assert perturbed_root(1.0, 2, 1e-17) == 1.0
+        assert perturbed_root(3.0, 3, 1e-300) == 3.0
+
+    @pytest.mark.parametrize("a", [1e200, 1e-200])
+    def test_a_power_outside_the_doubles_is_typed(self, a):
+        # a^2 overflows, or underflows to 0 under b / a^2
+        with pytest.raises(QShootError):
+            perturbed_root(a, 3, 1.0)
+
     def test_no_real_root_is_refused(self):
         # x^2 - x + 1/2 has no real zero
         with pytest.raises(AdmissionError):
@@ -313,6 +353,24 @@ class TestDecayReport:
             assert r["predicted"] == want
             assert want != getattr(predict_all(r["gamma"], 2, nl),
                                    r["Q"] + "_pred")
+
+    def test_a_placeholder_row_is_skipped_in_step(self, nl_three_halves,
+                                                  cfg2):
+        # a failed amplitude keeps its slot, with None for its T': the rows
+        # after it must still read their own tprime_v1 entries
+        gammas, Ts = (20.0, 40.0, 80.0, 160.0), (3.0, 3.5, 4.0, 4.5)
+        tps = (0.5, 0.75, 1.0, 1.25)
+        solved = _fake_curve(nl_three_halves, gammas, Ts, cfg2)
+        solved = replace(solved, tprime_v1=tps)
+        holed = replace(
+            solved, outcomes=(*solved.outcomes[:2], ShootOutcome(gamma=60.0),
+                              *solved.outcomes[2:]),
+            tprime_v1=(*tps[:2], None, *tps[2:]))
+        want, got = error_decay_report(solved), error_decay_report(holed)
+        assert got.rows == want.rows
+        assert got.verdicts == want.verdicts
+        assert [r["computed"] for r in got.rows if r["Q"] == "Tprime"] == \
+            list(tps)
 
     def test_short_ladder_smoke(self, nl_three_halves, cfg2):
         gammas = np.geomspace(20.0, 120.0, 5)

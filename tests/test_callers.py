@@ -21,6 +21,11 @@ ALLOWED_FIELDS with the reason. A value that nothing reads is not computed.
 The rule matches attribute names, not classes: a read of `.T` on any object
 counts for every field named T, so a field that shares a common name needs
 its reader found by hand.
+
+Constants need readers too: each name a module of the package assigns at
+its top level is read, as a name or an attribute, in those same sources;
+its own assignment is not a read. `__all__` is exempt. A table or
+tolerance whose code is deleted goes with it.
 """
 
 import ast
@@ -253,3 +258,39 @@ def test_every_dataclass_field_has_a_reader():
 def test_the_field_allowlist_holds_only_unread_fields():
     assert set(ALLOWED_FIELDS) <= set(_fields())
     assert set(ALLOWED_FIELDS) <= _unread()
+
+
+def _constants() -> list:
+    """(module, name) for each name a package module assigns at top level,
+    `__all__` aside."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            out += [(path.stem, t.id) for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Name) and t.id != "__all__"]
+    return out
+
+
+def _loaded() -> set:
+    """Names read as a name or an attribute."""
+    names = set()
+    for tree, _ in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) \
+                    and isinstance(node.ctx, ast.Load):
+                names.add(node.id if isinstance(node, ast.Name)
+                          else node.attr)
+    return names
+
+
+def test_every_constant_has_a_reader():
+    loaded = _loaded()
+    assert [f"{mod}.{name}" for mod, name in _constants()
+            if name not in loaded] == []

@@ -201,6 +201,16 @@ class TestFluxIdentity:
         assert tight["residual"] <= 1e-6
         assert loose["residual"] <= 1e-6
 
+    @pytest.mark.parametrize("kw", [dict(family="exp"),
+                                    dict(family="pow_exp", q=2.0)])
+    def test_a_march_without_a_floor_crossing_is_refused(self, kw, cfg2):
+        # u^2 and exp march to their zero without crossing the floor: at
+        # y(T) = 0 u^2's g' vanishes (J_a ~ 1e14), and exp's terms all do
+        nl = make_nonlinearity(**kw)
+        assert solve_V1(nl, 2, 6.0, cfg2, route="t").Ttilde is None
+        with pytest.raises(AdmissionError, match="convexity-floor crossing"):
+            flux_identity_residual(nl, 2, 6.0, cfg2)
+
     def test_report_carries_both_boundary_terms(self, nl_family_ii, cfg2):
         rep = flux_identity_residual(nl_family_ii, 2, 5.0, cfg2)
         for key in ("J_a", "J_b", "I1", "I2"):

@@ -56,6 +56,14 @@ class TestDerivatives:
             eval_g(nl, 1e-170, k)
         assert math.isfinite(eval_g(nl, 1e-100, k))
 
+    @pytest.mark.parametrize("family,q,u,k", [
+        ("exp", 1.0, 0.0, 2), ("exp", 1.0, 0.0, 3), ("exp", 1.0, 1e-300, 2),
+        ("exp", 1.0, 1e-300, 3), ("pow_exp", 2.0, 0.0, 3)])
+    def test_a_zero_coefficient_leaves_the_rho_part(self, family, q, u, k):
+        # a q (q-1)...(q-k+1) = 0: u^{q-k} is never formed, so neither its
+        # pole at 0 nor its overflow near 0 is reached
+        assert eval_g(make_nonlinearity(family, q=q), u, k) == 0.0
+
     def test_log_term_blocks_zero(self):
         nl = make_nonlinearity("pow_exp", q=2.0, p=1.0)
         with pytest.raises(ConfigError):

@@ -452,12 +452,6 @@ class TestDenseQuadrature:
         assert quad_dense(traj, fun, a, a) == 0.0
 
 
-    def test_gauss_legendre_table_is_leggauss_bitwise(self):
-        nodes, weights = np.polynomial.legendre.leggauss(12)
-        assert qshoot.ode._GL_NODES == nodes.tolist()
-        assert qshoot.ode._GL_WEIGHTS == weights.tolist()
-
-
 class TestTrajectoryViews:
     @pytest.mark.parametrize("route", ["t", "r"])
     def test_the_record_is_the_steppers_own_samples(self, route, nl_square,
